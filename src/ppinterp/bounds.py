@@ -11,7 +11,6 @@ from .config import DBI, PPI
 __all__ = [
     "ExtremumClass",
     "IntervalBounds",
-    "FlatDataError",
     "boundary_sigmas",
     "classify_interval",
     "interval_bounds",
@@ -34,17 +33,13 @@ class ExtremumClass(enum.Enum):
     AMBIGUOUS = "ambiguous"
 
 
-class FlatDataError(ValueError):
-    """Degenerate interval whose expanded window is still flat (w = 0)."""
-
-
 @dataclass(frozen=True)
 class IntervalBounds:
     """Bounds and scaling factors for one interval.
 
-    ``w`` is only meaningful when ``degenerate`` is set (equal endpoint
-    values); it is the scaled first nonzero divided difference that replaces
-    the interval slope as normalization.
+    ``degenerate`` marks equal endpoint values: the stencil engine then
+    derives the scaling factors itself from the scaled first nonzero divided
+    difference (w) that replaces the interval slope as normalization.
     """
 
     u_min: float
@@ -52,7 +47,6 @@ class IntervalBounds:
     m_l: float = 0.0
     m_r: float = 1.0
     degenerate: bool = False
-    w: float | None = None
 
 
 def boundary_sigmas(slopes, i: int) -> tuple[float, float, float]:
@@ -134,6 +128,6 @@ def scaling_factors(
         raise ValueError("equal endpoint values require degenerate_w")
     w = degenerate_w
     if w == 0.0:
-        raise FlatDataError("flat data: expanded window has zero divided difference")
+        raise ValueError("flat data: expanded window has zero divided difference")
     lo, hi = (u_min, u_max) if w > 0.0 else (u_max, u_min)
     return min(0.0, (lo - u_i) / w), max(0.0, (hi - u_i) / w)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 __all__ = ["DBI", "PPI", "InterpConfig"]
@@ -30,11 +32,17 @@ class InterpConfig:
     eps1: float = 1.0
 
     def __post_init__(self):
-        if self.d < 1 or int(self.d) != self.d:
-            raise ValueError(f"target degree d must be an integer >= 1, got {self.d}")
+        try:
+            d = operator.index(self.d)
+        except TypeError:
+            d = None
+        if d is None or isinstance(self.d, bool) or d < 1:
+            raise ValueError(f"target degree d must be an integer >= 1, got {self.d!r}")
         if self.im not in (DBI, PPI):
             raise ValueError(f"im must be {DBI} (DBI) or {PPI} (PPI), got {self.im}")
         if self.st not in (1, 2, 3):
             raise ValueError(f"st must be 1, 2 or 3, got {self.st}")
-        if self.eps0 < 0 or self.eps1 < 0:
-            raise ValueError("eps0 and eps1 must be nonnegative")
+        if not (0.0 <= self.eps0 < math.inf and 0.0 <= self.eps1 < math.inf):
+            raise ValueError(
+                f"eps0 and eps1 must be finite and nonnegative, got {self.eps0}, {self.eps1}"
+            )

@@ -13,7 +13,6 @@ __all__ = [
     "build_table",
     "IntervalInterpolant",
     "newton_eval",
-    "estimate_local_error",
 ]
 
 
@@ -45,20 +44,9 @@ class DividedDifferenceTable:
     n_points: int
     max_order: int
 
-    def dd(self, i: int, order: int) -> float:
-        """Divided difference over mesh points i..i+order."""
-        if order > self.max_order or i + order >= self.n_points:
-            raise IndexError(f"no divided difference of order {order} at row {i}")
-        return float(self.entries[i, order])
-
 
 def build_table(mesh, values, max_degree: int) -> DividedDifferenceTable:
-    """Build all divided differences of order 0..min(max_degree, n-1).
-
-    ``max_degree`` is the highest difference order retained; the driver asks
-    for one order beyond the target polynomial degree so the local error
-    estimate has the next difference available.
-    """
+    """Build all divided differences of order 0..min(max_degree, n-1)."""
     x = as_mesh1d(mesh)
     u = np.asarray(values, dtype=float)
     if u.shape != x.shape:
@@ -131,30 +119,3 @@ def newton_eval(piece: IntervalInterpolant, mesh, x):
     for j in range(len(coeffs) - 2, -1, -1):
         p = coeffs[j] + (xv - xs[nodes[j]]) * p
     return float(p[0]) if scalar else p
-
-
-def estimate_local_error(piece: IntervalInterpolant, table: DividedDifferenceTable, mesh):
-    """Approximate the local interpolation error of ``piece``.
-
-    Uses the next-order divided difference (window extended by one point,
-    preferring the right neighbor) times the product over the stencil nodes of
-    max(|x_i - x_e|, |x_{i+1} - x_e|).  Returns None when the table holds no
-    difference one order beyond the piece or the window spans the whole mesh.
-    """
-    x = np.asarray(mesh, dtype=float)
-    l, r = piece.window
-    order = piece.degree + 1
-    if order > table.max_order:
-        return None
-    if r + 1 < table.n_points:
-        nxt = table.entries[l, order]
-    elif l - 1 >= 0:
-        nxt = table.entries[l - 1, order]
-    else:
-        return None
-
-    i = piece.interval_index
-    prod = 1.0
-    for e in piece.insertion_order:
-        prod *= max(abs(x[i] - x[e]), abs(x[i + 1] - x[e]))
-    return float(nxt) * prod

@@ -22,7 +22,6 @@ __all__ = [
     "roundtrip_error",
     "run_experiments",
     "table_sweep",
-    "roundtrip_sweep",
     "format_rows",
     "CSV_HEADER",
 ]
@@ -149,23 +148,6 @@ def table_sweep(table_id: int) -> list[ExperimentSpec]:
         for method in ("dbi", "ppi"):
             for degree in (3, 4, 8):
                 specs.append(ExperimentSpec(fn=fn, n=n, method=method, degree=degree))
-    return specs
-
-
-def roundtrip_sweep(fn: str, base_n: int = 64, degrees=(3, 5, 7)) -> list[ExperimentSpec]:
-    """Round-trip sweep over refinements 0/1/3 and the adaptive degrees."""
-    specs = []
-    for refine in (0, 1, 3):
-        specs.append(
-            ExperimentSpec(fn=fn, n=base_n, method="pchip", degree=3, kind="roundtrip", refine=refine)
-        )
-        for method in ("dbi", "ppi"):
-            for degree in degrees:
-                specs.append(
-                    ExperimentSpec(
-                        fn=fn, n=base_n, method=method, degree=degree, kind="roundtrip", refine=refine
-                    )
-                )
     return specs
 
 

@@ -55,7 +55,7 @@ def interpolate_1d(x, v, xout, config: InterpConfig) -> np.ndarray:
     pts = _check_output_points(xm, xout)
     n = xm.size
 
-    table = build_table(xm, u, min(config.d + 1, n - 1))
+    table = build_table(xm, u, min(config.d, n - 1))
     slopes = table.entries[: n - 1, 1]
 
     idx = np.searchsorted(xm, pts, side="right") - 1
@@ -81,7 +81,7 @@ def interval_interpolants(x, v, config: InterpConfig) -> list[IntervalInterpolan
     xm = as_mesh1d(x)
     u = _check_values(xm, v)
     n = xm.size
-    table = build_table(xm, u, min(config.d + 1, n - 1))
+    table = build_table(xm, u, min(config.d, n - 1))
     slopes = table.entries[: n - 1, 1]
     return [_interval_piece(xm, u, table, slopes, i, config) for i in range(n - 1)]
 

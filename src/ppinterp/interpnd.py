@@ -9,18 +9,9 @@ import numpy as np
 
 from .config import InterpConfig
 from .divdiff import as_mesh1d
-from .interp1d import interpolate_1d
+from .interp1d import _check_output_points, interpolate_1d
 
 __all__ = ["adaptive_interpolation_2d", "adaptive_interpolation_3d"]
-
-
-def _as_outmesh(points, name: str) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 1 or pts.size < 1:
-        raise ValueError(f"{name} must be a non-empty 1D sequence")
-    if not np.all(np.diff(pts) > 0.0):
-        raise ValueError(f"{name} must be strictly increasing")
-    return pts
 
 
 def _check_grid(v, shape: tuple[int, ...]) -> np.ndarray:
@@ -30,42 +21,39 @@ def _check_grid(v, shape: tuple[int, ...]) -> np.ndarray:
     return arr
 
 
-def _sweep(mesh, values, out_pts, config, axis_name):
+def _sweep(mesh, values, out_pts, config):
     """Apply the 1D routine along axis 0 of ``values`` for every other index."""
     lines = values.shape[1]
     out = np.empty((out_pts.size, lines))
     for k in range(lines):
-        try:
-            out[:, k] = interpolate_1d(mesh, values[:, k], out_pts, config)
-        except ValueError as err:
-            raise ValueError(f"{axis_name}-sweep line {k}: {err}") from err
+        out[:, k] = interpolate_1d(mesh, values[:, k], out_pts, config)
     return out
 
 
 def interpolate_2d(x, y, v, xout, yout, config: InterpConfig) -> np.ndarray:
     xs, ys = as_mesh1d(x), as_mesh1d(y)
     grid = _check_grid(v, (xs.size, ys.size))
-    xo = _as_outmesh(xout, "xout")
-    yo = _as_outmesh(yout, "yout")
+    xo = _check_output_points(xs, xout)
+    yo = _check_output_points(ys, yout)
 
-    q = _sweep(xs, grid, xo, config, "x")                    # (mx, ny)
-    out = _sweep(ys, q.T, yo, config, "y")                   # (my, mx)
+    q = _sweep(xs, grid, xo, config)                         # (mx, ny)
+    out = _sweep(ys, q.T, yo, config)                        # (my, mx)
     return out.T
 
 
 def interpolate_3d(x, y, z, v, xout, yout, zout, config: InterpConfig) -> np.ndarray:
     xs, ys, zs = as_mesh1d(x), as_mesh1d(y), as_mesh1d(z)
     grid = _check_grid(v, (xs.size, ys.size, zs.size))
-    xo = _as_outmesh(xout, "xout")
-    yo = _as_outmesh(yout, "yout")
-    zo = _as_outmesh(zout, "zout")
+    xo = _check_output_points(xs, xout)
+    yo = _check_output_points(ys, yout)
+    zo = _check_output_points(zs, zout)
     ny, nz = ys.size, zs.size
     mx, my, mz = xo.size, yo.size, zo.size
 
-    q = _sweep(xs, grid.reshape(xs.size, ny * nz), xo, config, "x").reshape(mx, ny, nz)
-    g = _sweep(ys, np.moveaxis(q, 1, 0).reshape(ny, mx * nz), yo, config, "y")
+    q = _sweep(xs, grid.reshape(xs.size, ny * nz), xo, config).reshape(mx, ny, nz)
+    g = _sweep(ys, np.moveaxis(q, 1, 0).reshape(ny, mx * nz), yo, config)
     g = np.moveaxis(g.reshape(my, mx, nz), 0, 1)             # (mx, my, nz)
-    w = _sweep(zs, np.moveaxis(g, 2, 0).reshape(nz, mx * my), zo, config, "z")
+    w = _sweep(zs, np.moveaxis(g, 2, 0).reshape(nz, mx * my), zo, config)
     return np.moveaxis(w.reshape(mz, mx, my), 0, 2)          # (mx, my, mz)
 
 

@@ -10,6 +10,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .divdiff import as_mesh1d
 from .interp1d import _check_output_points, _check_values
+from .interpnd import _check_grid
 
 __all__ = ["pchip_1d", "pchip_2d"]
 
@@ -25,11 +26,9 @@ def pchip_1d(x, v, xout) -> np.ndarray:
 def pchip_2d(x, y, v, xout, yout) -> np.ndarray:
     """Tensor-product PCHIP on grid values v[i, j]: x sweep, then y sweep."""
     xs, ys = as_mesh1d(x), as_mesh1d(y)
-    grid = np.asarray(v, dtype=float)
-    if grid.shape != (xs.size, ys.size):
-        raise ValueError(f"grid values have shape {grid.shape}, expected {(xs.size, ys.size)}")
-    xo = _check_output_points(xs, np.asarray(xout, dtype=float))
-    yo = _check_output_points(ys, np.asarray(yout, dtype=float))
+    grid = _check_grid(v, (xs.size, ys.size))
+    xo = _check_output_points(xs, xout)
+    yo = _check_output_points(ys, yout)
 
     q = PchipInterpolator(xs, grid, axis=0)(xo)      # (mx, ny)
     return PchipInterpolator(ys, q, axis=1)(yo)      # (mx, my)

@@ -7,8 +7,6 @@ admissible a user-selectable policy (st) picks the side."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .bounds import IntervalBounds, scaling_factors
@@ -18,8 +16,6 @@ from .divdiff import DividedDifferenceTable, IntervalInterpolant
 __all__ = [
     "LEFT",
     "RIGHT",
-    "StencilState",
-    "geometry_factors",
     "lambda_bar_candidate",
     "b_bounds_step",
     "select_direction",
@@ -31,77 +27,43 @@ LEFT = "left"
 RIGHT = "right"
 
 
-@dataclass
-class StencilState:
-    """Running state while growing the stencil of interval ``i``.
-
-    ``j`` counts expansions (window size is j + 2).  ``lambda_bar`` is the
-    scaled divided-difference ratio of the current window, ``length_product``
-    the accumulated product of window lengths entering it.  ``denom`` is the
-    interval slope, or the scaled first nonzero difference (w) when the
-    endpoint values are equal (``normalization == "degenerate"``).
-    """
-
-    i: int
-    l: int
-    r: int
-    j: int = 0
-    lambda_bar: float = 1.0
-    b_minus: float = np.nan
-    b_plus: float = np.nan
-    length_product: float = 1.0
-    normalization: str = "standard"
-    denom: float = np.nan
-    insertion_order: list[int] = field(default_factory=list)
-    coefficients: list[float] = field(default_factory=list)
-
-    @property
-    def mu_l(self) -> int:
-        return self.i - self.l
-
-    @property
-    def mu_r(self) -> int:
-        return self.r - (self.i + 1)
-
-
-def geometry_factors(mesh, i: int, window: tuple[int, int], inserted: int) -> tuple[float, float]:
-    """Return (t, d) for one insertion, normalized by the base interval.
-
-    ``t`` locates the inserted point relative to [x_i, x_{i+1}] (t <= 0 left
-    of the interval, t >= 1 right of it); ``d`` is the expanded window length
-    over the base interval length.  Note the admissibility recursion at step
-    j consumes the t of the point inserted at step j-1 together with the d of
-    the window after step j.
-    """
-    x = np.asarray(mesh, dtype=float)
-    h = x[i + 1] - x[i]
-    l, r = window
-    return float((x[inserted] - x[i]) / h), float((x[r] - x[l]) / h)
-
-
 def lambda_bar_candidate(
-    table: DividedDifferenceTable, mesh, state: StencilState, direction: str
-):
-    """Lambda_bar of the window expanded one point in ``direction``.
+    table: DividedDifferenceTable,
+    x: np.ndarray,
+    i: int,
+    window: tuple[int, int],
+    e: int,
+    last: int,
+    lambda_bar_prev: float,
+    prev: tuple[float, float] | None,
+    length_product: float,
+    denom: float,
+    m_l: float,
+    m_r: float,
+    degenerate: bool,
+) -> tuple[float, float, float, float, float]:
+    """One admissibility step: grow ``window`` of interval ``i`` by point ``e``.
 
-    Returns None when the mesh ends on that side.  The value is the expanded
-    window's divided difference over ``state.denom``, scaled by the product of
-    window lengths accumulated so far and the new window length.
+    ``last`` is the point added one step earlier, ``lambda_bar_prev`` and
+    ``prev`` = (B-, B+) the values of the current window (``prev`` is None
+    before the first expansion), ``length_product`` the product of window
+    lengths accumulated so far and ``denom`` the normalization (interval
+    slope, or w when ``degenerate``).
+
+    Returns (dd, lambda_bar, B-, B+, length) of the grown window; the point is
+    admissible when B- <= lambda_bar <= B+.  The bounds pair the grown
+    window's length with the position of ``last`` (the factor multiplying
+    lambda_j in the nested form).
     """
-    x = np.asarray(mesh, dtype=float)
-    if direction == LEFT:
-        e = state.l - 1
-        if e < 0:
-            return None
-        new_l, new_r = e, state.r
-    else:
-        e = state.r + 1
-        if e > table.n_points - 1:
-            return None
-        new_l, new_r = state.l, e
-    dd = table.entries[new_l, new_r - new_l]
-    length = x[new_r] - x[new_l]
-    return float(dd / state.denom * state.length_product * length)
+    l, r = min(window[0], e), max(window[1], e)
+    h = x[i + 1] - x[i]
+    dd = float(table.entries[l, r - l])
+    length = float(x[r] - x[l])
+    lam = dd / denom * length_product * length
+    bm, bp = b_bounds_step(
+        prev, lambda_bar_prev, length / h, (x[last] - x[i]) / h, m_l, m_r, degenerate
+    )
+    return dd, lam, bm, bp, length
 
 
 def b_bounds_step(
@@ -111,26 +73,25 @@ def b_bounds_step(
     t_j: float,
     m_l: float,
     m_r: float,
-    j: int,
     degenerate_base: bool = False,
 ) -> tuple[float, float]:
     """One step of the recursive admissibility bounds on lambda_bar.
 
-    j = 1 seeds the recursion from (m_l, m_r); later steps propagate the
-    previous bounds through the geometry factors, swapping sides when the
-    inserted point lies to the right (t_j > 0).
+    ``d_j`` is the grown window length and ``t_j`` the position of the point
+    added one step earlier, both over the base interval length (t <= 0 left
+    of the interval, t >= 1 right of it).  The first step (``prev`` is None)
+    seeds the recursion from (m_l, m_r); later steps propagate the previous
+    bounds, swapping sides when that point lies to the right (t_j > 0).
 
     With equal endpoint values the interpolant has no linear term, so the
     quadratic shape s(s-1)*lambda_1/d_1 alone must fit between m_l and m_r;
     since s(s-1) spans [-1/4, 0] the seed tightens to (-4*m_r*d_1,
     -4*m_l*d_1).  ``degenerate_base`` selects that seed.
     """
-    if j == 1:
+    if prev is None:
         if degenerate_base:
             return -4.0 * m_r * d_j, -4.0 * m_l * d_j
         return (-4.0 * (m_r - 1.0) - 1.0) * d_j, (-4.0 * m_l + 1.0) * d_j
-    if prev is None:
-        raise ValueError("steps with j > 1 require the previous bounds")
     bm, bp = prev
     if t_j <= 0.0:
         f = d_j / (1.0 - t_j)
@@ -141,8 +102,6 @@ def b_bounds_step(
 
 def select_direction(
     st: int,
-    left_ok: bool,
-    right_ok: bool,
     dd_left: float,
     dd_right: float,
     mu_l: int,
@@ -152,18 +111,12 @@ def select_direction(
     lb_left: float,
     lb_right: float,
 ) -> str:
-    """Pick the expansion side; both-admissible cases follow the st policy.
+    """Pick the expansion side when both neighbors are admissible.
 
     st=1 prefers the smaller divided-difference magnitude, st=2 the side that
     keeps the stencil symmetric, st=3 the closer point.  Exact ties fall back
     to the smaller |lambda_bar| (the right side wins equality).
     """
-    if not (left_ok or right_ok):
-        raise ValueError("at least one direction must be admissible")
-    if not right_ok:
-        return LEFT
-    if not left_ok:
-        return RIGHT
     if st == 1:
         a, b = abs(dd_left), abs(dd_right)
     elif st == 2:
@@ -190,48 +143,6 @@ def _linear_piece(table: DividedDifferenceTable, i: int) -> IntervalInterpolant:
     )
 
 
-def _candidate(table, x, state, direction, m_l, m_r, h):
-    """Evaluate one expansion candidate; returns None if the mesh ends.
-
-    The bounds step pairs the candidate window's d with the t of the point
-    added one step earlier (the factor multiplying lambda_j in the nested
-    form), which is the last entry of the insertion order.
-    """
-    lam = lambda_bar_candidate(table, x, state, direction)
-    if lam is None:
-        return None
-    e = state.l - 1 if direction == LEFT else state.r + 1
-    new_l = min(state.l, e)
-    new_r = max(state.r, e)
-    t = (x[state.insertion_order[-1]] - x[state.i]) / h
-    d = (x[new_r] - x[new_l]) / h
-    j_new = state.j + 1
-    prev = None if j_new == 1 else (state.b_minus, state.b_plus)
-    bm, bp = b_bounds_step(
-        prev, state.lambda_bar, d, t, m_l, m_r, j_new,
-        degenerate_base=state.normalization == "degenerate",
-    )
-    return {
-        "e": e,
-        "window": (new_l, new_r),
-        "lam": lam,
-        "bounds": (bm, bp),
-        "ok": bm <= lam <= bp,
-        "dd": float(table.entries[new_l, new_r - new_l]),
-        "length": float(x[new_r] - x[new_l]),
-    }
-
-
-def _accept(state: StencilState, cand: dict) -> None:
-    state.l, state.r = cand["window"]
-    state.j += 1
-    state.lambda_bar = cand["lam"]
-    state.b_minus, state.b_plus = cand["bounds"]
-    state.length_product *= cand["length"]
-    state.insertion_order.append(cand["e"])
-    state.coefficients.append(cand["dd"])
-
-
 def build_stencil(
     mesh,
     table: DividedDifferenceTable,
@@ -244,7 +155,8 @@ def build_stencil(
     Expansion stops when neither neighbor is admissible, the window holds
     d+1 points, or the mesh ends on both sides.  Equal endpoint values switch
     the normalization to the first expanded window's scaled difference (w);
-    if that window is flat too, the interval falls back to the linear piece.
+    if that window is flat too, or not admissible, the interval falls back to
+    the linear piece.
     """
     x = np.asarray(mesh, dtype=float)
     n = table.n_points
@@ -254,81 +166,71 @@ def build_stencil(
     if table.max_order < min(d, n - 1):
         raise ValueError("divided-difference table holds too few orders for degree d")
 
-    u_i = float(table.entries[i, 0])
-    u_ip1 = float(table.entries[i + 1, 0])
-    sigma = float(table.entries[i, 1])
-    h = float(x[i + 1] - x[i])
+    l, r = i, i + 1
+    order = [i, i + 1]
+    coeffs = [float(table.entries[i, 0]), float(table.entries[i, 1])]
+    denom, length_product = coeffs[1], 1.0
+    lam, prev = 1.0, None
+    m_l, m_r = bounds.m_l, bounds.m_r
+    degenerate = bounds.degenerate
+    forced = None
 
-    state = StencilState(
-        i=i,
-        l=i,
-        r=i + 1,
-        denom=sigma,
-        insertion_order=[i, i + 1],
-        coefficients=[u_i, sigma],
-    )
-
-    if bounds.degenerate:
-        # Equal endpoint values: the slope normalization is unusable.  Pick
-        # the first expansion by divided-difference magnitude (ties go right),
-        # derive w from that window, then continue the regular recursion.
-        if d < 2:
+    if degenerate:
+        # Equal endpoint values: the slope normalization is unusable.  Force
+        # the first expansion toward the smaller second divided difference
+        # (ties go right) and normalize by that window's scaled difference w.
+        sides = [e for e in (i + 2, i - 1) if 0 <= e < n]
+        if d < 2 or not sides:
             return _linear_piece(table, i)
-        left_dd = abs(float(table.entries[i - 1, 2])) if i - 1 >= 0 else None
-        right_dd = abs(float(table.entries[i, 2])) if i + 2 <= n - 1 else None
-        if left_dd is None and right_dd is None:
-            return _linear_piece(table, i)
-        if right_dd is None or (left_dd is not None and left_dd < right_dd):
-            l1, r1, e1 = i - 1, i + 1, i - 1
-        else:
-            l1, r1, e1 = i, i + 2, i + 2
+        forced = min(sides, key=lambda e: abs(float(table.entries[min(e, i), 2])))
+        l1, r1 = min(forced, i), max(forced, i + 1)
+        h = float(x[i + 1] - x[i])
         w = float(table.entries[l1, 2]) * h * (x[r1] - x[l1])
         if w == 0.0:
-            # Flat beyond the interval as well: fall back to the linear piece.
             return _linear_piece(table, i)
-        m_l, m_r = scaling_factors(u_i, u_ip1, bounds.u_min, bounds.u_max, config.im, w)
-        state.normalization = "degenerate"
-        state.denom = w
-        state.length_product = h
-        cand = _candidate(table, x, state, LEFT if e1 < i else RIGHT, m_l, m_r, h)
-        if not cand["ok"]:
-            return _linear_piece(table, i)
-        _accept(state, cand)
-    else:
-        m_l, m_r = bounds.m_l, bounds.m_r
+        m_l, m_r = scaling_factors(
+            coeffs[0], float(table.entries[i + 1, 0]), bounds.u_min, bounds.u_max, config.im, w
+        )
+        denom, length_product = w, h
 
-    while state.r - state.l < d and (state.l > 0 or state.r < n - 1):
-        cl = _candidate(table, x, state, LEFT, m_l, m_r, h)
-        cr = _candidate(table, x, state, RIGHT, m_l, m_r, h)
-        left_ok = cl is not None and cl["ok"]
-        right_ok = cr is not None and cr["ok"]
-        if not (left_ok or right_ok):
+    while r - l < d:
+        ok = []
+        for e in (forced,) if forced is not None else (l - 1, r + 1):
+            if 0 <= e < n:
+                step = lambda_bar_candidate(
+                    table, x, i, (l, r), e, order[-1], lam, prev,
+                    length_product, denom, m_l, m_r, degenerate,
+                )
+                if step[2] <= step[1] <= step[3]:  # B- <= lambda_bar <= B+
+                    ok.append((e, step))
+        if not ok:
+            if forced is not None:
+                return _linear_piece(table, i)
             break
-        if left_ok and right_ok:
+        if len(ok) == 2:
+            (el, sl), (er, sr) = ok
             side = select_direction(
-                config.st,
-                True,
-                True,
-                cl["dd"],
-                cr["dd"],
-                state.mu_l,
-                state.mu_r,
-                float(abs(x[state.l - 1] - x[i])),
-                float(abs(x[state.r + 1] - x[i + 1])),
-                cl["lam"],
-                cr["lam"],
+                config.st, sl[0], sr[0], i - l, r - (i + 1),
+                x[i] - x[el], x[er] - x[i + 1], sl[1], sr[1],
             )
+            e, step = ok[side == RIGHT]
         else:
-            side = LEFT if left_ok else RIGHT
-        _accept(state, cl if side == LEFT else cr)
+            e, step = ok[0]
+        dd, lam, bm, bp, length = step
+        l, r = min(l, e), max(r, e)
+        order.append(e)
+        coeffs.append(dd)
+        prev = (bm, bp)
+        length_product *= length
+        forced = None
 
     return IntervalInterpolant(
         interval_index=i,
-        window=(state.l, state.r),
-        insertion_order=tuple(state.insertion_order),
-        coefficients=tuple(state.coefficients),
-        normalization=state.normalization,
-        denom=state.denom,
+        window=(l, r),
+        insertion_order=tuple(order),
+        coefficients=tuple(coeffs),
+        normalization="degenerate" if degenerate else "standard",
+        denom=denom,
         m_l=m_l,
         m_r=m_r,
     )
@@ -337,33 +239,27 @@ def build_stencil(
 def replay_chain(piece: IntervalInterpolant, table: DividedDifferenceTable, mesh):
     """Recompute (lambda_bar_j, B-_j, B+_j) along an accepted stencil.
 
-    Returns one (j, lambda_bar, b_minus, b_plus) tuple per expansion, built
-    from scratch off the recorded insertion order, normalization and scaling
-    factors; every accepted step must satisfy B- <= lambda_bar <= B+.
+    Returns one (j, lambda_bar, b_minus, b_plus) tuple per expansion.  The
+    windows, length products and previous bounds are rebuilt from the
+    recorded insertion order, normalization and scaling factors alone; every
+    accepted step must satisfy B- <= lambda_bar <= B+.
     """
     x = np.asarray(mesh, dtype=float)
     i = piece.interval_index
-    h = float(x[i + 1] - x[i])
     order = piece.insertion_order
-    chain = []
+    degenerate = piece.normalization == "degenerate"
+    length_product = float(x[i + 1] - x[i]) if degenerate else 1.0
     l, r = i, i + 1
-    length_product = h if piece.normalization == "degenerate" else 1.0
-    prev = None
-    lam_prev = 1.0
+    lam, prev = 1.0, None
+    chain = []
     for j in range(1, len(order) - 1):
         e = order[j + 1]
-        l, r = min(l, e), max(r, e)
-        dd = float(table.entries[l, r - l])
-        length = float(x[r] - x[l])
-        length_product *= length
-        lam = dd / piece.denom * length_product
-        t = float((x[order[j]] - x[i]) / h)
-        d = float((x[r] - x[l]) / h)
-        bm, bp = b_bounds_step(
-            prev, lam_prev, d, t, piece.m_l, piece.m_r, j,
-            degenerate_base=piece.normalization == "degenerate",
+        _, lam, bm, bp, length = lambda_bar_candidate(
+            table, x, i, (l, r), e, order[j], lam, prev,
+            length_product, piece.denom, piece.m_l, piece.m_r, degenerate,
         )
         chain.append((j, lam, bm, bp))
+        l, r = min(l, e), max(r, e)
         prev = (bm, bp)
-        lam_prev = lam
+        length_product *= length
     return chain

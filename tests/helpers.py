@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ppinterp import IntervalInterpolant
+from ppinterp.divdiff import IntervalInterpolant
 
 
 def random_mesh(rng, n, lo=-5.0, hi=5.0, min_gap=1e-3):

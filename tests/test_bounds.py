@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from ppinterp import (
-    DBI,
-    PPI,
+from ppinterp.bounds import (
     ExtremumClass,
-    FlatDataError,
     boundary_sigmas,
     classify_interval,
     interval_bounds,
     scaling_factors,
 )
+from ppinterp.config import DBI, PPI
 
 
 class TestClassifyInterval:
@@ -114,7 +112,7 @@ class TestScalingFactors:
         assert lo == pytest.approx(u_min) and hi == pytest.approx(u_max)
 
     def test_degenerate_flat_signals(self):
-        with pytest.raises(FlatDataError):
+        with pytest.raises(ValueError, match="flat data"):
             scaling_factors(1.0, 1.0, 0.99, 1.02, PPI, degenerate_w=0.0)
 
     def test_degenerate_requires_w(self):

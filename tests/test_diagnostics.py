@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ppinterp import l2_error_continuum, l2_error_continuum_2d, l2_error_grid, refine_mesh
+from ppinterp.diagnostics import l2_error_continuum, l2_error_continuum_2d, l2_error_grid, refine_mesh
 
 
 class TestContinuumNorm:

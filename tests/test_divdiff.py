@@ -1,17 +1,7 @@
 import numpy as np
 import pytest
 
-from ppinterp import (
-    InterpConfig,
-    IntervalInterpolant,
-    PPI,
-    as_mesh1d,
-    build_table,
-    estimate_local_error,
-    interval_interpolants,
-    newton_eval,
-)
-from ppinterp.testfunctions import TEST_FUNCTIONS
+from ppinterp.divdiff import IntervalInterpolant, as_mesh1d, build_table, newton_eval
 
 from helpers import brute_dd, leading_dd_lagrange, make_piece, monomial_coefficients, random_mesh
 
@@ -156,57 +146,3 @@ class TestNewtonEval:
         for k in piece.insertion_order:
             assert newton_eval(piece, x, x[k]) == pytest.approx(u[k], rel=1e-12)
 
-
-class TestEstimateLocalError:
-    def test_zero_for_polynomial_data(self):
-        x = np.linspace(0, 2, 9)
-        u = 2 * x**3 - x + 1
-        table = build_table(x, u, 4)
-        piece = make_piece(x, u, 4, [4, 5, 3, 6])  # degree 3 fits the data
-        assert estimate_local_error(piece, table, x) == pytest.approx(0.0, abs=1e-12)
-
-    def test_hand_evaluated_quadratic(self):
-        x = np.array([0.0, 1.0, 2.0])
-        u = x**2
-        table = build_table(x, u, 2)
-        piece = make_piece(x, u, 0, [0, 1])
-        # next difference is 1, node distances are both 1
-        assert estimate_local_error(piece, table, x) == pytest.approx(1.0, rel=1e-14)
-
-    def test_unavailable_without_next_order(self):
-        x = np.array([0.0, 1.0, 2.0])
-        u = x**2
-        table = build_table(x, u, 1)
-        piece = make_piece(x, u, 0, [0, 1])
-        assert estimate_local_error(piece, table, x) is None
-
-    def test_unavailable_when_window_spans_mesh(self):
-        x = np.array([0.0, 1.0, 2.0])
-        u = np.array([1.0, 3.0, 2.0])
-        table = build_table(x, u, 2)
-        piece = make_piece(x, u, 0, [0, 1, 2])
-        assert estimate_local_error(piece, table, x) is None
-
-    def test_tracks_true_error_on_smooth_data(self):
-        # Dense-sampling oracle on the 1D bump function, N=257, d=3. The
-        # estimate is conservative: it never understates the true maximum
-        # error, stays within 10x of it on at least 95% of the intervals and
-        # within 30x on all of them.
-        f = TEST_FUNCTIONS["f1"].func
-        x = np.linspace(-1, 1, 257)
-        u = f(x)
-        table = build_table(x, u, 4)
-        pieces = interval_interpolants(x, u, InterpConfig(d=3, im=PPI))
-        ratios = []
-        for piece in pieces:
-            i = piece.interval_index
-            est = estimate_local_error(piece, table, x)
-            assert est is not None
-            s = np.linspace(x[i], x[i + 1], 1000)
-            true = np.max(np.abs(newton_eval(piece, x, s) - f(s)))
-            assert true > 0
-            ratios.append(abs(est) / true)
-        ratios = np.array(ratios)
-        assert np.all(ratios >= 0.1)
-        assert np.all(ratios <= 30.0)
-        assert np.mean(ratios <= 10.0) >= 0.95

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ppinterp import adaptive_interpolation_1d, PPI, l2_error_grid
+from ppinterp import adaptive_interpolation_1d, PPI
 from ppinterp.cli import main
+from ppinterp.diagnostics import l2_error_grid
 from ppinterp.harness import (
     CSV_HEADER,
     ExperimentSpec,
@@ -10,7 +11,6 @@ from ppinterp.harness import (
     format_rows,
     roundtrip_error,
     roundtrip_meshes,
-    roundtrip_sweep,
     run_experiments,
     table_sweep,
 )
@@ -128,11 +128,6 @@ class TestSweeps:
     def test_table_sweep_id_range(self):
         with pytest.raises(ValueError, match="table id"):
             table_sweep(7)
-
-    def test_roundtrip_sweep_layout(self):
-        specs = roundtrip_sweep("f1")
-        assert len(specs) == 3 * 7
-        assert {s.refine for s in specs} == {0, 1, 3}
 
 
 class TestCsv:

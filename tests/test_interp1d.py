@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from ppinterp import (
-    DBI,
-    PPI,
-    InterpConfig,
-    adaptive_interpolation_1d,
-    interpolate_1d,
-    interval_interpolants,
-)
+from ppinterp import DBI, PPI, InterpConfig, adaptive_interpolation_1d, interval_interpolants
+from ppinterp.interp1d import interpolate_1d
 
 from helpers import random_mesh
 
@@ -41,6 +35,27 @@ class TestValidation:
     def test_negative_eps(self):
         with pytest.raises(ValueError, match="nonnegative"):
             adaptive_interpolation_1d([0, 1], [1, 2], [0.5], 1, DBI, eps0=-0.1)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_non_finite_eps(self, eps):
+        with pytest.raises(ValueError, match="finite"):
+            adaptive_interpolation_1d([0, 1], [1, 2], [0.5], 1, PPI, eps0=eps)
+        with pytest.raises(ValueError, match="finite"):
+            adaptive_interpolation_1d([0, 1], [1, 2], [0.5], 1, PPI, eps1=eps)
+
+    @pytest.mark.parametrize("d", [8.0, True], ids=["float", "bool"])
+    def test_non_integer_degree(self, d):
+        for n in (5, 33):
+            x = np.linspace(0, 1, n)
+            with pytest.raises(ValueError, match="integer"):
+                adaptive_interpolation_1d(x, x**2, [0.5], d, PPI)
+
+    def test_numpy_integer_degree(self):
+        x = np.linspace(0, 1, 33)
+        u = np.cos(3 * x)
+        xout = np.linspace(0, 1, 50)
+        got = adaptive_interpolation_1d(x, u, xout, np.int64(8), PPI)
+        assert np.array_equal(got, adaptive_interpolation_1d(x, u, xout, 8, PPI))
 
     def test_empty_output(self):
         out = adaptive_interpolation_1d([0, 1], [1, 2], [], 1, DBI)

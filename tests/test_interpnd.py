@@ -17,15 +17,23 @@ class TestValidation2D:
         with pytest.raises(ValueError, match="shape"):
             adaptive_interpolation_2d([0, 1], [0, 1, 2], np.zeros((2, 2)), [0.5], [0.5], 1, DBI)
 
-    def test_out_of_hull_reports_sweep_line(self):
+    def test_out_of_hull_output_rejected(self):
         v = np.ones((3, 3))
-        with pytest.raises(ValueError, match="x-sweep line 0"):
-            adaptive_interpolation_2d([0, 1, 2], [0, 1, 2], v, [2.5], [0.5], 1, DBI)
+        for xout, yout in (([2.5], [0.5]), ([0.5], [-0.5]), ([0.5], [np.nan])):
+            with pytest.raises(ValueError, match="outside the mesh range"):
+                adaptive_interpolation_2d([0, 1, 2], [0, 1, 2], v, xout, yout, 1, DBI)
 
-    def test_output_mesh_must_increase(self):
-        v = np.ones((3, 3))
-        with pytest.raises(ValueError, match="strictly increasing"):
-            adaptive_interpolation_2d([0, 1, 2], [0, 1, 2], v, [1.0, 0.5], [0.5], 1, DBI)
+    def test_unsorted_output_permutes_result(self):
+        rng = np.random.default_rng(7)
+        x = random_mesh(rng, 9)
+        y = random_mesh(rng, 8)
+        v = rng.uniform(0.0, 2.0, (9, 8))
+        xout = np.linspace(x[0], x[-1], 13)
+        yout = np.linspace(y[0], y[-1], 11)
+        px, py = rng.permutation(13), rng.permutation(11)
+        base = adaptive_interpolation_2d(x, y, v, xout, yout, 5, PPI)
+        got = adaptive_interpolation_2d(x, y, v, xout[px], yout[py], 5, PPI)
+        assert np.array_equal(got, base[np.ix_(px, py)])
 
 
 class TestExactness2D:
@@ -103,6 +111,18 @@ class TestExactness3D:
         zo = np.linspace(z[0], z[-1], 8)
         out = adaptive_interpolation_3d(x, y, z, v, xo, yo, zo, 5, PPI)
         assert out.min() >= -1e-12 * v.max()
+
+    def test_unsorted_output_permutes_result(self):
+        rng = np.random.default_rng(8)
+        x, y, z = random_mesh(rng, 6), random_mesh(rng, 5), random_mesh(rng, 5)
+        v = rng.uniform(0.0, 2.0, (6, 5, 5))
+        xo = np.linspace(x[0], x[-1], 7)
+        yo = np.linspace(y[0], y[-1], 6)
+        zo = np.linspace(z[0], z[-1], 5)
+        px, py, pz = rng.permutation(7), rng.permutation(6), rng.permutation(5)
+        base = adaptive_interpolation_3d(x, y, z, v, xo, yo, zo, 4, PPI)
+        got = adaptive_interpolation_3d(x, y, z, v, xo[px], yo[py], zo[pz], 4, PPI)
+        assert np.array_equal(got, base[np.ix_(px, py, pz)])
 
     def test_grid_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
