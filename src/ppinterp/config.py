@@ -23,6 +23,9 @@ class InterpConfig:
            symmetric stencil, 3 closest point
     eps0   bound relaxation for intervals without a detected extremum
     eps1   bound relaxation for intervals with a detected extremum
+
+    PPI keeps nonnegative data nonnegative only for eps0, eps1 <= 1; larger
+    values are accepted but void that guarantee.
     """
 
     d: int

@@ -8,34 +8,27 @@ from .divdiff import as_mesh1d
 
 __all__ = [
     "l2_error_continuum",
-    "l2_error_continuum_2d",
     "l2_error_grid",
     "refine_mesh",
 ]
 
 
-def l2_error_continuum(approx_values, exact_values, mesh) -> float:
+def l2_error_continuum(approx_values, exact_values, *meshes) -> float:
     """Trapezoidal-rule approximation of the continuous L2 difference norm.
 
-    ``mesh`` is the dense sampling grid the two value sequences live on.
+    ``meshes`` are the dense sampling grids of the axes the two value arrays
+    live on (one per axis); the rule is applied per axis, last axis first.
     """
     a = np.asarray(approx_values, dtype=float)
     b = np.asarray(exact_values, dtype=float)
-    x = as_mesh1d(mesh)
-    if a.shape != x.shape or b.shape != x.shape:
-        raise ValueError("value sequences must match the sampling mesh length")
-    return float(np.sqrt(np.trapezoid((a - b) ** 2, x)))
-
-
-def l2_error_continuum_2d(approx_values, exact_values, xs, ys) -> float:
-    """2D variant: the trapezoidal rule iterated per axis (y, then x)."""
-    a = np.asarray(approx_values, dtype=float)
-    b = np.asarray(exact_values, dtype=float)
-    gx, gy = as_mesh1d(xs), as_mesh1d(ys)
-    if a.shape != (gx.size, gy.size) or b.shape != a.shape:
-        raise ValueError("value grids must match the sampling meshes")
-    inner = np.trapezoid((a - b) ** 2, gy, axis=1)
-    return float(np.sqrt(np.trapezoid(inner, gx)))
+    grids = [as_mesh1d(m) for m in meshes]
+    shape = tuple(g.size for g in grids)
+    if a.shape != shape or b.shape != shape:
+        raise ValueError(f"value shapes {a.shape}, {b.shape} must match the sampling meshes {shape}")
+    sq = (a - b) ** 2
+    for g in reversed(grids):
+        sq = np.trapezoid(sq, g, axis=-1)
+    return float(np.sqrt(sq))
 
 
 def l2_error_grid(a, b) -> float:

@@ -9,6 +9,7 @@ import numpy as np
 
 __all__ = [
     "as_mesh1d",
+    "as_values",
     "DividedDifferenceTable",
     "build_table",
     "IntervalInterpolant",
@@ -19,16 +20,29 @@ __all__ = [
 def as_mesh1d(points) -> np.ndarray:
     """Validate and return a 1D mesh as a float array.
 
-    The mesh must hold at least two strictly increasing coordinates.
+    The mesh must hold at least two finite, strictly increasing coordinates.
     """
     x = np.asarray(points, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"mesh must be one-dimensional, got shape {x.shape}")
     if x.size < 2:
         raise ValueError(f"mesh needs at least 2 points, got {x.size}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("mesh coordinates must be finite")
     if not np.all(np.diff(x) > 0.0):
         raise ValueError("mesh coordinates must be strictly increasing")
     return x
+
+
+def as_values(values, shape: tuple[int, ...]) -> np.ndarray:
+    """Validate and return the values on a mesh (or a grid of meshes) as a
+    float array: they must have ``shape`` and be finite."""
+    u = np.asarray(values, dtype=float)
+    if u.shape != shape:
+        raise ValueError(f"values shape {u.shape} does not match mesh shape {shape}")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("values must be finite")
+    return u
 
 
 @dataclass(frozen=True)
@@ -48,9 +62,7 @@ class DividedDifferenceTable:
 def build_table(mesh, values, max_degree: int) -> DividedDifferenceTable:
     """Build all divided differences of order 0..min(max_degree, n-1)."""
     x = as_mesh1d(mesh)
-    u = np.asarray(values, dtype=float)
-    if u.shape != x.shape:
-        raise ValueError(f"values length {u.shape} does not match mesh length {x.shape}")
+    u = as_values(values, x.shape)
     if max_degree < 1:
         raise ValueError(f"max_degree must be >= 1, got {max_degree}")
 

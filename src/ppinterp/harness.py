@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DBI, PPI
-from .diagnostics import l2_error_continuum, l2_error_continuum_2d, l2_error_grid, refine_mesh
+from .diagnostics import l2_error_continuum, l2_error_grid, refine_mesh
 from .interp1d import adaptive_interpolation_1d
 from .interpnd import adaptive_interpolation_2d
 from .pchip import pchip_1d, pchip_2d
@@ -60,19 +60,17 @@ class ExperimentSpec:
             raise ValueError("n must be at least 2")
 
 
-def _interp_1d(spec: ExperimentSpec, x, u, xout):
-    if spec.method == "pchip":
-        return pchip_1d(x, u, xout)
-    return adaptive_interpolation_1d(
-        x, u, xout, spec.degree, _METHOD_IM[spec.method], spec.st, spec.eps0, spec.eps1
-    )
+_ADAPTIVE = {1: adaptive_interpolation_1d, 2: adaptive_interpolation_2d}
+_PCHIP = {1: pchip_1d, 2: pchip_2d}
 
 
-def _interp_2d(spec: ExperimentSpec, x, y, v, xout, yout):
+def _interp(spec: ExperimentSpec, meshes, v, outs):
+    """Interpolate values on the tensor product of ``meshes`` (one per axis)
+    to the tensor product of ``outs`` with the spec's method."""
     if spec.method == "pchip":
-        return pchip_2d(x, y, v, xout, yout)
-    return adaptive_interpolation_2d(
-        x, y, v, xout, yout, spec.degree, _METHOD_IM[spec.method], spec.st, spec.eps0, spec.eps1
+        return _PCHIP[len(meshes)](*meshes, v, *outs)
+    return _ADAPTIVE[len(meshes)](
+        *meshes, v, *outs, spec.degree, _METHOD_IM[spec.method], spec.st, spec.eps0, spec.eps1
     )
 
 
@@ -80,20 +78,11 @@ def approximation_error(spec: ExperimentSpec) -> float:
     """Sample the test function on a uniform mesh (n points per axis),
     interpolate to the dense norm grid and return the continuum L2 error."""
     tf = TEST_FUNCTIONS[spec.fn]
-    if tf.ndim == 1:
-        (lo, hi), = tf.domain
-        xin = np.linspace(lo, hi, spec.n)
-        dense = np.linspace(lo, hi, DENSE_1D)
-        approx = _interp_1d(spec, xin, tf.func(xin), dense)
-        return l2_error_continuum(approx, tf.func(dense), dense)
-
-    (xlo, xhi), (ylo, yhi) = tf.domain
-    xin = np.linspace(xlo, xhi, spec.n)
-    yin = np.linspace(ylo, yhi, spec.n)
-    dx = np.linspace(xlo, xhi, DENSE_2D)
-    dy = np.linspace(ylo, yhi, DENSE_2D)
-    approx = _interp_2d(spec, xin, yin, tf.sample(xin, yin), dx, dy)
-    return l2_error_continuum_2d(approx, tf.sample(dx, dy), dx, dy)
+    n_dense = DENSE_1D if tf.ndim == 1 else DENSE_2D
+    meshes = [np.linspace(lo, hi, spec.n) for lo, hi in tf.domain]
+    dense = [np.linspace(lo, hi, n_dense) for lo, hi in tf.domain]
+    approx = _interp(spec, meshes, tf.sample(*meshes), dense)
+    return l2_error_continuum(approx, tf.sample(*dense), *dense)
 
 
 def roundtrip_meshes(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -115,8 +104,8 @@ def roundtrip_error(spec: ExperimentSpec) -> float:
     tf = TEST_FUNCTIONS[spec.fn]
     mesh_a, mesh_r = roundtrip_meshes(spec)
     u = tf.func(mesh_a)
-    on_r = _interp_1d(spec, mesh_a, u, mesh_r)
-    back = _interp_1d(spec, mesh_r, on_r, mesh_a)
+    on_r = _interp(spec, [mesh_a], u, [mesh_r])
+    back = _interp(spec, [mesh_r], on_r, [mesh_a])
     return l2_error_grid(back, u)
 
 

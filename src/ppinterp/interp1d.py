@@ -7,17 +7,10 @@ import numpy as np
 
 from .bounds import IntervalBounds, boundary_sigmas, classify_interval, interval_bounds, scaling_factors
 from .config import InterpConfig
-from .divdiff import IntervalInterpolant, as_mesh1d, build_table, newton_eval
+from .divdiff import IntervalInterpolant, build_table, newton_eval
 from .stencil import build_stencil
 
 __all__ = ["adaptive_interpolation_1d", "interpolate_1d", "interval_interpolants"]
-
-
-def _check_values(x: np.ndarray, v) -> np.ndarray:
-    u = np.asarray(v, dtype=float)
-    if u.shape != x.shape:
-        raise ValueError(f"values length {u.size} does not match mesh length {x.size}")
-    return u
 
 
 def _check_output_points(x: np.ndarray, xout) -> np.ndarray:
@@ -43,6 +36,16 @@ def _interval_piece(x, u, table, slopes, i, config: InterpConfig) -> IntervalInt
     return build_stencil(x, table, i, b, config)
 
 
+def _tabulate(x, v, config: InterpConfig):
+    """Mesh, values, divided-difference table and slopes of one 1D problem.
+
+    ``build_table`` validates the mesh and the values; the values are read
+    back from its order-0 column."""
+    xm = np.asarray(x, dtype=float)
+    table = build_table(xm, v, config.d)
+    return xm, table.entries[:, 0], table, table.entries[: xm.size - 1, 1]
+
+
 def interpolate_1d(x, v, xout, config: InterpConfig) -> np.ndarray:
     """Interpolate values ``v`` on mesh ``x`` to the points ``xout``.
 
@@ -50,13 +53,9 @@ def interpolate_1d(x, v, xout, config: InterpConfig) -> np.ndarray:
     contains it (the last interval is closed on the right); points outside
     the mesh range are an error.  Output order follows ``xout``.
     """
-    xm = as_mesh1d(x)
-    u = _check_values(xm, v)
+    xm, u, table, slopes = _tabulate(x, v, config)
     pts = _check_output_points(xm, xout)
     n = xm.size
-
-    table = build_table(xm, u, min(config.d, n - 1))
-    slopes = table.entries[: n - 1, 1]
 
     idx = np.searchsorted(xm, pts, side="right") - 1
     np.clip(idx, 0, n - 2, out=idx)
@@ -78,12 +77,8 @@ def interpolate_1d(x, v, xout, config: InterpConfig) -> np.ndarray:
 
 def interval_interpolants(x, v, config: InterpConfig) -> list[IntervalInterpolant]:
     """Build the interpolant of every interval (mainly for inspection/tests)."""
-    xm = as_mesh1d(x)
-    u = _check_values(xm, v)
-    n = xm.size
-    table = build_table(xm, u, min(config.d, n - 1))
-    slopes = table.entries[: n - 1, 1]
-    return [_interval_piece(xm, u, table, slopes, i, config) for i in range(n - 1)]
+    xm, u, table, slopes = _tabulate(x, v, config)
+    return [_interval_piece(xm, u, table, slopes, i, config) for i in range(xm.size - 1)]
 
 
 def adaptive_interpolation_1d(x, v, xout, d, im, st=3, eps0=0.01, eps1=1.0):

@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["TestFunction", "TEST_FUNCTIONS", "eval_test_function"]
+__all__ = ["TestFunction", "TEST_FUNCTIONS"]
 
 
 def _f1(x):
@@ -59,10 +59,7 @@ class TestFunction:
         """Evaluate on tensor-product meshes (1 mesh per dimension)."""
         if len(meshes) != self.ndim:
             raise ValueError(f"{self.name} needs {self.ndim} mesh(es), got {len(meshes)}")
-        if self.ndim == 1:
-            return self.func(np.asarray(meshes[0], dtype=float))
-        gx, gy = np.meshgrid(meshes[0], meshes[1], indexing="ij")
-        return self.func(gx, gy)
+        return self.func(*np.meshgrid(*meshes, indexing="ij"))
 
 
 TEST_FUNCTIONS: dict[str, TestFunction] = {
@@ -74,16 +71,3 @@ TEST_FUNCTIONS: dict[str, TestFunction] = {
     "f6": TestFunction("f6", 2, ((0.0, 2.0), (0.0, 2.0)), _f6),
 }
 
-
-def eval_test_function(fn_id: str, point) -> float:
-    """Evaluate one test function at a single 1D or 2D point."""
-    if fn_id not in TEST_FUNCTIONS:
-        raise ValueError(f"unknown test function {fn_id!r}")
-    tf = TEST_FUNCTIONS[fn_id]
-    coords = np.atleast_1d(np.asarray(point, dtype=float))
-    if coords.size != tf.ndim:
-        raise ValueError(f"{fn_id} expects {tf.ndim} coordinate(s), got {coords.size}")
-    for c, (lo, hi) in zip(coords, tf.domain):
-        if not lo <= c <= hi:
-            raise ValueError(f"point {c} outside {fn_id} domain [{lo}, {hi}]")
-    return float(tf.func(*coords))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ppinterp.diagnostics import l2_error_continuum, l2_error_continuum_2d, l2_error_grid, refine_mesh
+from ppinterp.diagnostics import l2_error_continuum, l2_error_grid, refine_mesh
 
 
 class TestContinuumNorm:
@@ -35,11 +35,11 @@ class TestContinuumNorm:
         a = np.zeros((40, 30))
         b = np.full((40, 30), 1.5)
         # integral of 1.5^2 over a 1x2 box, square root
-        assert l2_error_continuum_2d(a, b, x, y) == pytest.approx(1.5 * np.sqrt(2.0), rel=1e-12)
+        assert l2_error_continuum(a, b, x, y) == pytest.approx(1.5 * np.sqrt(2.0), rel=1e-12)
 
     def test_2d_shape_mismatch(self):
         with pytest.raises(ValueError, match="match"):
-            l2_error_continuum_2d(np.zeros((3, 3)), np.zeros((3, 3)), [0, 1, 2], [0, 1])
+            l2_error_continuum(np.zeros((3, 3)), np.zeros((3, 3)), [0, 1, 2], [0, 1])
 
 
 class TestGridNorm:

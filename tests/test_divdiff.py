@@ -19,6 +19,13 @@ class TestMeshValidation:
         with pytest.raises(ValueError, match="strictly increasing"):
             as_mesh1d([0.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            as_mesh1d([0.0, 1.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            build_table([0.0, 1.0, 2.0], [1.0, bad, 2.0], 2)
+
     def test_rejects_2d(self):
         with pytest.raises(ValueError, match="one-dimensional"):
             as_mesh1d([[0.0, 1.0]])

@@ -14,41 +14,34 @@ from ppinterp.harness import (
     run_experiments,
     table_sweep,
 )
-from ppinterp.testfunctions import TEST_FUNCTIONS, eval_test_function
+from ppinterp.testfunctions import TEST_FUNCTIONS
 
 
 class TestFunctions:
     def test_f1_peak(self):
-        assert eval_test_function("f1", 0.0) == 1.0
+        assert TEST_FUNCTIONS["f1"].func(0.0) == 1.0
 
     def test_f2_midpoint(self):
-        assert eval_test_function("f2", 0.0) == 0.5
+        assert TEST_FUNCTIONS["f2"].func(0.0) == 0.5
 
     def test_f3_branch_split(self):
+        f3 = TEST_FUNCTIONS["f3"].func
         # the split point itself belongs to the smooth branch
-        assert eval_test_function("f3", -0.5) == pytest.approx(1.0 - np.sin(-np.pi / 3 + np.pi / 3))
-        left = eval_test_function("f3", -0.5 - 1e-9)
-        assert abs(left - eval_test_function("f3", -0.5)) > 0.5  # jump
+        assert f3(-0.5) == pytest.approx(1.0 - np.sin(-np.pi / 3 + np.pi / 3))
+        assert abs(f3(-0.5 - 1e-9) - f3(-0.5)) > 0.5  # jump
 
     def test_f4_peak(self):
-        assert eval_test_function("f4", (0.0, 0.0)) == 1.0
+        assert TEST_FUNCTIONS["f4"].func(0.0, 0.0) == 1.0
 
     def test_f5_diagonal(self):
-        assert eval_test_function("f5", (0.1, -0.1)) == 0.5
+        assert TEST_FUNCTIONS["f5"].func(0.1, -0.1) == 0.5
 
     def test_f6_branches(self):
-        assert eval_test_function("f6", (0.2, 0.5)) == pytest.approx(0.6)  # ramp
-        assert eval_test_function("f6", (0.2, 0.8)) == 1.0  # plateau
-        assert eval_test_function("f6", (1.5, 0.5)) == 1.0  # cone center
-        assert eval_test_function("f6", (1.0, 0.0)) == 0.0  # background
-
-    def test_out_of_domain(self):
-        with pytest.raises(ValueError, match="outside"):
-            eval_test_function("f1", 1.5)
-
-    def test_unknown_id(self):
-        with pytest.raises(ValueError, match="unknown"):
-            eval_test_function("f9", 0.0)
+        f6 = TEST_FUNCTIONS["f6"].func
+        assert f6(0.2, 0.5) == pytest.approx(0.6)  # ramp
+        assert f6(0.2, 0.8) == 1.0  # plateau
+        assert f6(1.5, 0.5) == 1.0  # cone center
+        assert f6(1.0, 0.0) == 0.0  # background
 
     def test_dimensions(self):
         assert [TEST_FUNCTIONS[f"f{k}"].ndim for k in range(1, 7)] == [1, 1, 1, 2, 2, 2]

@@ -16,6 +16,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="at least 2"):
             adaptive_interpolation_1d([0.0], [1.0], [0.0], 3, DBI)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input(self, bad):
+        for x, u in (([0, 1, 2], [1, bad, 2]), ([0, 1, bad], [1, 2, 3]), ([-bad, 1, 2], [1, 2, 3])):
+            with pytest.raises(ValueError, match="finite"):
+                adaptive_interpolation_1d(x, u, [1.5], 1, DBI)
+            with pytest.raises(ValueError, match="finite"):
+                interval_interpolants(x, u, InterpConfig(d=1, im=PPI))
+
     def test_out_of_range_names_value(self):
         with pytest.raises(ValueError, match="1.5"):
             adaptive_interpolation_1d([0, 1], [1, 2], [0.5, 1.5], 1, DBI)

@@ -7,15 +7,43 @@ from ppinterp import (
     adaptive_interpolation_1d,
     adaptive_interpolation_2d,
     adaptive_interpolation_3d,
+    pchip_2d,
 )
 
 from helpers import random_mesh
+
+
+def assert_one_axis_field_matches_1d(interp, meshes, outs):
+    """A field that varies along one axis only equals the 1D result along
+    that axis, bit for bit, for every axis."""
+    for axis, (mesh, out) in enumerate(zip(meshes, outs)):
+        g = np.cos(3 * mesh) + 1.5
+        shape = [1] * len(meshes)
+        shape[axis] = -1
+        v = np.broadcast_to(g.reshape(shape), [m.size for m in meshes])
+        got = interp(*meshes, v, *outs, 6, PPI)
+        line = adaptive_interpolation_1d(mesh, g, out, 6, PPI)
+        assert np.array_equal(got, np.broadcast_to(line.reshape(shape), got.shape))
 
 
 class TestValidation2D:
     def test_grid_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             adaptive_interpolation_2d([0, 1], [0, 1, 2], np.zeros((2, 2)), [0.5], [0.5], 1, DBI)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input(self, bad):
+        v = np.ones((3, 3))
+        bad_v = v.copy()
+        bad_v[1, 2] = bad
+        for x, y, values in (
+            ([0, 1, 2], [0, 1, 2], bad_v),
+            ([0, 1, bad], [0, 1, 2], v),
+            ([0, 1, 2], [-bad, 1, 2], v),
+        ):
+            for interp in (lambda *a: adaptive_interpolation_2d(*a, 1, DBI), pchip_2d):
+                with pytest.raises(ValueError, match="finite"):
+                    interp(x, y, values, [0.5], [0.5])
 
     def test_out_of_hull_output_rejected(self):
         v = np.ones((3, 3))
@@ -31,24 +59,19 @@ class TestValidation2D:
         xout = np.linspace(x[0], x[-1], 13)
         yout = np.linspace(y[0], y[-1], 11)
         px, py = rng.permutation(13), rng.permutation(11)
-        base = adaptive_interpolation_2d(x, y, v, xout, yout, 5, PPI)
-        got = adaptive_interpolation_2d(x, y, v, xout[px], yout[py], 5, PPI)
-        assert np.array_equal(got, base[np.ix_(px, py)])
+        for interp in (lambda *a: adaptive_interpolation_2d(*a, 5, PPI), pchip_2d):
+            base = interp(x, y, v, xout, yout)
+            got = interp(x, y, v, xout[px], yout[py])
+            assert np.array_equal(got, base[np.ix_(px, py)])
 
 
 class TestExactness2D:
     def test_constant_in_y_matches_1d(self):
+        # and, in turn, a field constant in x
         rng = np.random.default_rng(2)
-        x = random_mesh(rng, 9)
-        y = random_mesh(rng, 5)
-        g = np.cos(3 * x) + 1.5
-        v = np.tile(g[:, None], (1, 5))
-        xout = np.linspace(x[0], x[-1], 33)
-        yout = np.linspace(y[0], y[-1], 4)
-        out = adaptive_interpolation_2d(x, y, v, xout, yout, 6, PPI)
-        line = adaptive_interpolation_1d(x, g, xout, 6, PPI)
-        for j in range(4):
-            assert np.array_equal(out[:, j], line)
+        meshes = [random_mesh(rng, 9), random_mesh(rng, 5)]
+        outs = [np.linspace(m[0], m[-1], k) for m, k in zip(meshes, (33, 4))]
+        assert_one_axis_field_matches_1d(adaptive_interpolation_2d, meshes, outs)
 
     def test_bilinear_exact(self):
         rng = np.random.default_rng(3)
@@ -81,6 +104,12 @@ class TestExactness3D:
         v = np.full((4, 4, 4), 3.25)
         out = adaptive_interpolation_3d(x, x, x, v, [0.3, 0.6], [0.1, 0.9], [0.5, 0.7], 2, PPI)
         assert np.array_equal(out, np.full((2, 2, 2), 3.25))
+
+    def test_one_axis_field_matches_1d(self):
+        rng = np.random.default_rng(9)
+        meshes = [random_mesh(rng, 7), random_mesh(rng, 5), random_mesh(rng, 6)]
+        outs = [np.linspace(m[0], m[-1], k) for m, k in zip(meshes, (9, 4, 11))]
+        assert_one_axis_field_matches_1d(adaptive_interpolation_3d, meshes, outs)
 
     def test_separable_affine_product(self):
         rng = np.random.default_rng(5)
@@ -127,3 +156,18 @@ class TestExactness3D:
     def test_grid_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             adaptive_interpolation_3d([0, 1], [0, 1], [0, 1], np.zeros((2, 2)), [0.5], [0.5], [0.5], 1, DBI)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input(self, bad):
+        v = np.ones((2, 2, 2))
+        bad_v = v.copy()
+        bad_v[1, 0, 1] = bad
+        ok = [0, 1]
+        for x, y, z, values in (
+            (ok, ok, ok, bad_v),
+            ([0, bad], ok, ok, v),
+            (ok, [-bad, 1], ok, v),
+            (ok, ok, [0, bad], v),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                adaptive_interpolation_3d(x, y, z, values, [0.5], [0.5], [0.5], 1, DBI)

@@ -49,6 +49,12 @@ class TestPchip1D:
         err = l2_error_continuum(pchip_1d(x, f(x), dense), f(dense), dense)
         assert 1.17e-4 / 3 <= err <= 1.17e-4 * 3
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input(self, bad):
+        for x, u in (([0, 1, 2], [1, bad, 2]), ([0, 1, bad], [1, 2, 3]), ([-bad, 1, 2], [1, 2, 3])):
+            with pytest.raises(ValueError, match="finite"):
+                pchip_1d(x, u, [1.5])
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             pchip_1d([0, 1], [1, 2], [1.2])
