@@ -13,6 +13,7 @@ __all__ = [
     "DividedDifferenceTable",
     "build_table",
     "IntervalInterpolant",
+    "horner",
     "newton_eval",
 ]
 
@@ -47,11 +48,12 @@ def as_values(values, shape: tuple[int, ...]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DividedDifferenceTable:
-    """Dense table of divided differences over one mesh/value pair.
+    """Dense table of divided differences over one mesh and its values.
 
     ``entries[i, j]`` holds the order-j divided difference of the values over
-    mesh points i..i+j.  Entries with i + j >= n_points do not exist and are
-    stored as NaN so that accidental reads surface loudly.
+    mesh points i..i+j; with several lines of values (one per column) it is
+    ``entries[i, j, line]``.  Entries with i + j >= n_points do not exist and
+    are stored as NaN so that accidental reads surface loudly.
     """
 
     entries: np.ndarray
@@ -60,18 +62,23 @@ class DividedDifferenceTable:
 
 
 def build_table(mesh, values, max_degree: int) -> DividedDifferenceTable:
-    """Build all divided differences of order 0..min(max_degree, n-1)."""
+    """Build all divided differences of order 0..min(max_degree, n-1).
+
+    ``values`` holds one value per mesh point, or an ``(n, lines)`` block
+    with one line of values per column; every line shares the recursion."""
     x = as_mesh1d(mesh)
-    u = as_values(values, x.shape)
+    u = np.asarray(values, dtype=float)
+    u = as_values(u, x.shape + u.shape[1:])
     if max_degree < 1:
         raise ValueError(f"max_degree must be >= 1, got {max_degree}")
 
     n = x.size
     top = min(max_degree, n - 1)
-    t = np.full((n, top + 1), np.nan)
+    t = np.full((n, top + 1) + u.shape[1:], np.nan)
     t[:, 0] = u
+    xb = x.reshape((n,) + (1,) * (u.ndim - 1))  # broadcasts against the lines
     for j in range(1, top + 1):
-        t[: n - j, j] = (t[1 : n - j + 1, j - 1] - t[: n - j, j - 1]) / (x[j:] - x[: n - j])
+        t[: n - j, j] = (t[1 : n - j + 1, j - 1] - t[: n - j, j - 1]) / (xb[j:] - xb[: n - j])
     return DividedDifferenceTable(entries=t, n_points=n, max_order=top)
 
 
@@ -115,6 +122,21 @@ class IntervalInterpolant:
             raise ValueError("insertion order must be a permutation of the window")
 
 
+def horner(coeffs, nodes, degree, lane, points):
+    """Evaluate many Newton-form polynomials at once by nested multiplication.
+
+    Row k of ``coeffs`` and ``nodes`` holds the coefficients and node
+    abscissae of polynomial k (padded past ``degree[k]``); point m is
+    evaluated on polynomial ``lane[m]``.  Each point sees exactly the
+    arithmetic of c_0 + (x - x_0)(c_1 + (x - x_1)(c_2 + ...)).
+    """
+    deg = degree[lane]
+    p = coeffs[lane, deg]
+    for j in range(coeffs.shape[1] - 2, -1, -1):
+        p = np.where(j < deg, coeffs[lane, j] + (points - nodes[lane, j]) * p, p)
+    return p
+
+
 def newton_eval(piece: IntervalInterpolant, mesh, x):
     """Evaluate the Newton-form interpolant at ``x`` (scalar or array).
 
@@ -123,11 +145,12 @@ def newton_eval(piece: IntervalInterpolant, mesh, x):
     """
     xs = np.asarray(mesh, dtype=float)
     xv = np.asarray(x, dtype=float)
-    scalar = xv.ndim == 0
-    xv = np.atleast_1d(xv)
-    coeffs = piece.coefficients
-    nodes = piece.insertion_order
-    p = np.full(xv.shape, coeffs[-1])
-    for j in range(len(coeffs) - 2, -1, -1):
-        p = coeffs[j] + (xv - xs[nodes[j]]) * p
-    return float(p[0]) if scalar else p
+    flat = xv.reshape(-1)
+    p = horner(
+        np.array([piece.coefficients], dtype=float),
+        xs[[piece.insertion_order]],
+        np.array([piece.degree]),
+        np.zeros(flat.size, dtype=np.intp),
+        flat,
+    )
+    return float(p[0]) if xv.ndim == 0 else p.reshape(xv.shape)

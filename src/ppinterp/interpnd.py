@@ -11,7 +11,7 @@ import numpy as np
 
 from .config import InterpConfig
 from .divdiff import as_mesh1d, as_values
-from .interp1d import _check_output_points, interpolate_1d
+from .interp1d import _check_output_points, interpolate_lines
 
 __all__ = ["adaptive_interpolation_2d", "adaptive_interpolation_3d", "tensor_sweep"]
 
@@ -36,11 +36,20 @@ def tensor_sweep(meshes, v, outs, sweep) -> np.ndarray:
     return q
 
 
+# Upper bound on the (line, point) pairs one engine call holds, counting each
+# line's mesh points or output points, whichever are more.  It caps the
+# memory of the lane and evaluation arrays; the chunking never changes a
+# result, since every line is interpolated on its own.
+CHUNK_PAIRS = 1 << 17
+
+
 def _sweep(mesh, lines, points, config):
-    """Apply the 1D routine to every column of ``lines``."""
+    """Apply the 1D routine to every column of ``lines``, a chunk of
+    columns per call."""
     out = np.empty((points.size, lines.shape[1]))
-    for k in range(lines.shape[1]):
-        out[:, k] = interpolate_1d(mesh, lines[:, k], points, config)
+    step = max(1, CHUNK_PAIRS // max(mesh.size, points.size))
+    for k in range(0, lines.shape[1], step):
+        out[:, k : k + step] = interpolate_lines(mesh, lines[:, k : k + step], points, config)
     return out
 
 

@@ -1,14 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ppinterp import (
     DBI,
     PPI,
+    InterpConfig,
     adaptive_interpolation_1d,
     adaptive_interpolation_2d,
     adaptive_interpolation_3d,
     pchip_2d,
 )
+from ppinterp import interpnd
 
 from helpers import random_mesh
 
@@ -171,3 +175,99 @@ class TestExactness3D:
         ):
             with pytest.raises(ValueError, match="finite"):
                 adaptive_interpolation_3d(x, y, z, values, [0.5], [0.5], [0.5], 1, DBI)
+
+
+def random_grid_case(rng, ndim):
+    """Meshes, nonnegative grid values with zero runs and plateaus along
+    each axis, output axes and a configuration."""
+    meshes = [random_mesh(rng, int(rng.integers(2, 13 if ndim == 2 else 7))) for _ in range(ndim)]
+    v = rng.uniform(0.0, 5.0, [m.size for m in meshes])
+    v[rng.random(v.shape) < 0.3] = 0.0
+    for axis in range(ndim):
+        if rng.random() < 0.5:
+            front = np.moveaxis(v, axis, 0)
+            front[1::3] = front[: front.shape[0] - 1 : 3]
+    v *= 10.0 ** int(rng.integers(-8, 9))
+    outs = [rng.uniform(m[0], m[-1], int(rng.integers(1, 16))) for m in meshes]
+    eps0, eps1 = rng.uniform(0.0, 1.0, 2)
+    cfg = InterpConfig(
+        d=int(rng.integers(1, 9)), im=int(rng.choice([DBI, PPI])),
+        st=int(rng.integers(1, 4)), eps0=eps0, eps1=eps1,
+    )
+    return meshes, v, outs, cfg
+
+
+def line_by_line(meshes, v, outs, cfg):
+    """The tensor-product sweep composed of one 1D call per line."""
+    q = v
+    for axis, (mesh, out) in enumerate(zip(meshes, outs)):
+        q = np.apply_along_axis(
+            lambda line: adaptive_interpolation_1d(
+                mesh, line, out, cfg.d, cfg.im, cfg.st, cfg.eps0, cfg.eps1
+            ),
+            axis,
+            q,
+        )
+    return q
+
+
+ADAPTIVE = {2: adaptive_interpolation_2d, 3: adaptive_interpolation_3d}
+
+
+class TestBlockBookkeeping:
+    """Each sweep hands the engine whole blocks of lines; the result must be
+    the per-line composition of the 1D routine, bit for bit."""
+
+    def check(self, rng, trials):
+        for trial in range(trials):
+            ndim = 2 + trial % 2
+            meshes, v, outs, cfg = random_grid_case(rng, ndim)
+            got = ADAPTIVE[ndim](*meshes, v, *outs, cfg.d, cfg.im, cfg.st, cfg.eps0, cfg.eps1)
+            assert np.array_equal(got, line_by_line(meshes, v, outs, cfg))
+
+    def test_matches_line_by_line(self):
+        self.check(np.random.default_rng(31), 60)
+
+    def test_across_chunk_boundaries(self, monkeypatch):
+        # a chunk of two or three lines: most sweeps split into several
+        # chunks, the last one short
+        monkeypatch.setattr(interpnd, "CHUNK_PAIRS", 40)
+        self.check(np.random.default_rng(32), 30)
+
+
+def sweep_blocks(meshes, v, outs, cfg):
+    """The result of a 2D/3D call and, per sweep, the block of lines it
+    received and the block it returned."""
+    blocks = []
+
+    def sweep(mesh, lines, points):
+        out = interpnd._sweep(mesh, lines, points, cfg)
+        blocks.append((lines, out))
+        return out
+
+    return interpnd.tensor_sweep(meshes, v, outs, sweep), blocks
+
+
+class TestGuarantees:
+    def test_dbi_range_and_ppi_positivity_through_every_sweep(self):
+        # DBI keeps every line inside its data range, so each sweep stays in
+        # [min v, max v]; PPI with eps <= 1 keeps nonnegative data
+        # nonnegative up to rounding
+        rng = np.random.default_rng(34)
+        for trial in range(120):
+            ndim = 2 + trial % 2
+            meshes, v, outs, cfg = random_grid_case(rng, ndim)
+            tau = 1e-12 * v.max()
+            for im in (DBI, PPI):
+                cfg = replace(cfg, im=im)
+                result, blocks = sweep_blocks(meshes, v, outs, cfg)
+                assert np.array_equal(
+                    result, ADAPTIVE[ndim](*meshes, v, *outs, cfg.d, im, cfg.st, cfg.eps0, cfg.eps1)
+                )
+                assert len(blocks) == ndim
+                for lines, out in blocks:
+                    if im == DBI:
+                        assert np.all(out >= lines.min(axis=0) - tau)
+                        assert np.all(out <= lines.max(axis=0) + tau)
+                    else:
+                        assert out.min() >= -tau

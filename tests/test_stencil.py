@@ -3,29 +3,24 @@ import hashlib
 import numpy as np
 import pytest
 
-from ppinterp.bounds import IntervalBounds
 from ppinterp.config import DBI, PPI, InterpConfig
 from ppinterp.divdiff import build_table, newton_eval
-from ppinterp.interp1d import interval_interpolants
-from ppinterp.stencil import (
-    LEFT,
-    RIGHT,
-    b_bounds_step,
-    build_stencil,
-    lambda_bar_candidate,
-    replay_chain,
-    select_direction,
-)
+from ppinterp.interp1d import interpolate_1d, interpolate_lines, interval_interpolants
+from ppinterp.stencil import b_bounds_step, lambda_bar_candidate, replay_chain, select_direction
 from ppinterp.testfunctions import TEST_FUNCTIONS
 
+import oracle
 from helpers import random_mesh
+from oracle import IntervalBounds, build_stencil
 
 
 def base_candidate(table, x, i, e):
-    """Lambda_bar and bounds of the first expansion of interval i toward e."""
-    return lambda_bar_candidate(
-        table, x, i, (i, i + 1), e, i + 1, 1.0, None, 1.0,
-        float(table.entries[i, 1]), 0.0, 1.0, False,
+    """Divided difference, lambda_bar, bounds and length of the first
+    expansion of interval i toward e."""
+    window = (min(i, e), max(i + 1, e))
+    dd = table.entries[window[0], window[1] - window[0]]
+    return (dd,) + lambda_bar_candidate(
+        x, i, window, i + 1, dd, 1.0, None, 1.0, float(table.entries[i, 1]), 0.0, 1.0, False
     )
 
 
@@ -35,9 +30,9 @@ class TestGeometryFactors:
 
     @staticmethod
     def step(x, i, window, e, last):
-        table = build_table(x, np.exp(x), x.size - 1)
-        _, _, bm, bp, length = lambda_bar_candidate(
-            table, x, i, window, e, last, 0.5, (-1.0, 1.0), 1.0, 1.0, 0.0, 1.0, False
+        l, r = min(window[0], e), max(window[1], e)
+        _, bm, bp, length = lambda_bar_candidate(
+            x, i, (l, r), last, 1.0, 0.5, (-1.0, 1.0), 1.0, 1.0, 0.0, 1.0, False
         )
         return (bm, bp), length / (x[i + 1] - x[i])
 
@@ -89,11 +84,11 @@ class TestLambdaBar:
         windows = [(4, 5), (3, 5), (3, 6), (2, 6), (2, 7)]
         for (pl, pr), (nl, nr) in zip(windows, windows[1:]):
             e = nl if nl < pl else nr
-            _, lam_next, bm, bp, length = lambda_bar_candidate(
-                table, x, i, (pl, pr), e, last, lam, prev, length_product, denom, -0.5, 1.5, False
-            )
             dd_prev = table.entries[pl, pr - pl]
             dd_next = table.entries[nl, nr - nl]
+            lam_next, bm, bp, length = lambda_bar_candidate(
+                x, i, (nl, nr), last, dd_next, lam, prev, length_product, denom, -0.5, 1.5, False
+            )
             step_ratio = dd_next / dd_prev * (x[nr] - x[nl])
             assert lam_next == pytest.approx(step_ratio * lam, rel=1e-12)
             lam, prev, last = lam_next, (bm, bp), e
@@ -123,21 +118,30 @@ class TestBBoundsStep:
 
 
 class TestSelectDirection:
+    # select_direction is True where the left side is taken.
     def test_st1_smaller_divided_difference(self):
-        assert select_direction(1, 0.3, 0.7, 0, 0, 1, 1, 0, 0) == LEFT
-        assert select_direction(1, -0.9, 0.7, 0, 0, 1, 1, 0, 0) == RIGHT
+        assert select_direction(1, 0.3, 0.7, 0, 0, 1, 1, 0, 0)
+        assert not select_direction(1, -0.9, 0.7, 0, 0, 1, 1, 0, 0)
 
     def test_st2_symmetry_tie_goes_by_lambda(self):
-        assert select_direction(2, 1, 1, 1, 1, 1, 1, 2.0, 1.0) == RIGHT
+        assert not select_direction(2, 1, 1, 1, 1, 1, 1, 2.0, 1.0)
 
     def test_st2_prefers_smaller_side(self):
-        assert select_direction(2, 1, 1, 0, 2, 1, 1, 0, 0) == LEFT
+        assert select_direction(2, 1, 1, 0, 2, 1, 1, 0, 0)
 
     def test_st3_distance_tie_goes_by_lambda(self):
-        assert select_direction(3, 1, 1, 0, 0, 1.0, 1.0, 0.5, 1.0) == LEFT
+        assert select_direction(3, 1, 1, 0, 0, 1.0, 1.0, 0.5, 1.0)
 
     def test_st3_closest_point(self):
-        assert select_direction(3, 1, 1, 0, 0, 0.3, 1.0, 0, 0) == LEFT
+        assert select_direction(3, 1, 1, 0, 0, 0.3, 1.0, 0, 0)
+
+    def test_elementwise(self):
+        # one call decides many lanes, each as the scalar call would
+        rng = np.random.default_rng(14)
+        args = [rng.integers(-2, 3, 200).astype(float) for _ in range(8)]
+        for st in (1, 2, 3):
+            lanes = select_direction(st, *args)
+            assert lanes.tolist() == [bool(select_direction(st, *a)) for a in zip(*args)]
 
     def test_single_valid_side_wins(self):
         # The left point is the closest (st=3 prefers it when both sides
@@ -148,9 +152,8 @@ class TestSelectDirection:
         table = build_table(x, u, 2)
         piece = build_stencil(x, table, 1, wide_open_bounds(), InterpConfig(d=2, im=PPI, st=3))
         assert piece.window == (0, 2)
-        bounds = IntervalBounds(u_min=1.0, u_max=2.0, m_l=0.0, m_r=1.0)
         for st in (1, 2, 3):
-            piece = build_stencil(x, table, 1, bounds, InterpConfig(d=2, im=DBI, st=st))
+            piece = interval_interpolants(x, u, InterpConfig(d=2, im=DBI, st=st))[1]
             assert piece.window == (1, 3)
 
 
@@ -183,9 +186,7 @@ class TestBuildStencil:
         x = np.array([0.0, 1.0, 2.0, 3.0])
         # both 3-point windows have |lambda_bar| = 2*|dd|/|slope| > d1 = 2
         u = np.array([10.0, 1.0, 2.0, 20.0])
-        table = build_table(x, u, 3)
-        bounds = IntervalBounds(u_min=1.0, u_max=2.0, m_l=0.0, m_r=1.0)
-        piece = build_stencil(x, table, 1, bounds, InterpConfig(d=3, im=DBI))
+        piece = interval_interpolants(x, u, InterpConfig(d=3, im=DBI))[1]
         assert piece.degree == 1
         assert piece.window == (1, 2)
 
@@ -203,15 +204,17 @@ class TestBuildStencil:
             assert np.all(vals >= lo - tau) and np.all(vals <= hi + tau)
 
     def test_deterministic(self):
+        # a line gives the same result whichever lane of a block it fills
         rng = np.random.default_rng(8)
         x = random_mesh(rng, 10)
-        u = rng.uniform(0, 3, 10)
-        table = build_table(x, u, 7)
+        u = rng.uniform(0, 3, (10, 5))
+        u[:, 3] = u[:, 1]
+        xout = rng.uniform(x[0], x[-1], 40)
         cfg = InterpConfig(d=6, im=PPI)
-        bounds = IntervalBounds(u_min=u.min(), u_max=u.max(), m_l=-0.5, m_r=1.5)
-        a = build_stencil(x, table, 4, bounds, cfg)
-        b = build_stencil(x, table, 4, bounds, cfg)
-        assert a == b
+        block = interpolate_lines(x, u, xout, cfg)
+        for k in range(5):
+            assert np.array_equal(block[:, k], interpolate_1d(x, u[:, k], xout, cfg))
+        assert np.array_equal(block[:, 3], block[:, 1])
 
     def test_window_invariants(self):
         rng = np.random.default_rng(3)
@@ -230,28 +233,25 @@ class TestBuildStencil:
     def test_boundary_growth_goes_interior(self):
         x = np.linspace(0, 1, 6)
         u = np.exp(x)
-        table = build_table(x, u, 4)
-        piece = build_stencil(x, table, 0, wide_open_bounds(), InterpConfig(d=3, im=PPI))
-        assert piece.window == (0, 3)
+        pieces = interval_interpolants(x, u, InterpConfig(d=3, im=PPI))
+        assert pieces[0].window == (0, 3)
+        assert pieces[-1].window == (2, 5)
 
     def test_degenerate_grows_past_equal_values(self):
         # equal endpoint values with curvature nearby: the degenerate branch
         # still builds a higher-degree interpolant
         x = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
         u = np.array([0.0, 1.0, 1.0, 0.0, -2.0])
-        table = build_table(x, u, 4)
-        bounds = IntervalBounds(u_min=0.9, u_max=2.0, degenerate=True)
-        piece = build_stencil(x, table, 1, bounds, InterpConfig(d=3, im=PPI, eps1=1.0))
+        piece = interval_interpolants(x, u, InterpConfig(d=3, im=PPI, eps1=1.0))[1]
         assert piece.degree >= 2
         assert piece.normalization == "degenerate"
 
     def test_flat_data_falls_back_to_linear(self):
         x = np.linspace(0, 4, 5)
         u = np.full(5, 3.0)
-        table = build_table(x, u, 4)
-        bounds = IntervalBounds(u_min=3.0, u_max=3.0, degenerate=True)
-        piece = build_stencil(x, table, 2, bounds, InterpConfig(d=3, im=PPI))
+        piece = interval_interpolants(x, u, InterpConfig(d=3, im=PPI))[2]
         assert piece.degree == 1
+        assert piece.normalization == "standard"
         assert newton_eval(piece, x, 2.5) == 3.0
 
     def test_replay_chain_bounds_hold(self):
@@ -274,6 +274,42 @@ class TestBuildStencil:
                 if piece.normalization == "degenerate":
                     degenerate_steps += len(chain)
         assert degenerate_steps > 0
+
+
+def record(piece):
+    """Every field of a piece, floats bit for bit."""
+    return (
+        piece.interval_index, piece.window, piece.insertion_order,
+        [c.hex() for c in piece.coefficients], piece.normalization,
+        piece.denom.hex(), piece.m_l.hex(), piece.m_r.hex(),
+    )
+
+
+def test_engine_matches_oracle():
+    # The lockstep engine against the per-interval oracle on random meshes:
+    # zero runs, paired plateaus (the degenerate path) and 17 decades of
+    # magnitude, every record field compared bit for bit.
+    rng = np.random.default_rng(2024)
+    pieces = degenerate = 0
+    for _ in range(3000):
+        n = int(rng.integers(2, 41))
+        x = random_mesh(rng, n)
+        u = rng.uniform(0.0, 5.0, n)
+        u[rng.random(n) < 0.3] = 0.0
+        if rng.random() < 0.5:
+            u[1::3] = u[: n - 1 : 3]
+        u *= 10.0 ** int(rng.integers(-8, 9))
+        eps0, eps1 = rng.uniform(0.0, 1.0, 2)
+        cfg = InterpConfig(
+            d=int(rng.choice([1, 2, 3, 5, 8, 15])), im=int(rng.choice([DBI, PPI])),
+            st=int(rng.integers(1, 4)), eps0=eps0, eps1=eps1,
+        )
+        got = interval_interpolants(x, u, cfg)
+        want = oracle.interval_interpolants(x, u, cfg)
+        assert [record(p) for p in got] == [record(p) for p in want]
+        pieces += len(got)
+        degenerate += sum(p.normalization == "degenerate" for p in got)
+    assert pieces > 50_000 and degenerate > 1_000
 
 
 # Every piece that interval_interpolants builds for the inputs below, hashed
