@@ -70,10 +70,17 @@ def classify_interval(sigma_prev, sigma_cur, sigma_next):
     slopes give an ``ExtremumClass``, arrays an integer array of its values.
     """
     return where(
-        sigma_prev * sigma_next < 0.0,
+        _opposite_signs(sigma_prev, sigma_next),
         where(sigma_prev < 0.0, ExtremumClass.LOCAL_MAX, ExtremumClass.LOCAL_MIN),
-        where(sigma_prev * sigma_cur < 0.0, ExtremumClass.AMBIGUOUS, ExtremumClass.NONE),
+        where(_opposite_signs(sigma_prev, sigma_cur), ExtremumClass.AMBIGUOUS, ExtremumClass.NONE),
     )
+
+
+def _opposite_signs(a, b):
+    """Whether a * b < 0, decided from the signs alone: the product itself
+    underflows to zero for slopes below about 1e-162 and overflows above
+    about 1e154, which would make the class depend on the data's scale."""
+    return (a < 0.0) & (b > 0.0) | (a > 0.0) & (b < 0.0)
 
 
 def interval_bounds(u_i, u_ip1, cls, eps0: float, eps1: float):

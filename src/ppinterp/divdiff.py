@@ -10,8 +10,10 @@ import numpy as np
 __all__ = [
     "as_mesh1d",
     "as_values",
+    "as_points",
     "DividedDifferenceTable",
     "build_table",
+    "divided_differences",
     "IntervalInterpolant",
     "horner",
     "newton_eval",
@@ -46,6 +48,19 @@ def as_values(values, shape: tuple[int, ...]) -> np.ndarray:
     return u
 
 
+def as_points(mesh: np.ndarray, points) -> np.ndarray:
+    """Validate and return output points for the validated ``mesh``: a 1D
+    float array whose entries all lie in [mesh[0], mesh[-1]]."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 1:
+        raise ValueError(f"output points must be one-dimensional, got shape {pts.shape}")
+    inside = (pts >= mesh[0]) & (pts <= mesh[-1])
+    if not np.all(inside):
+        bad = pts[~inside][0]
+        raise ValueError(f"output point {bad!r} outside the mesh range [{mesh[0]}, {mesh[-1]}]")
+    return pts
+
+
 @dataclass(frozen=True)
 class DividedDifferenceTable:
     """Dense table of divided differences over one mesh and its values.
@@ -71,7 +86,12 @@ def build_table(mesh, values, max_degree: int) -> DividedDifferenceTable:
     u = as_values(u, x.shape + u.shape[1:])
     if max_degree < 1:
         raise ValueError(f"max_degree must be >= 1, got {max_degree}")
+    return divided_differences(x, u, max_degree)
 
+
+def divided_differences(x: np.ndarray, u: np.ndarray, max_degree: int) -> DividedDifferenceTable:
+    """``build_table`` without its checks, for inputs already validated:
+    ``x`` by ``as_mesh1d``, ``u`` by ``as_values`` and ``max_degree`` >= 1."""
     n = x.size
     top = min(max_degree, n - 1)
     t = np.full((n, top + 1) + u.shape[1:], np.nan)

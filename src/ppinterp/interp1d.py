@@ -7,7 +7,14 @@ import numpy as np
 
 from .bounds import boundary_sigmas, classify_interval, interval_bounds
 from .config import InterpConfig
-from .divdiff import IntervalInterpolant, as_mesh1d, as_values, build_table, horner
+from .divdiff import (
+    IntervalInterpolant,
+    as_mesh1d,
+    as_points,
+    as_values,
+    divided_differences,
+    horner,
+)
 from .stencil import Stencils, grow_stencils
 
 __all__ = [
@@ -16,17 +23,6 @@ __all__ = [
     "interpolate_lines",
     "interval_interpolants",
 ]
-
-
-def _check_output_points(x: np.ndarray, xout) -> np.ndarray:
-    pts = np.asarray(xout, dtype=float)
-    if pts.ndim != 1:
-        raise ValueError(f"output points must be one-dimensional, got shape {pts.shape}")
-    inside = (pts >= x[0]) & (pts <= x[-1])
-    if not np.all(inside):
-        bad = pts[~inside][0]
-        raise ValueError(f"output point {bad!r} outside the mesh range [{x[0]}, {x[-1]}]")
-    return pts
 
 
 def _stencils(x, table, intervals, config: InterpConfig) -> Stencils:
@@ -51,18 +47,18 @@ def _stencils(x, table, intervals, config: InterpConfig) -> Stencils:
     )
 
 
-def interpolate_lines(mesh, lines, points, config: InterpConfig) -> np.ndarray:
+def interpolate_lines(x, lines, pts, config: InterpConfig) -> np.ndarray:
     """Interpolate every column of the ``(n, m)`` block ``lines``, values on
-    ``mesh``, to ``points``; returns the ``(points.size, m)`` block.
+    mesh ``x``, to the points ``pts``; returns the ``(pts.size, m)`` block.
 
+    The inputs must already be validated, by ``as_mesh1d``, ``as_values`` and
+    ``as_points``: the public entry points check each of them once per call.
     Each output point belongs to the half-open interval [x_i, x_{i+1}) that
-    contains it (the last interval is closed on the right); points outside
-    the mesh range are an error.  Output order follows ``points``.  Only the
-    intervals that hold an output point grow a stencil.
+    contains it (the last interval is closed on the right).  Output order
+    follows ``pts``.  Only the intervals that hold an output point grow a
+    stencil.
     """
-    x = as_mesh1d(mesh)
-    table = build_table(x, lines, config.d)
-    pts = _check_output_points(x, points)
+    table = divided_differences(x, lines, config.d)
     n, m = x.size, table.entries.shape[2]
 
     idx = np.searchsorted(x, pts, side="right") - 1
@@ -82,13 +78,14 @@ def interpolate_1d(x, v, xout, config: InterpConfig) -> np.ndarray:
     """Interpolate values ``v`` on mesh ``x`` to the points ``xout``: the
     one-line case of ``interpolate_lines``."""
     xm = as_mesh1d(x)
-    return interpolate_lines(xm, as_values(v, xm.shape)[:, None], xout, config)[:, 0]
+    u = as_values(v, xm.shape)
+    return interpolate_lines(xm, u[:, None], as_points(xm, xout), config)[:, 0]
 
 
 def interval_interpolants(x, v, config: InterpConfig) -> list[IntervalInterpolant]:
     """Build the interpolant of every interval (mainly for inspection/tests)."""
     xm = as_mesh1d(x)
-    table = build_table(xm, as_values(v, xm.shape), config.d)
+    table = divided_differences(xm, as_values(v, xm.shape), config.d)
     st = _stencils(xm, table, np.arange(xm.size - 1), config)
     pieces = []
     for k, deg in enumerate(st.degree.tolist()):

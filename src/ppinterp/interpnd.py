@@ -10,8 +10,8 @@ from functools import partial
 import numpy as np
 
 from .config import InterpConfig
-from .divdiff import as_mesh1d, as_values
-from .interp1d import _check_output_points, interpolate_lines
+from .divdiff import as_mesh1d, as_points, as_values
+from .interp1d import interpolate_lines
 
 __all__ = ["adaptive_interpolation_2d", "adaptive_interpolation_3d", "tensor_sweep"]
 
@@ -28,7 +28,7 @@ def tensor_sweep(meshes, v, outs, sweep) -> np.ndarray:
     """
     ms = [as_mesh1d(m) for m in meshes]
     q = as_values(v, tuple(m.size for m in ms))
-    pts = [_check_output_points(m, o) for m, o in zip(ms, outs)]
+    pts = [as_points(m, o) for m, o in zip(ms, outs)]
     for k, (mesh, p) in enumerate(zip(ms, pts)):
         front = np.moveaxis(q, k, 0)
         lines = sweep(mesh, front.reshape(mesh.size, -1), p)

@@ -78,8 +78,8 @@ class TestTableReproduction:
         t0 = time.perf_counter()
         e257 = approximation_error(ExperimentSpec("f4", 257, "ppi", 8))
         elapsed = time.perf_counter() - t0
-        ok = _within(e65, 3.51e-4) and _within(e257, 2.91e-8) and elapsed < 120.0
-        _report("table4 f4 PPI d=8: 65^2 ~3.51E-4, 257^2 ~2.91E-8 <120s",
+        ok = _within(e65, 3.51e-4) and _within(e257, 2.91e-8) and elapsed < 10.0
+        _report("table4 f4 PPI d=8: 65^2 ~3.51E-4, 257^2 ~2.91E-8 <10s",
                 ok, f"65:{e65:.3E} 257:{e257:.3E} {elapsed:.1f}s")
 
     def test_table5_f5_2d(self):

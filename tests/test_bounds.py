@@ -30,11 +30,15 @@ class TestClassifyInterval:
         assert classify_interval(-1.0, 1.0, 0.0) is ExtremumClass.AMBIGUOUS
 
     def test_scale_invariance(self):
+        # scales reach 1e+-300, where products of two slopes would underflow
+        # to zero or overflow to infinity
         rng = np.random.default_rng(21)
-        for _ in range(200):
-            sig = rng.uniform(-1, 1, 3)
-            scale = rng.uniform(1e-6, 1e6)
+        sigs = rng.uniform(-1, 1, (200, 3))
+        scales = 10.0 ** rng.uniform(-300, 300, 200)
+        for sig, scale in zip(sigs, scales):
             assert classify_interval(*sig) is classify_interval(*(sig * scale))
+        base = classify_interval(*sigs.T)
+        assert np.array_equal(classify_interval(*(sigs * scales[:, None]).T), base)
 
 
 class TestIntervalBounds:

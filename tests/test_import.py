@@ -1,0 +1,45 @@
+"""Cold start: the adaptive methods never import ``scipy.interpolate``; PCHIP
+imports it on its first call."""
+
+import os
+import subprocess
+import sys
+
+import ppinterp
+
+SCRIPT = """
+import contextlib, io, sys
+import numpy as np
+import ppinterp
+from ppinterp import PPI, DBI, cli
+
+def loaded():
+    return "scipy.interpolate" in sys.modules
+
+assert not loaded(), "import ppinterp"
+x = np.linspace(0.0, 1.0, 9)
+u = np.abs(np.sin(7.0 * x))
+xo = np.linspace(0.0, 1.0, 13)
+ppinterp.adaptive_interpolation_1d(x, u, xo, 5, PPI)
+ppinterp.adaptive_interpolation_2d(x, x, np.outer(u, u), xo, xo, 5, DBI)
+ppinterp.adaptive_interpolation_3d(x, x, x, u[:, None, None] * np.ones((9, 9, 9)), xo, xo, xo, 3, PPI)
+pieces = ppinterp.interval_interpolants(x, u, ppinterp.InterpConfig(d=4, im=PPI))
+ppinterp.replay_chain(pieces[3], ppinterp.build_table(x, u, 4), x)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["approx", "--fn", "f1", "--n", "17", "--method", "ppi", "--degree", "8"]) == 0
+    assert cli.main(["roundtrip", "--fn", "f1", "--n", "16", "--method", "dbi", "--degree", "3"]) == 0
+assert not loaded(), "adaptive calls and the approx/roundtrip subcommands"
+ppinterp.pchip_1d(x, u, xo)
+assert loaded(), "pchip_1d"
+print("ok")
+"""
+
+
+def test_scipy_interpolate_loads_only_with_pchip():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ppinterp.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"

@@ -7,6 +7,31 @@ from ppinterp.interp1d import interpolate_1d
 from helpers import random_mesh
 
 
+def _random_instance(rng, signed):
+    """A random 1D problem from the property family: n 2-40, d 1-15, st 1-3,
+    eps <= 1, 30% zeros, a paired plateau in half of them, and values scaled
+    by 10**k for k in -8..8 (``signed`` lets the values change sign)."""
+    n = int(rng.integers(2, 41))
+    x = random_mesh(rng, n)
+    u = rng.uniform(-1.0 if signed else 0.0, 1.0, n)
+    u[rng.random(n) < 0.3] = 0.0
+    if n >= 4 and rng.random() < 0.5:
+        j = int(rng.integers(0, n - 3))
+        u[j + 1], u[j + 3] = u[j], u[j + 2]
+    u *= 10.0 ** int(rng.integers(-8, 9))
+    eps0, eps1 = rng.uniform(0.0, 1.0, 2)
+    return x, u, int(rng.integers(1, 16)), int(rng.integers(1, 4)), eps0, eps1
+
+
+def _dense_points(x, per_interval=40):
+    """Points filling every interval of ``x``, ends included, and the index
+    of the interval each belongs to."""
+    t = np.linspace(0.0, 1.0, per_interval)
+    s = (x[:-1, None] + (x[1:] - x[:-1])[:, None] * t).ravel()
+    cell = np.repeat(np.arange(x.size - 1), per_interval)
+    return np.minimum(s, x[-1]), cell
+
+
 class TestValidation:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
@@ -143,21 +168,34 @@ class TestMethodRelations:
 
     def test_dbi_respects_data_bounds(self):
         rng = np.random.default_rng(77)
-        x = random_mesh(rng, 12)
-        u = rng.uniform(-3, 3, 12)
-        tau = 1e-12 * (u.max() - u.min())
-        for i in range(11):
-            s = np.linspace(x[i], x[i + 1], 500)
-            v = adaptive_interpolation_1d(x, u, s, 7, DBI)
-            assert v.min() >= min(u[i], u[i + 1]) - tau
-            assert v.max() <= max(u[i], u[i + 1]) + tau
+        for _ in range(150):
+            x, u, d, st, eps0, eps1 = _random_instance(rng, signed=True)
+            s, cell = _dense_points(x)
+            v = adaptive_interpolation_1d(x, u, s, d, DBI, st, eps0, eps1)
+            tau = 1e-12 * np.abs(u).max()
+            assert np.all(v >= np.minimum(u[:-1], u[1:])[cell] - tau)
+            assert np.all(v <= np.maximum(u[:-1], u[1:])[cell] + tau)
 
     def test_positivity_of_ppi(self):
         rng = np.random.default_rng(19)
-        x = random_mesh(rng, 14)
-        u = rng.uniform(0, 5, 14)
-        v = adaptive_interpolation_1d(x, u, np.linspace(x[0], x[-1], 2000), 8, PPI)
-        assert v.min() >= -1e-12 * u.max()
+        for _ in range(150):
+            x, u, d, st, eps0, eps1 = _random_instance(rng, signed=False)
+            s, _ = _dense_points(x)
+            v = adaptive_interpolation_1d(x, u, s, d, PPI, st, eps0, eps1)
+            assert v.min() >= -1e-12 * u.max()
+
+    def test_power_of_two_scaling_is_exact(self):
+        # every step is scale-equivariant, so scaling the values by 2**k
+        # scales the output by exactly 2**k, even near the ends of the range
+        rng = np.random.default_rng(600)
+        for trial in range(150):
+            x, u, d, st, eps0, eps1 = _random_instance(rng, signed=trial % 2 == 0)
+            im = DBI if trial % 3 == 0 else PPI
+            s, _ = _dense_points(x, per_interval=7)
+            base = adaptive_interpolation_1d(x, u, s, d, im, st, eps0, eps1)
+            for k in (-600, 600):
+                got = adaptive_interpolation_1d(x, np.ldexp(u, k), s, d, im, st, eps0, eps1)
+                assert np.array_equal(got, np.ldexp(base, k))
 
     def test_smooth_error_shrinks_with_degree(self):
         x = np.linspace(-0.2, 0.2, 257)
