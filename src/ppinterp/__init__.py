@@ -9,8 +9,8 @@ its module."""
 from .bounds import boundary_sigmas, classify_interval, interval_bounds
 from .config import DBI, PPI, InterpConfig
 from .divdiff import build_table, newton_eval
-from .interp1d import adaptive_interpolation_1d, interval_interpolants
-from .interpnd import adaptive_interpolation_2d, adaptive_interpolation_3d
+from .interp1d import interval_interpolants
+from .interpnd import adaptive_interpolation_1d, adaptive_interpolation_2d, adaptive_interpolation_3d
 from .pchip import pchip_1d, pchip_2d
 from .stencil import replay_chain
 

@@ -67,7 +67,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         text = format_rows(run_experiments(_specs_from_args(args)))
-    except Exception as err:  # surface bad parameters as a clean message
+    except ValueError as err:  # bad parameters; any other error is a bug and keeps its traceback
         print(f"error: {err}", file=sys.stderr)
         return 1
     if args.out:

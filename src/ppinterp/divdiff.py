@@ -72,8 +72,14 @@ class DividedDifferenceTable:
     """
 
     entries: np.ndarray
-    n_points: int
-    max_order: int
+
+    @property
+    def n_points(self) -> int:
+        return self.entries.shape[0]
+
+    @property
+    def max_order(self) -> int:
+        return self.entries.shape[1] - 1
 
 
 def build_table(mesh, values, max_degree: int) -> DividedDifferenceTable:
@@ -99,7 +105,7 @@ def divided_differences(x: np.ndarray, u: np.ndarray, max_degree: int) -> Divide
     xb = x.reshape((n,) + (1,) * (u.ndim - 1))  # broadcasts against the lines
     for j in range(1, top + 1):
         t[: n - j, j] = (t[1 : n - j + 1, j - 1] - t[: n - j, j - 1]) / (xb[j:] - xb[: n - j])
-    return DividedDifferenceTable(entries=t, n_points=n, max_order=top)
+    return DividedDifferenceTable(entries=t)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,7 @@ import numpy as np
 
 from .config import DBI, PPI
 from .diagnostics import l2_error_continuum, l2_error_grid, refine_mesh
-from .interp1d import adaptive_interpolation_1d
-from .interpnd import adaptive_interpolation_2d
+from .interpnd import adaptive_interpolation_1d, adaptive_interpolation_2d
 from .pchip import pchip_1d, pchip_2d
 from .testfunctions import TEST_FUNCTIONS
 

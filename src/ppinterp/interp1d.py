@@ -1,50 +1,22 @@
-"""1D driver: classification, bounds, stencil growth and evaluation of the
-output points, for one line of values or a block of lines on one mesh."""
+"""The 1D engine driver: a block of lines on one mesh, interpolated to one set
+of output points.  Every public entry point, 1D included, reaches it as one
+axis of ``interpnd.tensor_sweep``, which validates the input first."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bounds import boundary_sigmas, classify_interval, interval_bounds
 from .config import InterpConfig
-from .divdiff import (
-    IntervalInterpolant,
-    as_mesh1d,
-    as_points,
-    as_values,
-    divided_differences,
-    horner,
-)
-from .stencil import Stencils, grow_stencils
+from .divdiff import IntervalInterpolant, as_mesh1d, as_values, divided_differences, horner
+from .stencil import grow_stencils
 
-__all__ = [
-    "adaptive_interpolation_1d",
-    "interpolate_1d",
-    "interpolate_lines",
-    "interval_interpolants",
-]
+__all__ = ["interpolate_lines", "interval_interpolants"]
 
-
-def _stencils(x, table, intervals, config: InterpConfig) -> Stencils:
-    """Stencils of ``intervals`` on every line of ``table``; lane
-    k * lines + c is interval ``intervals[k]`` of line c."""
-    entries = table.entries.reshape(table.n_points, table.max_order + 1, -1)
-    lines = entries.shape[2]
-    sp, sc, sn = boundary_sigmas(entries[:-1, 1], intervals)
-    u_i, u_ip1 = entries[intervals, 0], entries[intervals + 1, 0]
-    cls = classify_interval(sp, sc, sn)
-    u_min, u_max = interval_bounds(u_i, u_ip1, cls, config.eps0, config.eps1)
-    degenerate = (u_i == u_ip1) | (sc == 0.0)
-    return grow_stencils(
-        x,
-        entries,
-        np.repeat(intervals, lines),
-        np.tile(np.arange(lines), intervals.size),
-        u_min.ravel(),
-        u_max.ravel(),
-        degenerate.ravel(),
-        config,
-    )
+# Upper bound on the (line, point) pairs one engine call holds, counting each
+# line's mesh points or output points, whichever are more.  It caps the
+# memory of the lane and evaluation arrays; the chunking never changes a
+# result, since every line is interpolated on its own.
+CHUNK_PAIRS = 1 << 17
 
 
 def interpolate_lines(x, lines, pts, config: InterpConfig) -> np.ndarray:
@@ -56,37 +28,35 @@ def interpolate_lines(x, lines, pts, config: InterpConfig) -> np.ndarray:
     Each output point belongs to the half-open interval [x_i, x_{i+1}) that
     contains it (the last interval is closed on the right).  Output order
     follows ``pts``.  Only the intervals that hold an output point grow a
-    stencil.
+    stencil.  The columns go to the engine a chunk at a time, each chunk
+    holding at most ``CHUNK_PAIRS`` (line, point) pairs, or one line.
     """
-    table = divided_differences(x, lines, config.d)
-    n, m = x.size, table.entries.shape[2]
-
+    n, m = x.size, lines.shape[1]
     idx = np.searchsorted(x, pts, side="right") - 1
     np.clip(idx, 0, n - 2, out=idx)
     used = np.zeros(n - 1, dtype=bool)
     used[idx] = True
     intervals = np.flatnonzero(used)
-    rank = np.cumsum(used) - 1
+    rank = (np.cumsum(used) - 1)[idx]
 
-    st = _stencils(x, table, intervals, config)
-    lane = (rank[idx][:, None] * m + np.arange(m)).ravel()
-    out = horner(st.coeffs, x[st.order], st.degree, lane, np.repeat(pts, m))
-    return out.reshape(pts.size, m)
-
-
-def interpolate_1d(x, v, xout, config: InterpConfig) -> np.ndarray:
-    """Interpolate values ``v`` on mesh ``x`` to the points ``xout``: the
-    one-line case of ``interpolate_lines``."""
-    xm = as_mesh1d(x)
-    u = as_values(v, xm.shape)
-    return interpolate_lines(xm, u[:, None], as_points(xm, xout), config)[:, 0]
+    out = np.empty((pts.size, m))
+    step = max(1, CHUNK_PAIRS // max(n, pts.size))
+    for k in range(0, m, step):
+        c = min(step, m - k)
+        block = lines[:, k : k + c]
+        st = grow_stencils(x, divided_differences(x, block, config.d), intervals, config)
+        lane = (rank[:, None] * c + np.arange(c)).ravel()
+        p = horner(st.coeffs, x[st.order], st.degree, lane, np.repeat(pts, c))
+        out[:, k : k + c] = p.reshape(pts.size, c)
+        del st, lane, p  # free this chunk's lanes before the next one grows
+    return out
 
 
 def interval_interpolants(x, v, config: InterpConfig) -> list[IntervalInterpolant]:
     """Build the interpolant of every interval (mainly for inspection/tests)."""
     xm = as_mesh1d(x)
     table = divided_differences(xm, as_values(v, xm.shape), config.d)
-    st = _stencils(xm, table, np.arange(xm.size - 1), config)
+    st = grow_stencils(xm, table, np.arange(xm.size - 1), config)
     pieces = []
     for k, deg in enumerate(st.degree.tolist()):
         order = st.order[k, : deg + 1].tolist()
@@ -103,9 +73,3 @@ def interval_interpolants(x, v, config: InterpConfig) -> list[IntervalInterpolan
             )
         )
     return pieces
-
-
-def adaptive_interpolation_1d(x, v, xout, d, im, st=3, eps0=0.01, eps1=1.0):
-    """Adaptive data-bounded (im=1) or positivity-preserving (im=2)
-    interpolation of (x, v) onto ``xout`` with target degree ``d``."""
-    return interpolate_1d(x, v, xout, InterpConfig(d=d, im=im, st=st, eps0=eps0, eps1=eps1))

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .divdiff import as_mesh1d, as_points, as_values
 from .interpnd import tensor_sweep
 
 __all__ = ["pchip_1d", "pchip_2d"]
@@ -26,8 +25,7 @@ def _pchip(mesh, lines, points):
 
 def pchip_1d(x, v, xout) -> np.ndarray:
     """Monotone cubic Hermite interpolation of (x, v) onto ``xout``."""
-    xm = as_mesh1d(x)
-    return _pchip(xm, as_values(v, xm.shape), as_points(xm, xout))
+    return tensor_sweep((x,), v, (xout,), _pchip)
 
 
 def pchip_2d(x, y, v, xout, yout) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import scaling_factors, where
+from .bounds import boundary_sigmas, classify_interval, interval_bounds, scaling_factors, where
 from .config import InterpConfig
 from .divdiff import DividedDifferenceTable, IntervalInterpolant
 
@@ -132,12 +132,14 @@ class Stencils(NamedTuple):
     m_r: np.ndarray
 
 
-def grow_stencils(x, entries, i, c, u_min, u_max, degenerate, config: InterpConfig) -> Stencils:
+def grow_stencils(x, table: DividedDifferenceTable, intervals, config: InterpConfig) -> Stencils:
     """Grow the stencil of every lane together.
 
-    Lane k is interval ``i[k]`` of line ``c[k]`` of the ``(n, top+1, lines)``
-    divided-difference table ``entries``; ``u_min``/``u_max`` are its value
-    bounds and ``degenerate`` marks equal endpoint values or a zero slope.
+    ``table`` holds the divided differences over mesh ``x`` of one line of
+    values or of an ``(n, lines)`` block, one line per column; lane
+    k * lines + c is interval ``intervals[k]`` of line c.  Each lane is
+    classified and bounded from its line's slopes and endpoint values, and
+    marked degenerate where those values are equal or its slope is zero.
 
     A lane stops when neither neighbor is admissible, its window holds d+1
     points, or the mesh ends on both sides.  A degenerate lane is normalized
@@ -145,9 +147,16 @@ def grow_stencils(x, entries, i, c, u_min, u_max, degenerate, config: InterpConf
     slope; if that window is flat too, or not admissible, the lane falls back
     to the linear piece.
     """
-    n, width, _ = entries.shape
+    entries = table.entries.reshape(table.n_points, table.max_order + 1, -1)
+    n, width, lines = entries.shape
     top = width - 1
-    u_i, slope = entries[i, 0, c], entries[i, 1, c]
+    i = np.repeat(intervals, lines)
+    c = np.tile(np.arange(lines), intervals.size)
+    sp, slope, sn = (s.ravel() for s in boundary_sigmas(entries[:-1, 1], intervals))
+    u_i, u_ip1 = entries[i, 0, c], entries[i + 1, 0, c]
+    cls = classify_interval(sp, slope, sn)
+    u_min, u_max = interval_bounds(u_i, u_ip1, cls, config.eps0, config.eps1)
+    degenerate = (u_i == u_ip1) | (slope == 0.0)
     h = x[i + 1] - x[i]
     order = np.repeat(i[:, None], width, axis=1)
     order[:, 1] = i + 1
@@ -173,7 +182,6 @@ def grow_stencils(x, entries, i, c, u_min, u_max, degenerate, config: InterpConf
         linear[g] = wg == 0.0
         w[g] = np.where(wg == 0.0, 1.0, wg)  # flat lanes fall back; any nonzero w will do
         denom[g], length_product[g] = w[g], h[g]
-    u_ip1 = entries[i + 1, 0, c]
     factors = scaling_factors(u_i, u_ip1, u_min, u_max, config.im, w)
     m_l, m_r = (np.broadcast_to(m, i.shape) for m in factors)  # DBI gives scalars
 

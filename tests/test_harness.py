@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ppinterp import adaptive_interpolation_1d, PPI
+from ppinterp import cli
 from ppinterp.cli import main
 from ppinterp.diagnostics import l2_error_grid
 from ppinterp.harness import (
@@ -174,6 +175,16 @@ class TestCli:
         argv = ["approx", "--fn", "f1", "--n", "1", "--method", "ppi", "--degree", "3"]
         assert main(argv) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_programming_error_propagates(self, monkeypatch):
+        # only bad parameters (ValueError) become a one-line message; a bug
+        # keeps its type and traceback
+        def broken(specs):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(cli, "run_experiments", broken)
+        with pytest.raises(RuntimeError, match="bug"):
+            main(["approx", "--fn", "f1", "--n", "17", "--method", "ppi", "--degree", "3"])
 
     def test_bad_choice_rejected_by_parser(self):
         with pytest.raises(SystemExit) as exc:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ppinterp import DBI, PPI, InterpConfig, adaptive_interpolation_1d, interval_interpolants
-from ppinterp.interp1d import interpolate_1d
+from ppinterp.interp1d import interpolate_lines
 
 from helpers import random_mesh
 
@@ -214,7 +214,8 @@ class TestConfigDriver:
         x = np.linspace(0, 1, 9)
         u = np.sin(x * 5) + 1.5
         xout = np.linspace(0, 1, 37)
-        via_cfg = interpolate_1d(x, u, xout, InterpConfig(d=4, im=PPI, st=2, eps0=0.1, eps1=0.5))
+        cfg = InterpConfig(d=4, im=PPI, st=2, eps0=0.1, eps1=0.5)
+        via_cfg = interpolate_lines(x, u[:, None], xout, cfg)[:, 0]
         via_args = adaptive_interpolation_1d(x, u, xout, 4, PPI, 2, 0.1, 0.5)
         assert np.array_equal(via_cfg, via_args)
 

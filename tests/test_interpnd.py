@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -10,9 +11,11 @@ from ppinterp import (
     adaptive_interpolation_1d,
     adaptive_interpolation_2d,
     adaptive_interpolation_3d,
+    interval_interpolants,
+    pchip_1d,
     pchip_2d,
 )
-from ppinterp import interpnd
+from ppinterp import interp1d, interpnd
 
 from helpers import random_mesh
 
@@ -228,10 +231,11 @@ class TestBlockBookkeeping:
     def test_matches_line_by_line(self):
         self.check(np.random.default_rng(31), 60)
 
-    def test_across_chunk_boundaries(self, monkeypatch):
-        # a chunk of two or three lines: most sweeps split into several
-        # chunks, the last one short
-        monkeypatch.setattr(interpnd, "CHUNK_PAIRS", 40)
+    @pytest.mark.parametrize("pairs", [1, 40])
+    def test_across_chunk_boundaries(self, monkeypatch, pairs):
+        # one line per chunk, or two or three: most sweeps split into
+        # several chunks, the last one short
+        monkeypatch.setattr(interp1d, "CHUNK_PAIRS", pairs)
         self.check(np.random.default_rng(32), 30)
 
 
@@ -241,7 +245,7 @@ def sweep_blocks(meshes, v, outs, cfg):
     blocks = []
 
     def sweep(mesh, lines, points):
-        out = interpnd._sweep(mesh, lines, points, cfg)
+        out = interp1d.interpolate_lines(mesh, lines, points, cfg)
         blocks.append((lines, out))
         return out
 
@@ -271,3 +275,44 @@ class TestGuarantees:
                         assert np.all(out <= lines.max(axis=0) + tau)
                     else:
                         assert out.min() >= -tau
+
+
+class TestValidateOnce:
+    """Every entry point checks each mesh and output axis once per axis and
+    the values once, before any interpolation."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        # wrap every copy of the validators the package's modules hold, so a
+        # check made anywhere is counted
+        counts = {}
+        for mod in [m for name, m in sys.modules.items() if name.startswith("ppinterp")]:
+            for name in ("as_mesh1d", "as_values", "as_points"):
+                fn = getattr(mod, name, None)
+                if fn is not None:
+                    def counted(*args, _fn=fn, _name=name):
+                        counts[_name] = counts.get(_name, 0) + 1
+                        return _fn(*args)
+
+                    monkeypatch.setattr(mod, name, counted)
+        return counts
+
+    def test_each_input_checked_once(self, counts):
+        rng = np.random.default_rng(35)
+        x, y, z = (random_mesh(rng, n) for n in (6, 5, 4))
+        xo, yo, zo = (np.linspace(m[0], m[-1], 7) for m in (x, y, z))
+        v1, v2, v3 = (rng.uniform(0, 1, s) for s in ((6,), (6, 5), (6, 5, 4)))
+        cases = [
+            (lambda: adaptive_interpolation_1d(x, v1, xo, 3, PPI), 1),
+            (lambda: adaptive_interpolation_2d(x, y, v2, xo, yo, 3, DBI), 2),
+            (lambda: adaptive_interpolation_3d(x, y, z, v3, xo, yo, zo, 3, PPI), 3),
+            (lambda: pchip_1d(x, v1, xo), 1),
+            (lambda: pchip_2d(x, y, v2, xo, yo), 2),
+        ]
+        for call, axes in cases:
+            counts.clear()
+            call()
+            assert counts == {"as_mesh1d": axes, "as_values": 1, "as_points": axes}
+        counts.clear()
+        interval_interpolants(x, v1, InterpConfig(d=3, im=PPI))
+        assert counts == {"as_mesh1d": 1, "as_values": 1}

@@ -59,6 +59,24 @@ class TestPchip1D:
         with pytest.raises(ValueError, match="outside"):
             pchip_1d([0, 1], [1, 2], [1.2])
 
+    def test_matches_scipy_bit_for_bit(self):
+        # pchip_1d runs SciPy on a one-column block; the result must equal
+        # SciPy's own 1D call, signs of zero included
+        from scipy.interpolate import PchipInterpolator
+
+        rng = np.random.default_rng(6)
+        for _ in range(300):
+            n = int(rng.integers(2, 301))
+            x = random_mesh(rng, n)
+            u = rng.uniform(-1.0, 3.0, n)
+            u[rng.random(n) < 0.3] = 0.0
+            u *= 10.0 ** int(rng.integers(-8, 9))
+            xq = np.concatenate((rng.uniform(x[0], x[-1], 50), x[rng.integers(0, n, 5)]))
+            got = pchip_1d(x, u, xq)
+            want = PchipInterpolator(x, u)(xq)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
 
 class TestPchip2D:
     def test_constant_in_y_matches_1d(self):

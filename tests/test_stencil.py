@@ -5,7 +5,7 @@ import pytest
 
 from ppinterp.config import DBI, PPI, InterpConfig
 from ppinterp.divdiff import build_table, newton_eval
-from ppinterp.interp1d import interpolate_1d, interpolate_lines, interval_interpolants
+from ppinterp.interp1d import interpolate_lines, interval_interpolants
 from ppinterp.stencil import b_bounds_step, lambda_bar_candidate, replay_chain, select_direction
 from ppinterp.testfunctions import TEST_FUNCTIONS
 
@@ -213,7 +213,7 @@ class TestBuildStencil:
         cfg = InterpConfig(d=6, im=PPI)
         block = interpolate_lines(x, u, xout, cfg)
         for k in range(5):
-            assert np.array_equal(block[:, k], interpolate_1d(x, u[:, k], xout, cfg))
+            assert np.array_equal(block[:, k], interpolate_lines(x, u[:, [k]], xout, cfg)[:, 0])
         assert np.array_equal(block[:, 3], block[:, 1])
 
     def test_window_invariants(self):
