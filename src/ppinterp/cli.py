@@ -5,23 +5,20 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import ExperimentSpec, format_rows, run_experiments, table_sweep
+from .harness import METHODS, ExperimentSpec, format_rows, run_experiments, table_sweep
 from .testfunctions import TEST_FUNCTIONS
 
 
-def _add_common(parser, with_refine=False):
+def _add_common(parser):
+    # --st/--eps0/--eps1 (and --refine) are left out of the namespace when not
+    # given, so ExperimentSpec and InterpConfig supply the defaults and the checks
     parser.add_argument("--fn", required=True, choices=sorted(TEST_FUNCTIONS))
     parser.add_argument("--n", required=True, type=int, help="input points (per axis in 2D)")
-    if with_refine:
-        parser.add_argument(
-            "--refine", type=int, choices=(0, 1, 3), default=0,
-            help="interior points added per interval of the base mesh",
-        )
-    parser.add_argument("--method", required=True, choices=("dbi", "ppi", "pchip"))
+    parser.add_argument("--method", required=True, choices=METHODS)
     parser.add_argument("--degree", required=True, type=int, help="target polynomial degree")
-    parser.add_argument("--st", type=int, choices=(1, 2, 3), default=3)
-    parser.add_argument("--eps0", type=float, default=0.01)
-    parser.add_argument("--eps1", type=float, default=1.0)
+    parser.add_argument("--st", type=int, default=argparse.SUPPRESS)
+    parser.add_argument("--eps0", type=float, default=argparse.SUPPRESS)
+    parser.add_argument("--eps1", type=float, default=argparse.SUPPRESS)
     parser.add_argument("--out", default=None, help="write CSV here instead of stdout")
 
 
@@ -36,7 +33,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_approx)
 
     p_round = sub.add_parser("roundtrip", help="advection/reaction mesh round-trip error")
-    _add_common(p_round, with_refine=True)
+    _add_common(p_round)
+    p_round.add_argument(
+        "--refine", type=int, choices=(0, 1, 3), default=argparse.SUPPRESS,
+        help="interior points added per interval of the base mesh",
+    )
 
     p_table = sub.add_parser("table", help="full sweep behind one published table")
     p_table.add_argument("--id", required=True, type=int, choices=range(1, 7))
@@ -47,20 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _specs_from_args(args) -> list[ExperimentSpec]:
     if args.command == "table":
         return table_sweep(args.id)
-    kind = "roundtrip" if args.command == "roundtrip" else "approx"
-    return [
-        ExperimentSpec(
-            fn=args.fn,
-            n=args.n,
-            method=args.method,
-            degree=args.degree,
-            st=args.st,
-            eps0=args.eps0,
-            eps1=args.eps1,
-            kind=kind,
-            refine=getattr(args, "refine", 0),
-        )
-    ]
+    fields = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+    return [ExperimentSpec(kind=args.command, **fields)]
 
 
 def main(argv=None) -> int:

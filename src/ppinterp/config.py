@@ -13,9 +13,20 @@ DBI = 1
 PPI = 2
 
 
+def _is_integer(value) -> bool:
+    """True for Python and numpy integers, False for bools, floats and the rest."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class InterpConfig:
-    """Knobs for the adaptive interpolation drivers.
+    """Knobs for the adaptive interpolation drivers, and the one home of their
+    defaults and valid values: the harness and the CLI read both from here,
+    for DBI, PPI and PCHIP experiments alike.
 
     d      target polynomial degree per interval (stencil of up to d+1 points)
     im     interpolation method, DBI (1) or PPI (2)
@@ -24,8 +35,10 @@ class InterpConfig:
     eps0   bound relaxation for intervals without a detected extremum
     eps1   bound relaxation for intervals with a detected extremum
 
-    PPI keeps nonnegative data nonnegative only for eps0, eps1 <= 1; larger
-    values are accepted but void that guarantee.
+    d, im and st must be integers (numpy integers included, bools and floats
+    not); eps0 and eps1 finite and nonnegative.  PPI keeps nonnegative data
+    nonnegative only for eps0, eps1 <= 1; larger values are accepted but void
+    that guarantee.
     """
 
     d: int
@@ -35,16 +48,12 @@ class InterpConfig:
     eps1: float = 1.0
 
     def __post_init__(self):
-        try:
-            d = operator.index(self.d)
-        except TypeError:
-            d = None
-        if d is None or isinstance(self.d, bool) or d < 1:
+        if not _is_integer(self.d) or self.d < 1:
             raise ValueError(f"target degree d must be an integer >= 1, got {self.d!r}")
-        if self.im not in (DBI, PPI):
-            raise ValueError(f"im must be {DBI} (DBI) or {PPI} (PPI), got {self.im}")
-        if self.st not in (1, 2, 3):
-            raise ValueError(f"st must be 1, 2 or 3, got {self.st}")
+        if not _is_integer(self.im) or self.im not in (DBI, PPI):
+            raise ValueError(f"im must be {DBI} (DBI) or {PPI} (PPI), got {self.im!r}")
+        if not _is_integer(self.st) or self.st not in (1, 2, 3):
+            raise ValueError(f"st must be 1, 2 or 3, got {self.st!r}")
         if not (0.0 <= self.eps0 < math.inf and 0.0 <= self.eps1 < math.inf):
             raise ValueError(
                 f"eps0 and eps1 must be finite and nonnegative, got {self.eps0}, {self.eps1}"

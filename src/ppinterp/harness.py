@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DBI, PPI
+from .config import DBI, PPI, InterpConfig
 from .diagnostics import l2_error_continuum, l2_error_grid, refine_mesh
 from .interpnd import adaptive_interpolation_1d, adaptive_interpolation_2d
 from .pchip import pchip_1d, pchip_2d
@@ -17,6 +17,7 @@ __all__ = [
     "DENSE_1D",
     "DENSE_2D",
     "ExperimentSpec",
+    "METHODS",
     "approximation_error",
     "roundtrip_error",
     "run_experiments",
@@ -29,7 +30,8 @@ __all__ = [
 DENSE_1D = 10_000
 DENSE_2D = 1_000
 
-_METHOD_IM = {"dbi": DBI, "ppi": PPI}
+# Method name -> InterpConfig.im; PCHIP has no im and ignores st/eps.
+METHODS = {"dbi": DBI, "ppi": PPI, "pchip": None}
 
 CSV_HEADER = "N,method,degree,st,eps0,eps1,l2"
 
@@ -40,19 +42,22 @@ class ExperimentSpec:
 
     fn: str
     n: int
-    method: str  # "dbi" | "ppi" | "pchip"
+    method: str  # a key of METHODS
     degree: int
-    st: int = 3
-    eps0: float = 0.01
-    eps1: float = 1.0
+    st: int = InterpConfig.st
+    eps0: float = InterpConfig.eps0
+    eps1: float = InterpConfig.eps1
     kind: str = "approx"  # "approx" | "roundtrip"
     refine: int = 0
 
     def __post_init__(self):
         if self.fn not in TEST_FUNCTIONS:
             raise ValueError(f"unknown test function {self.fn!r}")
-        if self.method not in ("dbi", "ppi", "pchip"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        # the degree/st/eps rule does not depend on im, so PCHIP rows are
+        # held to it too (checked as DBI) although PCHIP ignores st and eps
+        InterpConfig(self.degree, METHODS[self.method] or DBI, self.st, self.eps0, self.eps1)
         if self.kind not in ("approx", "roundtrip"):
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.n < 2:
@@ -66,11 +71,10 @@ _PCHIP = {1: pchip_1d, 2: pchip_2d}
 def _interp(spec: ExperimentSpec, meshes, v, outs):
     """Interpolate values on the tensor product of ``meshes`` (one per axis)
     to the tensor product of ``outs`` with the spec's method."""
-    if spec.method == "pchip":
+    im = METHODS[spec.method]
+    if im is None:
         return _PCHIP[len(meshes)](*meshes, v, *outs)
-    return _ADAPTIVE[len(meshes)](
-        *meshes, v, *outs, spec.degree, _METHOD_IM[spec.method], spec.st, spec.eps0, spec.eps1
-    )
+    return _ADAPTIVE[len(meshes)](*meshes, v, *outs, spec.degree, im, spec.st, spec.eps0, spec.eps1)
 
 
 def approximation_error(spec: ExperimentSpec) -> float:

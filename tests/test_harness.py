@@ -61,6 +61,15 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="at least 2"):
             ExperimentSpec("f1", 1, "ppi", 3)
 
+    def test_pchip_held_to_the_parameter_rule(self):
+        # PCHIP ignores degree/st/eps but does not accept invalid ones
+        with pytest.raises(ValueError, match="degree"):
+            ExperimentSpec("f1", 17, "pchip", 0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            ExperimentSpec("f1", 17, "pchip", 3, eps0=-1.0)
+        with pytest.raises(ValueError, match="st must be"):
+            ExperimentSpec("f1", 17, "pchip", 3, st=4)
+
 
 class TestApproximation:
     def test_pchip_smoke(self):
@@ -175,6 +184,31 @@ class TestCli:
         argv = ["approx", "--fn", "f1", "--n", "1", "--method", "ppi", "--degree", "3"]
         assert main(argv) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bad", [["--degree", "0"], ["--eps0", "-1"], ["--st", "4"]], ids=["degree", "eps0", "st"]
+    )
+    def test_bad_parameters_rejected_for_every_method(self, capsys, bad):
+        # a later --degree overrides the earlier one
+        errors = {}
+        for method in ("ppi", "pchip"):
+            argv = ["approx", "--fn", "f1", "--n", "17", "--method", method, "--degree", "3", *bad]
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error:")
+            errors[method] = captured.err
+        assert errors["pchip"] == errors["ppi"]
+
+    @pytest.mark.parametrize("command", ["approx", "roundtrip"])
+    def test_omitted_flags_take_config_defaults(self, capsys, command):
+        argv = [command, "--fn", "f1", "--n", "17", "--method", "ppi", "--degree", "4"]
+        explicit = ["--st", "3", "--eps0", "0.01", "--eps1", "1.0"]
+        if command == "roundtrip":
+            explicit += ["--refine", "0"]
+        assert main(argv) == 0
+        implicit_out = capsys.readouterr().out
+        assert main(argv + explicit) == 0
+        assert implicit_out == capsys.readouterr().out
 
     def test_programming_error_propagates(self, monkeypatch):
         # only bad parameters (ValueError) become a one-line message; a bug

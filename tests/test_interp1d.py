@@ -57,13 +57,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="outside"):
             adaptive_interpolation_1d([0, 1], [1, 2], [np.nan], 1, DBI)
 
-    def test_bad_method(self):
+    @pytest.mark.parametrize("im", [3, True, 2.0], ids=["out-of-range", "bool", "float"])
+    def test_bad_method(self, im):
         with pytest.raises(ValueError, match="im must be"):
-            adaptive_interpolation_1d([0, 1], [1, 2], [0.5], 1, 3)
+            adaptive_interpolation_1d([0, 1], [1, 2], [0.5], 1, im)
 
-    def test_bad_st(self):
+    @pytest.mark.parametrize("st", [4, True, 3.0], ids=["out-of-range", "bool", "float"])
+    def test_bad_st(self, st):
         with pytest.raises(ValueError, match="st must be"):
-            adaptive_interpolation_1d([0, 1], [1, 2], [0.5], 1, DBI, st=4)
+            adaptive_interpolation_1d([0, 1], [1, 2], [0.5], 1, DBI, st=st)
+
+    def test_numpy_integer_method_and_st(self):
+        cfg = InterpConfig(d=np.int64(3), im=np.int32(PPI), st=np.int8(1))
+        assert (cfg.im, cfg.st) == (PPI, 1)
 
     def test_negative_eps(self):
         with pytest.raises(ValueError, match="nonnegative"):

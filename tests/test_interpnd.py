@@ -1,3 +1,4 @@
+import inspect
 import sys
 from dataclasses import replace
 
@@ -316,3 +317,12 @@ class TestValidateOnce:
         counts.clear()
         interval_interpolants(x, v1, InterpConfig(d=3, im=PPI))
         assert counts == {"as_mesh1d": 1, "as_values": 1}
+
+
+class TestPublicDefaults:
+    def test_wrapper_defaults_match_config(self):
+        # the wrappers spell the paper's defaults out; InterpConfig is their home
+        want = {name: getattr(InterpConfig, name) for name in ("st", "eps0", "eps1")}
+        for fn in (adaptive_interpolation_1d, adaptive_interpolation_2d, adaptive_interpolation_3d):
+            params = inspect.signature(fn).parameters
+            assert {name: params[name].default for name in want} == want
