@@ -24,8 +24,9 @@ class ExtremumClass(enum.IntEnum):
     The tags name the slope pattern: LOCAL_MAX is the opposite-sign pattern
     entered on a falling slope (the lower bound gets relaxed), LOCAL_MIN the
     one entered on a rising slope (the upper bound gets relaxed), AMBIGUOUS
-    relaxes both sides.  The integer values let arrays of intervals carry
-    their class.
+    relaxes both sides.  The values are bit flags: bit LOCAL_MAX relaxes the
+    lower bound and bit LOCAL_MIN the upper one.  Arrays of intervals carry
+    their class as these plain integers.
     """
 
     NONE = 0
@@ -41,9 +42,10 @@ class ExtremumClass(enum.IntEnum):
 
 
 def where(cond, a, b):
-    """``np.where(cond, a, b)``, except that a scalar ``cond`` (one lane)
-    picks its branch directly and keeps scalar arithmetic in Python floats."""
-    if isinstance(cond, (bool, np.bool_)):
+    """``np.where(cond, a, b)``, except that a scalar ``cond`` (one lane: a
+    bool or an integer flag) picks its branch directly and keeps scalar
+    arithmetic in Python floats."""
+    if isinstance(cond, (int, np.bool_, np.integer)):
         return a if cond else b
     return np.where(cond, a, b)
 
@@ -68,19 +70,20 @@ def classify_interval(sigma_prev, sigma_cur, sigma_next):
     type follows the sign of sigma_prev; same-sign outer slopes with an
     opposite-sign inner slope leave the extremum type ambiguous.  Scalar
     slopes give an ``ExtremumClass``, arrays an integer array of its values.
+
+    The signs are multiplied, not the slopes: their product underflows to
+    zero for slopes below about 1e-162 and overflows above about 1e154,
+    which would make the class depend on the data's scale.
     """
-    return where(
-        _opposite_signs(sigma_prev, sigma_next),
-        where(sigma_prev < 0.0, ExtremumClass.LOCAL_MAX, ExtremumClass.LOCAL_MIN),
-        where(_opposite_signs(sigma_prev, sigma_cur), ExtremumClass.AMBIGUOUS, ExtremumClass.NONE),
+    sign_prev = np.sign(sigma_prev)
+    outer = sign_prev * np.sign(sigma_next) < 0.0
+    inner = sign_prev * np.sign(sigma_cur) < 0.0
+    cls = where(
+        outer,
+        where(sign_prev < 0.0, ExtremumClass.LOCAL_MAX.value, ExtremumClass.LOCAL_MIN.value),
+        where(inner, ExtremumClass.AMBIGUOUS.value, ExtremumClass.NONE.value),
     )
-
-
-def _opposite_signs(a, b):
-    """Whether a * b < 0, decided from the signs alone: the product itself
-    underflows to zero for slopes below about 1e-162 and overflows above
-    about 1e154, which would make the class depend on the data's scale."""
-    return (a < 0.0) & (b > 0.0) | (a > 0.0) & (b < 0.0)
+    return ExtremumClass(cls) if isinstance(outer, np.bool_) else cls
 
 
 def interval_bounds(u_i, u_ip1, cls, eps0: float, eps1: float):
@@ -93,8 +96,8 @@ def interval_bounds(u_i, u_ip1, cls, eps0: float, eps1: float):
     """
     lo = where(u_ip1 < u_i, u_ip1, u_i)
     hi = where(u_ip1 > u_i, u_ip1, u_i)
-    eps_lo = where((cls == ExtremumClass.LOCAL_MAX) | (cls == ExtremumClass.AMBIGUOUS), eps1, eps0)
-    eps_hi = where((cls == ExtremumClass.LOCAL_MIN) | (cls == ExtremumClass.AMBIGUOUS), eps1, eps0)
+    eps_lo = where(cls & ExtremumClass.LOCAL_MAX.value, eps1, eps0)
+    eps_hi = where(cls & ExtremumClass.LOCAL_MIN.value, eps1, eps0)
     return lo - eps_lo * abs(lo), hi + eps_hi * abs(hi)
 
 
@@ -122,7 +125,7 @@ def scaling_factors(u_i, u_ip1, u_min, u_max, method: int, degenerate_w=None):
             raise ValueError("equal endpoint values require degenerate_w")
         degenerate_w = 1.0
     den = where(equal, degenerate_w, u_ip1 - u_i)
-    if np.any(den == 0.0):
+    if np.count_nonzero(den == 0.0):
         raise ValueError("flat data: expanded window has zero divided difference")
     rising = den > 0.0
     a = (where(rising, u_min, u_max) - u_i) / den

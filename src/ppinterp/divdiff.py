@@ -30,9 +30,9 @@ def as_mesh1d(points) -> np.ndarray:
         raise ValueError(f"mesh must be one-dimensional, got shape {x.shape}")
     if x.size < 2:
         raise ValueError(f"mesh needs at least 2 points, got {x.size}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("mesh coordinates must be finite")
-    if not np.all(np.diff(x) > 0.0):
+    if not (x[1:] > x[:-1]).all():
         raise ValueError("mesh coordinates must be strictly increasing")
     return x
 
@@ -43,7 +43,7 @@ def as_values(values, shape: tuple[int, ...]) -> np.ndarray:
     u = np.asarray(values, dtype=float)
     if u.shape != shape:
         raise ValueError(f"values shape {u.shape} does not match mesh shape {shape}")
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise ValueError("values must be finite")
     return u
 
@@ -55,7 +55,7 @@ def as_points(mesh: np.ndarray, points) -> np.ndarray:
     if pts.ndim != 1:
         raise ValueError(f"output points must be one-dimensional, got shape {pts.shape}")
     inside = (pts >= mesh[0]) & (pts <= mesh[-1])
-    if not np.all(inside):
+    if not inside.all():
         bad = pts[~inside][0]
         raise ValueError(f"output point {bad!r} outside the mesh range [{mesh[0]}, {mesh[-1]}]")
     return pts
@@ -154,12 +154,15 @@ def horner(coeffs, nodes, degree, lane, points):
     Row k of ``coeffs`` and ``nodes`` holds the coefficients and node
     abscissae of polynomial k (padded past ``degree[k]``); point m is
     evaluated on polynomial ``lane[m]``.  Each point sees exactly the
-    arithmetic of c_0 + (x - x_0)(c_1 + (x - x_1)(c_2 + ...)).
+    arithmetic of c_0 + (x - x_0)(c_1 + (x - x_1)(c_2 + ...)).  Column j is
+    gathered once per pass, so column-major ``coeffs`` and ``nodes`` (the
+    layout ``grow_stencils`` returns) gather fastest.
     """
     deg = degree[lane]
     p = coeffs[lane, deg]
+    c, xn = coeffs.T, nodes.T  # row j: coefficient j and node j of every polynomial
     for j in range(coeffs.shape[1] - 2, -1, -1):
-        p = np.where(j < deg, coeffs[lane, j] + (points - nodes[lane, j]) * p, p)
+        p = np.where(j < deg, c[j].take(lane) + (points - xn[j].take(lane)) * p, p)
     return p
 
 

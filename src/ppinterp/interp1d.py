@@ -32,12 +32,12 @@ def interpolate_lines(x, lines, pts, config: InterpConfig) -> np.ndarray:
     holding at most ``CHUNK_PAIRS`` (line, point) pairs, or one line.
     """
     n, m = x.size, lines.shape[1]
-    idx = np.searchsorted(x, pts, side="right") - 1
-    np.clip(idx, 0, n - 2, out=idx)
+    idx = x.searchsorted(pts, side="right") - 1  # >= 0: no point lies left of x[0]
+    np.minimum(idx, n - 2, out=idx)
     used = np.zeros(n - 1, dtype=bool)
     used[idx] = True
-    intervals = np.flatnonzero(used)
-    rank = (np.cumsum(used) - 1)[idx]
+    intervals = used.nonzero()[0]
+    rank = (used.cumsum() - 1)[idx]
 
     out = np.empty((pts.size, m))
     step = max(1, CHUNK_PAIRS // max(n, pts.size))
@@ -46,7 +46,7 @@ def interpolate_lines(x, lines, pts, config: InterpConfig) -> np.ndarray:
         block = lines[:, k : k + c]
         st = grow_stencils(x, divided_differences(x, block, config.d), intervals, config)
         lane = (rank[:, None] * c + np.arange(c)).ravel()
-        p = horner(st.coeffs, x[st.order], st.degree, lane, np.repeat(pts, c))
+        p = horner(st.coeffs, x[st.order], st.degree, lane, pts.repeat(c))
         out[:, k : k + c] = p.reshape(pts.size, c)
         del st, lane, p  # free this chunk's lanes before the next one grows
     return out

@@ -40,9 +40,9 @@ def tensor_sweep(meshes, v, outs, sweep) -> np.ndarray:
     q = as_values(v, tuple(m.size for m in ms))
     pts = [as_points(m, o) for m, o in zip(ms, outs)]
     for k, (mesh, p) in enumerate(zip(ms, pts)):
-        front = np.swapaxes(q, 0, k)
+        front = q.swapaxes(0, k)
         lines = sweep(mesh, front.reshape(mesh.size, -1), p)
-        q = np.swapaxes(lines.reshape(p.shape + front.shape[1:]), 0, k)
+        q = lines.reshape(p.shape + front.shape[1:]).swapaxes(0, k)
     return q
 
 

@@ -23,6 +23,7 @@ from .divdiff import DividedDifferenceTable, IntervalInterpolant
 
 __all__ = [
     "lambda_bar_candidate",
+    "lambda_bar_step",
     "b_bounds_step",
     "select_direction",
     "Stencils",
@@ -55,18 +56,36 @@ def lambda_bar_candidate(
     slope, or w when ``degenerate``).
 
     Returns (lambda_bar, B-, B+, length) of the grown window; the point is
-    admissible when B- <= lambda_bar <= B+.  The bounds pair the grown
-    window's length with the position of ``last`` (the factor multiplying
-    lambda_j in the nested form).
+    admissible when B- <= lambda_bar <= B+.  This is the mesh-index front
+    end of ``lambda_bar_step``, which holds the formula.
     """
     l, r = window
     h = x[i + 1] - x[i]
     length = x[r] - x[l]
-    lam = dd / denom * length_product * length
-    bm, bp = b_bounds_step(
-        prev, lambda_bar_prev, length / h, (x[last] - x[i]) / h, m_l, m_r, degenerate
+    lam, bm, bp = lambda_bar_step(
+        dd, length, h, (x[last] - x[i]) / h, lambda_bar_prev, prev,
+        length_product, denom, m_l, m_r, degenerate,
     )
     return lam, bm, bp, length
+
+
+def lambda_bar_step(
+    dd, length, h, t, lambda_bar_prev, prev, length_product, denom, m_l, m_r, degenerate
+):
+    """lambda_bar and its bounds (B-, B+) for a grown window of ``length``
+    whose divided difference is ``dd``, on an interval of length ``h``.
+
+    ``t`` is the position of the point added one step earlier over ``h``
+    (unused by the first step); the other arguments are those of
+    ``lambda_bar_candidate``.  The bounds pair the grown window's length with
+    that position (the factor multiplying lambda_j in the nested form).  The
+    engine passes the left and right candidates of every lane as ``(2,
+    lanes)`` arrays against per-lane state, so each per-lane term is computed
+    once for both.
+    """
+    lam = dd / denom * length_product * length
+    bm, bp = b_bounds_step(prev, lambda_bar_prev, length / h, t, m_l, m_r, degenerate)
+    return lam, bm, bp
 
 
 def b_bounds_step(prev, lambda_bar_prev, d_j, t_j, m_l, m_r, degenerate_base=False):
@@ -85,33 +104,38 @@ def b_bounds_step(prev, lambda_bar_prev, d_j, t_j, m_l, m_r, degenerate_base=Fal
     """
     if prev is None:
         return (
-            where(degenerate_base, -4.0 * m_r * d_j, (-4.0 * (m_r - 1.0) - 1.0) * d_j),
-            where(degenerate_base, -4.0 * m_l * d_j, (-4.0 * m_l + 1.0) * d_j),
+            where(degenerate_base, -4.0 * m_r, -4.0 * (m_r - 1.0) - 1.0) * d_j,
+            where(degenerate_base, -4.0 * m_l, -4.0 * m_l + 1.0) * d_j,
         )
     bm, bp = prev
     left = t_j <= 0.0
-    f = d_j / where(left, 1.0 - t_j, -t_j)
+    f = d_j / (left - t_j)  # 1 - t on the left, -t on the right
     return (where(left, bm, bp) - lambda_bar_prev) * f, (where(left, bp, bm) - lambda_bar_prev) * f
 
 
-def select_direction(
-    st: int, dd_left, dd_right, mu_l, mu_r, dist_left, dist_right, lb_left, lb_right
-):
-    """True where the left neighbor is taken when both are admissible.
+def select_direction(st: int, dd, lam, i, window, interval, points):
+    """True where the left candidate is taken when both are admissible.
 
-    st=1 prefers the smaller divided-difference magnitude, st=2 the side that
-    keeps the stencil symmetric, st=3 the closer point.  Exact ties fall back
-    to the smaller |lambda_bar| (the right side wins equality).
+    The current window of interval ``i`` is ``window`` = (l, r), and the
+    candidates are the points l-1 and r+1.  ``dd`` and ``lam`` hold their
+    divided differences and lambda_bar, ``points`` their coordinates, each as
+    a (left, right) pair; ``interval`` is (x_i, x_{i+1}).  st=1 prefers the
+    smaller divided-difference magnitude, st=2 the side that keeps the
+    stencil symmetric, st=3 the closer point.  Exact ties fall back to the
+    smaller |lambda_bar| (the right side wins equality).  Only the active
+    policy's key is computed.
     """
     if st == 1:
-        a, b = np.abs(dd_left), np.abs(dd_right)
+        a, b = np.abs(dd)
     elif st == 2:
-        a, b = np.asarray(mu_l), np.asarray(mu_r)
+        l, r = window
+        a, b = i - l, r - (i + 1)
     elif st == 3:
-        a, b = np.asarray(dist_left), np.asarray(dist_right)
+        a, b = interval[0] - points[0], points[1] - interval[1]
     else:
         raise ValueError(f"st must be 1, 2 or 3, got {st}")
-    return (a < b) | ~((a > b) | (abs(lb_left) >= abs(lb_right)))
+    lam_left, lam_right = np.abs(lam)
+    return (a < b) | ((a == b) & (lam_left < lam_right))
 
 
 class Stencils(NamedTuple):
@@ -119,7 +143,8 @@ class Stencils(NamedTuple):
 
     ``order`` and ``coeffs`` hold the insertion order and the Newton
     coefficients, padded past ``degree`` (with the interval's left node and
-    zeros); ``degenerate``, ``denom``, ``m_l`` and ``m_r`` record the
+    zeros), column-major: the engine writes insertion j of every lane at
+    once.  ``degenerate``, ``denom``, ``m_l`` and ``m_r`` record the
     normalization and scaling factors the growth used.
     """
 
@@ -132,105 +157,121 @@ class Stencils(NamedTuple):
     m_r: np.ndarray
 
 
+# Start of the left and right candidate windows, relative to the current
+# window's start l: the left candidate adds point l-1, the right one r+1.
+_SIDES = np.array([[-1], [0]])
+
+
 def grow_stencils(x, table: DividedDifferenceTable, intervals, config: InterpConfig) -> Stencils:
     """Grow the stencil of every lane together.
 
     ``table`` holds the divided differences over mesh ``x`` of one line of
     values or of an ``(n, lines)`` block, one line per column; lane
-    k * lines + c is interval ``intervals[k]`` of line c.  Each lane is
-    classified and bounded from its line's slopes and endpoint values, and
-    marked degenerate where those values are equal or its slope is zero.
+    k * lines + c is interval ``intervals[k]`` (an integer array) of line
+    c.  Each lane is classified and bounded from its line's slopes and
+    endpoint values, and marked degenerate where those values are equal or
+    its slope is zero.
 
     A lane stops when neither neighbor is admissible, its window holds d+1
     points, or the mesh ends on both sides.  A degenerate lane is normalized
     by the first expanded window's scaled difference (w) instead of the
     slope; if that window is flat too, or not admissible, the lane falls back
     to the linear piece.
+
+    At step s every growing window spans s+1 intervals, so the two
+    candidates of every lane are windows of s+2 intervals: their divided
+    differences are one gather from column s+2 of the table, and their
+    lengths one gather from x[s+2:] - x[:-s-2].  Candidates past a mesh end
+    are clamped onto an existing entry and masked off.
     """
     entries = table.entries.reshape(table.n_points, table.max_order + 1, -1)
     n, width, lines = entries.shape
     top = width - 1
-    i = np.repeat(intervals, lines)
-    c = np.tile(np.arange(lines), intervals.size)
+    i = intervals.repeat(lines)
+    c = np.arange(i.size) % lines
+    ip1 = i + 1
     sp, slope, sn = (s.ravel() for s in boundary_sigmas(entries[:-1, 1], intervals))
-    u_i, u_ip1 = entries[i, 0, c], entries[i + 1, 0, c]
+    u_i, u_ip1 = entries[intervals, 0].ravel(), entries[intervals + 1, 0].ravel()
     cls = classify_interval(sp, slope, sn)
     u_min, u_max = interval_bounds(u_i, u_ip1, cls, config.eps0, config.eps1)
     degenerate = (u_i == u_ip1) | (slope == 0.0)
-    h = x[i + 1] - x[i]
-    order = np.repeat(i[:, None], width, axis=1)
-    order[:, 1] = i + 1
+    xi, xi1 = x[i], x[ip1]
+    h = xi1 - xi
+    # order[j] and coeffs[j] hold insertion j of every lane; the result is
+    # their transpose.
+    order = i[None].repeat(width, axis=0)
+    order[1] = ip1
     coeffs = np.zeros(order.shape)
-    coeffs[:, 0], coeffs[:, 1] = u_i, slope
+    coeffs[0], coeffs[1] = u_i, slope
     degree = np.ones(i.size, dtype=np.intp)
-    denom, length_product, w = slope.copy(), np.ones(i.size), np.ones(i.size)
-    forced_left = np.zeros(i.size, dtype=bool)
-    linear = degenerate & (top < 2)
+    denom, length_product, w = slope, np.ones(i.size), 1.0
+    first = True  # the candidates each lane's first step may take
 
-    if top >= 2:
+    if top >= 2 and degenerate.any():
         # Equal endpoint values: the slope normalization is unusable.  Force
         # the first expansion toward the smaller second divided difference
         # (ties go right) and normalize by that window's scaled difference w.
-        g = np.flatnonzero(degenerate)
+        g = degenerate.nonzero()[0]
         ig, cg = i[g], c[g]
-        dd_left = entries[np.maximum(ig - 1, 0), 2, cg]
-        dd_right = entries[np.minimum(ig, n - 3), 2, cg]
-        left = (ig > 0) & ((ig + 2 >= n) | (np.abs(dd_left) < np.abs(dd_right)))
+        raw = ig + _SIDES
+        cand = np.minimum(np.maximum(raw, 0), n - 3)
+        dd_left, dd_right = abs(entries[cand, 2, cg])
+        can_left, can_right = cand == raw
+        left = can_left & (~can_right | (dd_left < dd_right))
         l1 = np.where(left, ig - 1, ig)
         wg = entries[l1, 2, cg] * h[g] * (x[l1 + 2] - x[l1])
-        forced_left[g] = left
-        linear[g] = wg == 0.0
-        w[g] = np.where(wg == 0.0, 1.0, wg)  # flat lanes fall back; any nonzero w will do
-        denom[g], length_product[g] = w[g], h[g]
-    factors = scaling_factors(u_i, u_ip1, u_min, u_max, config.im, w)
-    m_l, m_r = (np.broadcast_to(m, i.shape) for m in factors)  # DBI gives scalars
+        flat = wg == 0.0  # flat lanes fall back to the linear piece
+        first = np.ones((2, i.size), dtype=bool)
+        first[0, g], first[1, g] = left & ~flat, ~(left | flat)
+        w = np.ones(i.size)
+        w[g] = np.where(flat, 1.0, wg)  # any nonzero w will do
+        denom, length_product = np.where(degenerate, w, slope), np.where(degenerate, h, 1.0)
+    m_l, m_r = scaling_factors(u_i, u_ip1, u_min, u_max, config.im, w)  # DBI gives scalars
 
-    # The lanes still growing, and their state.
-    grow = np.flatnonzero(~linear)
-    ig, cg, dg, fl = i[grow], c[grow], degenerate[grow], forced_left[grow]
-    dn, lp, ml, mr = denom[grow], length_product[grow], m_l[grow], m_r[grow]
-    l, r = ig, ig + 1
-    last, lam, prev = r, np.ones(grow.size), None
+    # The lanes still growing (row numbers) and their state; the first step
+    # takes every lane, and m_l, m_r and degenerate are read by it alone.
+    lane, ig, cg, dn, lp = np.arange(i.size), i, c, denom, length_product
+    l, lam, prev, t = i, 1.0, None, None
+    reach = np.zeros((top, 2, 1), dtype=np.intp)  # candidate points: window start + (0, s+2)
+    reach[:, 1, 0] = np.arange(2, top + 2)
     for s in range(top - 1):
-        if grow.size == 0:
-            break
-        lo, ro = np.maximum(l - 1, 0), np.minimum(r + 1, n - 1)
-        can_left, can_right = l > 0, r < n - 1
-        if prev is None:  # a degenerate lane's first step is forced
-            can_left &= ~dg | fl
-            can_right &= ~dg | ~fl
-        dd_left, dd_right = entries[lo, r - lo, cg], entries[l, ro - l, cg]
-        lam_l, bm_l, bp_l, len_l = lambda_bar_candidate(
-            x, ig, (lo, r), last, dd_left, lam, prev, lp, dn, ml, mr, dg
-        )
-        lam_r, bm_r, bp_r, len_r = lambda_bar_candidate(
-            x, ig, (l, ro), last, dd_right, lam, prev, lp, dn, ml, mr, dg
-        )
-        ok_l = can_left & (bm_l <= lam_l) & (lam_l <= bp_l)
-        ok_r = can_right & (bm_r <= lam_r) & (lam_r <= bp_r)
-        go_left = ok_l & (~ok_r | select_direction(
-            config.st, dd_left, dd_right, ig - l, r - (ig + 1),
-            x[ig] - x[lo], x[ro] - x[ig + 1], lam_l, lam_r,
-        ))
-        took = ok_l | ok_r
+        raw = l + _SIDES
+        cand = np.minimum(np.maximum(raw, 0), n - s - 3)
+        ok = cand == raw  # a candidate is valid where the clamp left it alone
+        del raw
         if prev is None:
-            linear[grow[dg & ~took]] = True
+            ok &= first
+        dd = entries[cand, s + 2, cg]
+        length = (x[s + 2 :] - x[: n - s - 2])[cand]
+        lam2, bm, bp = lambda_bar_step(dd, length, h, t, lam, prev, lp, dn, m_l, m_r, degenerate)
+        ok &= bm <= lam2
+        ok &= lam2 <= bp
+        point = cand + reach[s]
+        xp = x[point]
+        ok_l, ok_r = ok
+        go_left = ok_l & (~ok_r | select_direction(
+            config.st, dd, lam2, ig, (l, l + s + 1), (xi, xi1), xp
+        ))
+        keep = (ok_l | ok_r).nonzero()[0]
+        if keep.size == 0:
+            break
+        pick = keep + np.where(go_left, 0, lane.size)[keep]  # flat index into (2, lanes)
 
-        e = np.where(go_left, lo, ro)[took]
-        grow = grow[took]
-        order[grow, s + 2] = e
-        coeffs[grow, s + 2] = np.where(go_left, dd_left, dd_right)[took]
-        degree[grow] += 1
-        prev = (np.where(go_left, bm_l, bm_r)[took], np.where(go_left, bp_l, bp_r)[took])
-        lam = np.where(go_left, lam_l, lam_r)[took]
-        lp = (lp * np.where(go_left, len_l, len_r))[took]
-        l, r = np.where(go_left, lo, l)[took], np.where(go_left, r, ro)[took]
-        last = e
-        ig, cg, dg, dn, ml, mr = ig[took], cg[took], dg[took], dn[took], ml[took], mr[took]
+        lane = lane[keep]
+        order[s + 2][lane] = point.take(pick)
+        coeffs[s + 2][lane] = dd.take(pick)
+        degree[lane] = s + 2
+        l, lam, prev = cand.take(pick), lam2.take(pick), (bm.take(pick), bp.take(pick))
+        lp = lp[keep] * length.take(pick)
+        ig, cg, dn, h, xi, xi1 = ig[keep], cg[keep], dn[keep], h[keep], xi[keep], xi1[keep]
+        t = (xp.take(pick) - xi) / h
+        # Free this step's (2, lanes) arrays before the next step builds its own.
+        del cand, ok, dd, length, lam2, bm, bp, point, xp
 
+    linear = degenerate & (degree == 1)
     return Stencils(
-        order=order,
-        coeffs=coeffs,
+        order=order.T,
+        coeffs=coeffs.T,
         degree=degree,
         degenerate=degenerate & ~linear,
         denom=np.where(linear, slope, denom),

@@ -113,8 +113,8 @@ def build_stencil(
         if len(ok) == 2:
             (el, sl), (er, sr) = ok
             left = select_direction(
-                config.st, sl[0], sr[0], i - l, r - (i + 1),
-                x[i] - x[el], x[er] - x[i + 1], sl[1], sr[1],
+                config.st, (sl[0], sr[0]), (sl[1], sr[1]), i, (l, r),
+                (x[i], x[i + 1]), (x[el], x[er]),
             )
             e, step = ok[0] if left else ok[1]
         else:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -159,3 +161,58 @@ class TestBoundarySigmas:
 
     def test_single_interval(self):
         assert boundary_sigmas([4.0], 0) == (4.0, 4.0, 4.0)
+
+
+def bits(values):
+    """Each value's float64 bit pattern (tells -0.0 from 0.0)."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+class TestArrayPathMatchesScalar:
+    """Every function has a scalar path (one interval, as the oracle and
+    replay_chain call it) and an array path (the engine's); element for
+    element they give the same result, bit for bit."""
+
+    SLOPES = (-1.5, -1e-200, -0.0, 0.0, 1e-200, 2.0)
+    VALUES = (-2.5, -0.0, 0.0, 1e-300, 0.75, 3.0)
+    EPS = ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.01, 1.0))
+
+    def test_classify_interval(self):
+        sig = np.array(list(itertools.product(self.SLOPES, repeat=3))).T
+        cls = classify_interval(*sig)
+        assert cls.dtype.kind == "i"
+        for k, s in enumerate(sig.T.tolist()):
+            scalar = classify_interval(*s)
+            assert type(scalar) is ExtremumClass
+            assert scalar is ExtremumClass(int(cls[k]))
+        # every class is reached
+        assert set(cls.tolist()) == {int(c) for c in ExtremumClass}
+
+    def pairs(self):
+        grid = itertools.product(self.VALUES, self.VALUES, ExtremumClass)
+        u_i, u_ip1, cls = (np.array(col) for col in zip(*grid))
+        return u_i, u_ip1, cls.astype(int)
+
+    def test_interval_bounds(self):
+        u_i, u_ip1, cls = self.pairs()
+        for eps0, eps1 in self.EPS:
+            lo, hi = interval_bounds(u_i, u_ip1, cls, eps0, eps1)
+            scalar = [
+                interval_bounds(a, b, ExtremumClass(c), eps0, eps1)
+                for a, b, c in zip(u_i.tolist(), u_ip1.tolist(), cls.tolist())
+            ]
+            assert bits(lo) == bits([s[0] for s in scalar])
+            assert bits(hi) == bits([s[1] for s in scalar])
+
+    def test_scaling_factors(self):
+        u_i, u_ip1, cls = self.pairs()
+        w = np.resize([0.5, -2.0, 1e-3, -7.0], u_i.size)  # read where u_i == u_ip1
+        for eps0, eps1 in self.EPS:
+            u_min, u_max = interval_bounds(u_i, u_ip1, cls, eps0, eps1)
+            m_l, m_r = scaling_factors(u_i, u_ip1, u_min, u_max, PPI, w)
+            args = zip(u_i.tolist(), u_ip1.tolist(), u_min.tolist(), u_max.tolist(), w.tolist())
+            scalar = [scaling_factors(*a, PPI, degenerate_w) for *a, degenerate_w in args]
+            assert bits(m_l) == bits([s[0] for s in scalar])
+            assert bits(m_r) == bits([s[1] for s in scalar])
+            # DBI pins the factors to scalars whatever the lanes
+            assert scaling_factors(u_i, u_ip1, u_min, u_max, DBI, w) == (0.0, 1.0)

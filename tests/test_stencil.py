@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from ppinterp.config import DBI, PPI, InterpConfig
-from ppinterp.divdiff import build_table, newton_eval
+from ppinterp.divdiff import build_table, divided_differences, newton_eval
 from ppinterp.interp1d import interpolate_lines, interval_interpolants
-from ppinterp.stencil import b_bounds_step, lambda_bar_candidate, replay_chain, select_direction
+from ppinterp.stencil import (
+    b_bounds_step,
+    grow_stencils,
+    lambda_bar_candidate,
+    replay_chain,
+    select_direction,
+)
 from ppinterp.testfunctions import TEST_FUNCTIONS
 
 import oracle
@@ -117,31 +123,41 @@ class TestBBoundsStep:
         assert bm <= bp
 
 
+def direction(st, dd_left, dd_right, mu_l, mu_r, dist_left, dist_right, lb_left, lb_right):
+    """``select_direction`` from each policy's keys: a window with mu_l
+    points left of the interval and mu_r right of it, and an interval at 0
+    whose candidates lie dist_left and dist_right away."""
+    return select_direction(
+        st, (dd_left, dd_right), (lb_left, lb_right), mu_l, (0, mu_l + mu_r + 1),
+        (0.0, 0.0), (-dist_left, dist_right),
+    )
+
+
 class TestSelectDirection:
     # select_direction is True where the left side is taken.
     def test_st1_smaller_divided_difference(self):
-        assert select_direction(1, 0.3, 0.7, 0, 0, 1, 1, 0, 0)
-        assert not select_direction(1, -0.9, 0.7, 0, 0, 1, 1, 0, 0)
+        assert direction(1, 0.3, 0.7, 0, 0, 1, 1, 0, 0)
+        assert not direction(1, -0.9, 0.7, 0, 0, 1, 1, 0, 0)
 
     def test_st2_symmetry_tie_goes_by_lambda(self):
-        assert not select_direction(2, 1, 1, 1, 1, 1, 1, 2.0, 1.0)
+        assert not direction(2, 1, 1, 1, 1, 1, 1, 2.0, 1.0)
 
     def test_st2_prefers_smaller_side(self):
-        assert select_direction(2, 1, 1, 0, 2, 1, 1, 0, 0)
+        assert direction(2, 1, 1, 0, 2, 1, 1, 0, 0)
 
     def test_st3_distance_tie_goes_by_lambda(self):
-        assert select_direction(3, 1, 1, 0, 0, 1.0, 1.0, 0.5, 1.0)
+        assert direction(3, 1, 1, 0, 0, 1.0, 1.0, 0.5, 1.0)
 
     def test_st3_closest_point(self):
-        assert select_direction(3, 1, 1, 0, 0, 0.3, 1.0, 0, 0)
+        assert direction(3, 1, 1, 0, 0, 0.3, 1.0, 0, 0)
 
     def test_elementwise(self):
         # one call decides many lanes, each as the scalar call would
         rng = np.random.default_rng(14)
         args = [rng.integers(-2, 3, 200).astype(float) for _ in range(8)]
         for st in (1, 2, 3):
-            lanes = select_direction(st, *args)
-            assert lanes.tolist() == [bool(select_direction(st, *a)) for a in zip(*args)]
+            lanes = direction(st, *args)
+            assert lanes.tolist() == [bool(direction(st, *a)) for a in zip(*args)]
 
     def test_single_valid_side_wins(self):
         # The left point is the closest (st=3 prefers it when both sides
@@ -310,6 +326,77 @@ def test_engine_matches_oracle():
         pieces += len(got)
         degenerate += sum(p.normalization == "degenerate" for p in got)
     assert pieces > 50_000 and degenerate > 1_000
+
+
+def edge_patterns(n):
+    """Values on an n-point mesh that send stencils into the mesh ends.
+
+    On top of a positive profile, flat data and alternating zeros: for the
+    left end, the right end and both, a pair of zeros and a plateau pair
+    (equal endpoint values, the degenerate path) on the end interval, a
+    plateau peak on the interval next to it, and a zero at the end point.
+    """
+    base = 1.0 + np.sin(1.3 * np.arange(n)) ** 2
+    patterns = [base, np.zeros(n), np.where(np.arange(n) % 2, base, 0.0)]
+    for ends in ([0], [n - 2], [0, n - 2]):
+        zeros, plateau, peak, tips = base.copy(), base.copy(), base.copy(), base.copy()
+        for e in ends:
+            inner = min(max(e + (1 if e == 0 else -1), 0), n - 2)
+            zeros[e : e + 2] = 0.0
+            plateau[e : e + 2] = base[e]
+            peak[inner : inner + 2] = 3.0
+            tips[e if e == 0 else n - 1] = 0.0
+        patterns += [zeros, plateau, peak, tips]
+    return patterns
+
+
+def lane_records(x, block, cfg):
+    """The engine's stencils for every interval of every column of
+    ``block``, one list of records per column, in ``record``'s format."""
+    st = grow_stencils(x, divided_differences(x, block, cfg.d), np.arange(x.size - 1), cfg)
+    lines = block.shape[1]
+    records = [[] for _ in range(lines)]
+    for k, deg in enumerate(st.degree.tolist()):
+        order = st.order[k, : deg + 1].tolist()
+        records[k % lines].append((
+            order[0], (min(order), max(order)), tuple(order),
+            [c.hex() for c in st.coeffs[k, : deg + 1].tolist()],
+            "degenerate" if st.degenerate[k] else "standard",
+            float(st.denom[k]).hex(), float(st.m_l[k]).hex(), float(st.m_r[k]).hex(),
+        ))
+    return records
+
+
+def test_engine_matches_oracle_at_mesh_ends():
+    # Every tiny mesh size, degree, policy and method, on uniform meshes
+    # (where st=3 ties) and jittered ones, with the value patterns that
+    # drive windows against both mesh ends: the candidate gather clamps
+    # there, so every record field must still match the oracle bit for bit,
+    # in one-line calls and in 3-line blocks alike.  Degrees past n-1 grow
+    # the same stencils as n-1 (the table stops there), so d=10 stands for
+    # all of them.
+    rng = np.random.default_rng(77)
+    pieces = degenerate = spanning = 0
+    for n in range(2, 8):
+        patterns = edge_patterns(n)
+        blocks = [np.stack(patterns[k : k + 3], axis=1) for k in range(0, len(patterns), 3)]
+        for x in (np.linspace(-1.0, 1.0, n), random_mesh(rng, n)):
+            for d in (*range(1, n), 10):
+                for im in (DBI, PPI):
+                    for st in (1, 2, 3):
+                        cfg = InterpConfig(d=d, im=im, st=st)
+                        want = [
+                            [record(p) for p in oracle.interval_interpolants(x, u, cfg)]
+                            for u in patterns
+                        ]
+                        for u, records in zip(patterns, want):
+                            assert lane_records(x, u[:, None], cfg)[0] == records
+                            pieces += len(records)
+                            degenerate += sum(r[4] == "degenerate" for r in records)
+                            spanning += sum(r[1] == (0, n - 1) for r in records)
+                        for k, block in enumerate(blocks):
+                            assert lane_records(x, block, cfg) == want[3 * k : 3 * k + 3]
+    assert pieces > 20_000 and degenerate > 300 and spanning > 3_000
 
 
 # Every piece that interval_interpolants builds for the inputs below, hashed
