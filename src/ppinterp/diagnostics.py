@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import _is_integer
 from .divdiff import as_mesh1d
 
 __all__ = [
@@ -50,8 +51,8 @@ def refine_mesh(mesh, k: int) -> np.ndarray:
     Original points are preserved exactly; N points become N + k(N-1).
     """
     x = as_mesh1d(mesh)
-    if k < 0 or int(k) != k:
-        raise ValueError(f"k must be a nonnegative integer, got {k}")
+    if not _is_integer(k) or k < 0:
+        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
     if k == 0:
         return x.copy()
     n = x.size

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DBI, PPI, InterpConfig
+from .config import DBI, PPI, InterpConfig, _is_integer
 from .diagnostics import l2_error_continuum, l2_error_grid, refine_mesh
 from .interpnd import adaptive_interpolation_1d, adaptive_interpolation_2d
 from .pchip import pchip_1d, pchip_2d
@@ -60,8 +60,10 @@ class ExperimentSpec:
         InterpConfig(self.degree, METHODS[self.method] or DBI, self.st, self.eps0, self.eps1)
         if self.kind not in ("approx", "roundtrip"):
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
+        if not _is_integer(self.n) or self.n < 2:
+            raise ValueError(f"n must be an integer, at least 2, got {self.n!r}")
+        if not _is_integer(self.refine) or self.refine < 0:
+            raise ValueError(f"refine must be a nonnegative integer, got {self.refine!r}")
 
 
 _ADAPTIVE = {1: adaptive_interpolation_1d, 2: adaptive_interpolation_2d}

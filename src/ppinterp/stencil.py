@@ -22,7 +22,6 @@ from .config import InterpConfig
 from .divdiff import DividedDifferenceTable, IntervalInterpolant
 
 __all__ = [
-    "lambda_bar_candidate",
     "lambda_bar_step",
     "b_bounds_step",
     "select_direction",
@@ -32,56 +31,23 @@ __all__ = [
 ]
 
 
-def lambda_bar_candidate(
-    x: np.ndarray,
-    i,
-    window,
-    last,
-    dd,
-    lambda_bar_prev,
-    prev,
-    length_product,
-    denom,
-    m_l,
-    m_r,
-    degenerate,
-):
-    """One admissibility step: the stencil of interval ``i`` grows to
-    ``window`` = (l, r), whose divided difference is ``dd``.
-
-    ``last`` is the point added one step earlier, ``lambda_bar_prev`` and
-    ``prev`` = (B-, B+) the values of the current window (``prev`` is None
-    before the first expansion), ``length_product`` the product of window
-    lengths accumulated so far and ``denom`` the normalization (interval
-    slope, or w when ``degenerate``).
-
-    Returns (lambda_bar, B-, B+, length) of the grown window; the point is
-    admissible when B- <= lambda_bar <= B+.  This is the mesh-index front
-    end of ``lambda_bar_step``, which holds the formula.
-    """
-    l, r = window
-    h = x[i + 1] - x[i]
-    length = x[r] - x[l]
-    lam, bm, bp = lambda_bar_step(
-        dd, length, h, (x[last] - x[i]) / h, lambda_bar_prev, prev,
-        length_product, denom, m_l, m_r, degenerate,
-    )
-    return lam, bm, bp, length
-
-
 def lambda_bar_step(
     dd, length, h, t, lambda_bar_prev, prev, length_product, denom, m_l, m_r, degenerate
 ):
-    """lambda_bar and its bounds (B-, B+) for a grown window of ``length``
-    whose divided difference is ``dd``, on an interval of length ``h``.
+    """One admissibility step: lambda_bar and its bounds (B-, B+) for a grown
+    window of ``length`` whose divided difference is ``dd``, on an interval
+    of length ``h``; the point is admissible when B- <= lambda_bar <= B+.
 
     ``t`` is the position of the point added one step earlier over ``h``
-    (unused by the first step); the other arguments are those of
-    ``lambda_bar_candidate``.  The bounds pair the grown window's length with
-    that position (the factor multiplying lambda_j in the nested form).  The
-    engine passes the left and right candidates of every lane as ``(2,
-    lanes)`` arrays against per-lane state, so each per-lane term is computed
-    once for both.
+    (unused by the first step).  ``lambda_bar_prev`` and ``prev`` = (B-, B+)
+    are the values of the current window (``prev`` is None before the first
+    expansion), ``length_product`` the product of window lengths accumulated
+    so far and ``denom`` the normalization (interval slope, or w when
+    ``degenerate``); ``m_l`` and ``m_r`` are the scaling factors.  The bounds
+    pair the grown window's length with that position (the factor
+    multiplying lambda_j in the nested form).  The engine passes the left and
+    right candidates of every lane as ``(2, lanes)`` arrays against per-lane
+    state, so each per-lane term is computed once for both.
     """
     lam = dd / denom * length_product * length
     bm, bp = b_bounds_step(prev, lambda_bar_prev, length / h, t, m_l, m_r, degenerate)
@@ -292,15 +258,17 @@ def replay_chain(piece: IntervalInterpolant, table: DividedDifferenceTable, mesh
     i = piece.interval_index
     order = piece.insertion_order
     degenerate = piece.normalization == "degenerate"
-    length_product = float(x[i + 1] - x[i]) if degenerate else 1.0
+    h = x[i + 1] - x[i]
+    length_product = float(h) if degenerate else 1.0
     l, r = i, i + 1
     lam, prev = 1.0, None
     chain = []
     for j in range(1, len(order) - 1):
         e = order[j + 1]
         l, r = min(l, e), max(r, e)
-        lam, bm, bp, length = lambda_bar_candidate(
-            x, i, (l, r), order[j], table.entries[l, r - l], lam, prev,
+        length = x[r] - x[l]
+        lam, bm, bp = lambda_bar_step(
+            table.entries[l, r - l], length, h, (x[order[j]] - x[i]) / h, lam, prev,
             length_product, piece.denom, piece.m_l, piece.m_r, degenerate,
         )
         chain.append((j, lam, bm, bp))

@@ -14,7 +14,7 @@ import numpy as np
 from ppinterp.bounds import boundary_sigmas, classify_interval, interval_bounds, scaling_factors
 from ppinterp.config import InterpConfig
 from ppinterp.divdiff import DividedDifferenceTable, IntervalInterpolant, build_table
-from ppinterp.stencil import lambda_bar_candidate, select_direction
+from ppinterp.stencil import lambda_bar_step, select_direction
 
 
 @dataclass(frozen=True)
@@ -68,6 +68,7 @@ def build_stencil(
         raise ValueError("divided-difference table holds too few orders for degree d")
 
     l, r = i, i + 1
+    h = float(x[i + 1] - x[i])
     order = [i, i + 1]
     coeffs = [float(table.entries[i, 0]), float(table.entries[i, 1])]
     denom, length_product = coeffs[1], 1.0
@@ -85,7 +86,6 @@ def build_stencil(
             return _linear_piece(table, i)
         forced = min(sides, key=lambda e: abs(float(table.entries[min(e, i), 2])))
         l1, r1 = min(forced, i), max(forced, i + 1)
-        h = float(x[i + 1] - x[i])
         w = float(table.entries[l1, 2]) * h * (x[r1] - x[l1])
         if w == 0.0:
             return _linear_piece(table, i)
@@ -100,10 +100,11 @@ def build_stencil(
             if 0 <= e < n:
                 wl, wr = min(l, e), max(r, e)
                 dd = float(table.entries[wl, wr - wl])
-                step = (dd,) + lambda_bar_candidate(
-                    x, i, (wl, wr), order[-1], dd, lam, prev,
+                length = x[wr] - x[wl]
+                step = (dd,) + lambda_bar_step(
+                    dd, length, h, (x[order[-1]] - x[i]) / h, lam, prev,
                     length_product, denom, m_l, m_r, degenerate,
-                )
+                ) + (length,)
                 if step[2] <= step[1] <= step[3]:  # B- <= lambda_bar <= B+
                     ok.append((e, step))
         if not ok:

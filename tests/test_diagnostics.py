@@ -87,3 +87,11 @@ class TestRefineMesh:
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             refine_mesh([0.0, 1.0], -1)
+
+    @pytest.mark.parametrize("k", [2.0, 1.5, True, False, None, "1"])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(ValueError, match="integer"):
+            refine_mesh([0.0, 1.0], k)
+
+    def test_numpy_integer_k_accepted(self):
+        assert np.array_equal(refine_mesh([0.0, 1.0], np.int64(1)), [0.0, 0.5, 1.0])

@@ -70,6 +70,21 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="st must be"):
             ExperimentSpec("f1", 17, "pchip", 3, st=4)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", 2.5), ("n", 17.0), ("n", True), ("n", "17"),
+        ("refine", 2.0), ("refine", -1), ("refine", True), ("refine", None),
+    ])
+    def test_integer_fields_follow_the_config_rule(self, field, value):
+        # the rule InterpConfig applies to d, im and st: integers only, numpy
+        # integers included, bools and floats rejected at construction
+        args = {"fn": "f1", "n": 17, "method": "ppi", "degree": 3, "kind": "roundtrip"}
+        with pytest.raises(ValueError, match=f"^{field} must be .*integer"):
+            ExperimentSpec(**{**args, field: value})
+
+    def test_numpy_integer_fields_accepted(self):
+        spec = ExperimentSpec("f1", np.int64(16), "ppi", 3, kind="roundtrip", refine=np.int32(1))
+        assert roundtrip_meshes(spec)[0].size == 31
+
 
 class TestApproximation:
     def test_pchip_smoke(self):

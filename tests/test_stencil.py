@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from ppinterp.config import DBI, PPI, InterpConfig
-from ppinterp.divdiff import build_table, divided_differences, newton_eval
+from ppinterp.divdiff import IntervalInterpolant, build_table, divided_differences, newton_eval
 from ppinterp.interp1d import interpolate_lines, interval_interpolants
 from ppinterp.stencil import (
     b_bounds_step,
     grow_stencils,
-    lambda_bar_candidate,
+    lambda_bar_step,
     replay_chain,
     select_direction,
 )
@@ -23,42 +23,43 @@ from oracle import IntervalBounds, build_stencil
 def base_candidate(table, x, i, e):
     """Divided difference, lambda_bar, bounds and length of the first
     expansion of interval i toward e."""
-    window = (min(i, e), max(i + 1, e))
-    dd = table.entries[window[0], window[1] - window[0]]
-    return (dd,) + lambda_bar_candidate(
-        x, i, window, i + 1, dd, 1.0, None, 1.0, float(table.entries[i, 1]), 0.0, 1.0, False
-    )
+    l, r = min(i, e), max(i + 1, e)
+    dd = table.entries[l, r - l]
+    length = x[r] - x[l]
+    # t = 1: the point added before the first expansion is x[i+1]
+    return (dd,) + lambda_bar_step(
+        dd, length, x[i + 1] - x[i], 1.0, 1.0, None, 1.0, float(table.entries[i, 1]),
+        0.0, 1.0, False,
+    ) + (length,)
 
 
 class TestGeometryFactors:
     """The bounds step pairs the grown window's length d with the position t
-    of the point added one step earlier, both over the base interval length."""
+    of the point added one step earlier, both over the base interval length:
+    replaying a stencil's second insertion must propagate the first step's
+    bounds with exactly these d and t."""
 
     @staticmethod
-    def step(x, i, window, e, last):
-        l, r = min(window[0], e), max(window[1], e)
-        _, bm, bp, length = lambda_bar_candidate(
-            x, i, (l, r), last, 1.0, 0.5, (-1.0, 1.0), 1.0, 1.0, 0.0, 1.0, False
+    def check(x, order, d, t):
+        table = build_table(x, np.sin(x), x.size - 1)
+        piece = IntervalInterpolant(
+            interval_index=order[0], window=(min(order), max(order)), insertion_order=order,
+            coefficients=(0.0,) * len(order), denom=1.0, m_l=-0.5, m_r=1.5,
         )
-        return (bm, bp), length / (x[i + 1] - x[i])
+        (_, lam, bm, bp), (_, _, *bounds) = replay_chain(piece, table, x)
+        assert tuple(bounds) == b_bounds_step((bm, bp), lam, d, t, -0.5, 1.5)
 
     def test_uniform_insert_left(self):
         # last = 1 lies left of [2, 3]: t = -1; window (1, 4): d = 3
-        bounds, d = self.step(np.arange(6.0), 2, (1, 3), 4, 1)
-        assert d == 3.0
-        assert bounds == b_bounds_step((-1.0, 1.0), 0.5, 3.0, -1.0, 0.0, 1.0) == (-2.25, 0.75)
+        self.check(np.arange(6.0), (2, 3, 1, 4), d=3.0, t=-1.0)
 
     def test_uniform_insert_right(self):
         # last = 4 lies right of [2, 3]: t = 2 swaps the sides; window (1, 4)
-        bounds, d = self.step(np.arange(6.0), 2, (2, 4), 1, 4)
-        assert d == 3.0
-        assert bounds == b_bounds_step((-1.0, 1.0), 0.5, 3.0, 2.0, 0.0, 1.0) == (-0.75, 2.25)
+        self.check(np.arange(6.0), (2, 3, 4, 1), d=3.0, t=2.0)
 
     def test_nonuniform(self):
         # h = 2: last = 3 at x = 7 gives t = 3, window (0, 3) gives d = 3.5
-        bounds, d = self.step(np.array([0.0, 1.0, 3.0, 7.0]), 1, (1, 3), 0, 3)
-        assert d == 3.5
-        assert bounds == pytest.approx((-0.5 * 3.5 / 3.0, 1.5 * 3.5 / 3.0))
+        self.check(np.array([0.0, 1.0, 3.0, 7.0]), (1, 2, 3, 0), d=3.5, t=3.0)
 
 
 class TestLambdaBar:
@@ -92,8 +93,10 @@ class TestLambdaBar:
             e = nl if nl < pl else nr
             dd_prev = table.entries[pl, pr - pl]
             dd_next = table.entries[nl, nr - nl]
-            lam_next, bm, bp, length = lambda_bar_candidate(
-                x, i, (nl, nr), last, dd_next, lam, prev, length_product, denom, -0.5, 1.5, False
+            h, length = x[i + 1] - x[i], x[nr] - x[nl]
+            lam_next, bm, bp = lambda_bar_step(
+                dd_next, length, h, (x[last] - x[i]) / h, lam, prev, length_product, denom,
+                -0.5, 1.5, False,
             )
             step_ratio = dd_next / dd_prev * (x[nr] - x[nl])
             assert lam_next == pytest.approx(step_ratio * lam, rel=1e-12)
@@ -290,6 +293,40 @@ class TestBuildStencil:
                 if piece.normalization == "degenerate":
                     degenerate_steps += len(chain)
         assert degenerate_steps > 0
+
+
+# Every chain step replay_chain recomputes for the inputs below, hashed bit
+# for bit.  The bounds test above cannot see a change in rounding; this can.
+REPLAY_CHAIN_DIGEST = "9cfb421b25cbdb07e9667abc22c6bb2244fb5b43b1265f9df26c993c6e96a633"
+
+
+def test_replay_chain_digest():
+    rng = np.random.default_rng(90210)
+    h = hashlib.sha256()
+    steps = degenerate_steps = 0
+    for _ in range(400):
+        n = int(rng.integers(2, 31))
+        x = random_mesh(rng, n)
+        u = rng.uniform(0.0, 5.0, n)
+        u[rng.random(n) < 0.3] = 0.0
+        if rng.random() < 0.5:
+            u[1::3] = u[: n - 1 : 3]
+        u *= 10.0 ** int(rng.integers(-8, 9))
+        eps0, eps1 = rng.uniform(0.0, 1.0, 2)
+        cfg = InterpConfig(
+            d=int(rng.integers(1, 12)), im=int(rng.choice([DBI, PPI])),
+            st=int(rng.integers(1, 4)), eps0=eps0, eps1=eps1,
+        )
+        table = build_table(x, u, min(cfg.d, n - 1))
+        for piece in interval_interpolants(x, u, cfg):
+            chain = replay_chain(piece, table, x)
+            for j, lam, bm, bp in chain:
+                h.update(repr((j, float(lam).hex(), float(bm).hex(), float(bp).hex())).encode())
+            steps += len(chain)
+            if piece.normalization == "degenerate":
+                degenerate_steps += len(chain)
+    assert steps > 10_000 and degenerate_steps > 100
+    assert h.hexdigest() == REPLAY_CHAIN_DIGEST
 
 
 def record(piece):
