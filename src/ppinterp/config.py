@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -36,9 +37,9 @@ class InterpConfig:
     eps1   bound relaxation for intervals with a detected extremum
 
     d, im and st must be integers (numpy integers included, bools and floats
-    not); eps0 and eps1 finite and nonnegative.  PPI keeps nonnegative data
-    nonnegative only for eps0, eps1 <= 1; larger values are accepted but void
-    that guarantee.
+    not); eps0 and eps1 finite, nonnegative real numbers (bools not).  PPI
+    keeps nonnegative data nonnegative only for eps0, eps1 <= 1; larger
+    values are accepted but void that guarantee.
     """
 
     d: int
@@ -54,7 +55,10 @@ class InterpConfig:
             raise ValueError(f"im must be {DBI} (DBI) or {PPI} (PPI), got {self.im!r}")
         if not _is_integer(self.st) or self.st not in (1, 2, 3):
             raise ValueError(f"st must be 1, 2 or 3, got {self.st!r}")
-        if not (0.0 <= self.eps0 < math.inf and 0.0 <= self.eps1 < math.inf):
-            raise ValueError(
-                f"eps0 and eps1 must be finite and nonnegative, got {self.eps0}, {self.eps1}"
-            )
+        for eps in (self.eps0, self.eps1):
+            real = isinstance(eps, numbers.Real) and not isinstance(eps, bool)
+            if not (real and 0.0 <= eps < math.inf):
+                raise ValueError(
+                    f"eps0 and eps1 must be finite and nonnegative real numbers, "
+                    f"got {self.eps0!r}, {self.eps1!r}"
+                )

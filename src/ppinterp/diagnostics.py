@@ -53,8 +53,6 @@ def refine_mesh(mesh, k: int) -> np.ndarray:
     x = as_mesh1d(mesh)
     if not _is_integer(k) or k < 0:
         raise ValueError(f"k must be a nonnegative integer, got {k!r}")
-    if k == 0:
-        return x.copy()
     n = x.size
     out = np.empty(n + k * (n - 1))
     out[:: k + 1] = x

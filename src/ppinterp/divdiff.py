@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import _is_integer
+
 __all__ = [
     "as_mesh1d",
     "as_values",
@@ -63,41 +65,32 @@ def as_points(mesh: np.ndarray, points) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DividedDifferenceTable:
-    """Dense table of divided differences over one mesh and its values.
+    """Dense table of divided differences over one mesh and one line of values.
 
     ``entries[i, j]`` holds the order-j divided difference of the values over
-    mesh points i..i+j; with several lines of values (one per column) it is
-    ``entries[i, j, line]``.  Entries with i + j >= n_points do not exist and
-    are stored as NaN so that accidental reads surface loudly.
+    mesh points i..i+j.  Entries with i + j >= n do not exist and are stored
+    as NaN so that accidental reads surface loudly.
     """
 
     entries: np.ndarray
 
-    @property
-    def n_points(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def max_order(self) -> int:
-        return self.entries.shape[1] - 1
-
 
 def build_table(mesh, values, max_degree: int) -> DividedDifferenceTable:
-    """Build all divided differences of order 0..min(max_degree, n-1).
-
-    ``values`` holds one value per mesh point, or an ``(n, lines)`` block
-    with one line of values per column; every line shares the recursion."""
+    """Build all divided differences of order 0..min(max_degree, n-1) of one
+    line of values, one value per mesh point."""
     x = as_mesh1d(mesh)
-    u = np.asarray(values, dtype=float)
-    u = as_values(u, x.shape + u.shape[1:])
-    if max_degree < 1:
-        raise ValueError(f"max_degree must be >= 1, got {max_degree}")
-    return divided_differences(x, u, max_degree)
+    u = as_values(values, x.shape)
+    if not _is_integer(max_degree) or max_degree < 1:
+        raise ValueError(f"max_degree must be an integer >= 1, got {max_degree!r}")
+    return DividedDifferenceTable(entries=divided_differences(x, u, max_degree))
 
 
-def divided_differences(x: np.ndarray, u: np.ndarray, max_degree: int) -> DividedDifferenceTable:
-    """``build_table`` without its checks, for inputs already validated:
-    ``x`` by ``as_mesh1d``, ``u`` by ``as_values`` and ``max_degree`` >= 1."""
+def divided_differences(x: np.ndarray, u: np.ndarray, max_degree: int) -> np.ndarray:
+    """``build_table``'s entries without its checks, for inputs already
+    validated: ``x`` by ``as_mesh1d``, ``u`` by ``as_values`` and
+    ``max_degree`` >= 1.  ``u`` may also be an ``(n, lines)`` block, one line
+    per column, which gives the ``(n, top+1, lines)`` table the engine
+    reads, ``top`` = min(max_degree, n-1); every line shares the recursion."""
     n = x.size
     top = min(max_degree, n - 1)
     t = np.full((n, top + 1) + u.shape[1:], np.nan)
@@ -105,7 +98,7 @@ def divided_differences(x: np.ndarray, u: np.ndarray, max_degree: int) -> Divide
     xb = x.reshape((n,) + (1,) * (u.ndim - 1))  # broadcasts against the lines
     for j in range(1, top + 1):
         t[: n - j, j] = (t[1 : n - j + 1, j - 1] - t[: n - j, j - 1]) / (xb[j:] - xb[: n - j])
-    return DividedDifferenceTable(entries=t)
+    return t
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,8 @@ class ExperimentSpec:
             raise ValueError(f"n must be an integer, at least 2, got {self.n!r}")
         if not _is_integer(self.refine) or self.refine < 0:
             raise ValueError(f"refine must be a nonnegative integer, got {self.refine!r}")
+        if self.refine != 0 and self.kind != "roundtrip":
+            raise ValueError(f"refine applies only to roundtrip experiments, not {self.kind!r}")
 
 
 _ADAPTIVE = {1: adaptive_interpolation_1d, 2: adaptive_interpolation_2d}
@@ -133,8 +135,8 @@ def run_experiments(specs) -> list[tuple]:
 
 def table_sweep(table_id: int) -> list[ExperimentSpec]:
     """The full sweep behind one published approximation table (1..6)."""
-    if table_id not in range(1, 7):
-        raise ValueError(f"table id must be 1..6, got {table_id}")
+    if not _is_integer(table_id) or table_id not in range(1, 7):
+        raise ValueError(f"table id must be an integer 1..6, got {table_id!r}")
     fn = f"f{table_id}"
     specs = []
     for n in (17, 33, 65, 129, 257):

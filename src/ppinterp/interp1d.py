@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import InterpConfig
-from .divdiff import IntervalInterpolant, as_mesh1d, as_values, divided_differences, horner
+from .divdiff import IntervalInterpolant, as_mesh1d, as_values, horner
 from .stencil import grow_stencils
 
 __all__ = ["interpolate_lines", "interval_interpolants"]
@@ -43,8 +43,7 @@ def interpolate_lines(x, lines, pts, config: InterpConfig) -> np.ndarray:
     step = max(1, CHUNK_PAIRS // max(n, pts.size))
     for k in range(0, m, step):
         c = min(step, m - k)
-        block = lines[:, k : k + c]
-        st = grow_stencils(x, divided_differences(x, block, config.d), intervals, config)
+        st = grow_stencils(x, lines[:, k : k + c], intervals, config)
         lane = (rank[:, None] * c + np.arange(c)).ravel()
         p = horner(st.coeffs, x[st.order], st.degree, lane, pts.repeat(c))
         out[:, k : k + c] = p.reshape(pts.size, c)
@@ -55,8 +54,7 @@ def interpolate_lines(x, lines, pts, config: InterpConfig) -> np.ndarray:
 def interval_interpolants(x, v, config: InterpConfig) -> list[IntervalInterpolant]:
     """Build the interpolant of every interval (mainly for inspection/tests)."""
     xm = as_mesh1d(x)
-    table = divided_differences(xm, as_values(v, xm.shape), config.d)
-    st = grow_stencils(xm, table, np.arange(xm.size - 1), config)
+    st = grow_stencils(xm, as_values(v, xm.shape)[:, None], np.arange(xm.size - 1), config)
     pieces = []
     for k, deg in enumerate(st.degree.tolist()):
         order = st.order[k, : deg + 1].tolist()

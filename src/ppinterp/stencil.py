@@ -19,7 +19,7 @@ import numpy as np
 
 from .bounds import boundary_sigmas, classify_interval, interval_bounds, scaling_factors, where
 from .config import InterpConfig
-from .divdiff import DividedDifferenceTable, IntervalInterpolant
+from .divdiff import DividedDifferenceTable, IntervalInterpolant, divided_differences
 
 __all__ = [
     "lambda_bar_step",
@@ -128,15 +128,16 @@ class Stencils(NamedTuple):
 _SIDES = np.array([[-1], [0]])
 
 
-def grow_stencils(x, table: DividedDifferenceTable, intervals, config: InterpConfig) -> Stencils:
+def grow_stencils(x, values, intervals, config: InterpConfig) -> Stencils:
     """Grow the stencil of every lane together.
 
-    ``table`` holds the divided differences over mesh ``x`` of one line of
-    values or of an ``(n, lines)`` block, one line per column; lane
+    ``values`` is an ``(n, lines)`` block of values on mesh ``x``, one line
+    per column, both validated (by ``as_values`` and ``as_mesh1d``); lane
     k * lines + c is interval ``intervals[k]`` (an integer array) of line
-    c.  Each lane is classified and bounded from its line's slopes and
-    endpoint values, and marked degenerate where those values are equal or
-    its slope is zero.
+    c.  The block's divided-difference table is built here, to order
+    min(d, n-1), so no stencil grows past that degree.  Each lane is
+    classified and bounded from its line's slopes and endpoint values, and
+    marked degenerate where those values are equal or its slope is zero.
 
     A lane stops when neither neighbor is admissible, its window holds d+1
     points, or the mesh ends on both sides.  A degenerate lane is normalized
@@ -150,7 +151,7 @@ def grow_stencils(x, table: DividedDifferenceTable, intervals, config: InterpCon
     lengths one gather from x[s+2:] - x[:-s-2].  Candidates past a mesh end
     are clamped onto an existing entry and masked off.
     """
-    entries = table.entries.reshape(table.n_points, table.max_order + 1, -1)
+    entries = divided_differences(x, values, config.d)
     n, width, lines = entries.shape
     top = width - 1
     i = intervals.repeat(lines)

@@ -60,11 +60,11 @@ def build_stencil(
     the linear piece.
     """
     x = np.asarray(mesh, dtype=float)
-    n = table.n_points
+    n, width = table.entries.shape
     if not 0 <= i < n - 1:
         raise ValueError(f"interval index {i} out of range for {n} mesh points")
     d = config.d
-    if table.max_order < min(d, n - 1):
+    if width - 1 < min(d, n - 1):
         raise ValueError("divided-difference table holds too few orders for degree d")
 
     l, r = i, i + 1

@@ -70,23 +70,29 @@ class TestBuildTable:
 
     def test_order_capped_by_mesh(self):
         t = build_table([0, 1, 2], [0, 1, 4], 9)
-        assert t.max_order == 2
+        assert t.entries.shape == (3, 3)
 
     def test_invalid_region_is_nan(self):
         t = build_table([0, 1, 2], [0, 1, 4], 2)
         assert np.isnan(t.entries[2, 1]) and np.isnan(t.entries[1, 2])
 
-    def test_length_mismatch(self):
+    @pytest.mark.parametrize("values", [[1, 2], [[1, 2], [3, 4], [5, 6]]], ids=["short", "block"])
+    def test_length_mismatch(self, values):
+        # one line of values, one per mesh point: an (n, lines) block is refused
         with pytest.raises(ValueError, match="does not match"):
-            build_table([0, 1, 2], [1, 2], 1)
+            build_table([0, 1, 2], values, 1)
 
     def test_nonincreasing_mesh(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             build_table([0, 1, 0.5], [1, 2, 3], 1)
 
-    def test_bad_degree(self):
+    @pytest.mark.parametrize("degree", [0, 2.5, True], ids=["zero", "float", "bool"])
+    def test_bad_degree(self, degree):
         with pytest.raises(ValueError, match="max_degree"):
-            build_table([0, 1], [1, 2], 0)
+            build_table([0, 1], [1, 2], degree)
+
+    def test_numpy_integer_degree_accepted(self):
+        assert build_table([0, 1, 2], [1, 2, 4], np.int64(2)).entries[0, 2] == 0.5
 
 
 class TestIntervalInterpolant:

@@ -81,6 +81,13 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match=f"^{field} must be .*integer"):
             ExperimentSpec(**{**args, field: value})
 
+    def test_refine_only_for_roundtrip(self):
+        # an approximation row has no mesh to refine; the option used to be
+        # dropped silently, returning the refine=0 row
+        with pytest.raises(ValueError, match="refine"):
+            ExperimentSpec("f1", 17, "ppi", 3, refine=3)
+        assert ExperimentSpec("f1", 17, "ppi", 3, refine=0).refine == 0
+
     def test_numpy_integer_fields_accepted(self):
         spec = ExperimentSpec("f1", np.int64(16), "ppi", 3, kind="roundtrip", refine=np.int32(1))
         assert roundtrip_meshes(spec)[0].size == 31
@@ -143,9 +150,13 @@ class TestSweeps:
         assert {s.fn for s in specs} == {"f1"}
         assert {s.n for s in specs} == {17, 33, 65, 129, 257}
 
-    def test_table_sweep_id_range(self):
+    @pytest.mark.parametrize("table_id", [7, 1.0, True], ids=["out-of-range", "float", "bool"])
+    def test_table_sweep_id_range(self, table_id):
         with pytest.raises(ValueError, match="table id"):
-            table_sweep(7)
+            table_sweep(table_id)
+
+    def test_table_sweep_numpy_integer_id(self):
+        assert table_sweep(np.int64(4)) == table_sweep(4)
 
 
 class TestCsv:

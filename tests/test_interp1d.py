@@ -82,6 +82,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             adaptive_interpolation_1d([0, 1], [1, 2], [0.5], 1, PPI, eps1=eps)
 
+    @pytest.mark.parametrize("eps", [True, "0.1", None], ids=["bool", "str", "none"])
+    def test_non_real_eps(self, eps):
+        for field in ("eps0", "eps1"):
+            with pytest.raises(ValueError, match="real numbers"):
+                adaptive_interpolation_1d([0, 1], [1, 2], [0.5], 1, PPI, **{field: eps})
+
     @pytest.mark.parametrize("d", [8.0, True], ids=["float", "bool"])
     def test_non_integer_degree(self, d):
         for n in (5, 33):

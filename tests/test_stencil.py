@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ppinterp.config import DBI, PPI, InterpConfig
-from ppinterp.divdiff import IntervalInterpolant, build_table, divided_differences, newton_eval
+from ppinterp.divdiff import IntervalInterpolant, build_table, newton_eval
 from ppinterp.interp1d import interpolate_lines, interval_interpolants
 from ppinterp.stencil import (
     b_bounds_step,
@@ -390,7 +390,7 @@ def edge_patterns(n):
 def lane_records(x, block, cfg):
     """The engine's stencils for every interval of every column of
     ``block``, one list of records per column, in ``record``'s format."""
-    st = grow_stencils(x, divided_differences(x, block, cfg.d), np.arange(x.size - 1), cfg)
+    st = grow_stencils(x, block, np.arange(x.size - 1), cfg)
     lines = block.shape[1]
     records = [[] for _ in range(lines)]
     for k, deg in enumerate(st.degree.tolist()):
