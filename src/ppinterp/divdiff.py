@@ -141,21 +141,29 @@ class IntervalInterpolant:
             raise ValueError("insertion order must be a permutation of the window")
 
 
-def horner(coeffs, nodes, degree, lane, points):
+def horner(coeffs, nodes, lane, points):
     """Evaluate many Newton-form polynomials at once by nested multiplication.
 
     Row k of ``coeffs`` and ``nodes`` holds the coefficients and node
-    abscissae of polynomial k (padded past ``degree[k]``); point m is
-    evaluated on polynomial ``lane[m]``.  Each point sees exactly the
-    arithmetic of c_0 + (x - x_0)(c_1 + (x - x_1)(c_2 + ...)).  Column j is
-    gathered once per pass, so column-major ``coeffs`` and ``nodes`` (the
-    layout ``grow_stencils`` returns) gather fastest.
+    abscissae of polynomial k; point m is evaluated on polynomial
+    ``lane[m]`` (``lane`` and ``points`` broadcast together, and the result
+    takes their shape).  Every point runs c_j + (x - x_j) * p over every
+    column, with no mask, so a row of lower degree must be padded with +0
+    coefficients, as ``grow_stencils`` pads its records: past the degree p
+    stays +0, and c_deg + (+-0) is c_deg, so the padded row gives the
+    trimmed row's result bit for bit.  (A zero result could change sign
+    only on a row of all-zero coefficients; the engine makes those at
+    degree 1 alone, where it does not.)  Column j is gathered once per
+    pass, so column-major ``coeffs`` and ``nodes`` (the layout
+    ``grow_stencils`` returns) gather fastest.
     """
-    deg = degree[lane]
-    p = coeffs[lane, deg]
     c, xn = coeffs.T, nodes.T  # row j: coefficient j and node j of every polynomial
-    for j in range(coeffs.shape[1] - 2, -1, -1):
-        p = np.where(j < deg, c[j].take(lane) + (points - xn[j].take(lane)) * p, p)
+    p = c[-1].take(lane)
+    for j in range(c.shape[0] - 2, -1, -1):
+        q = points - xn[j].take(lane)
+        q *= p
+        q += c[j].take(lane)
+        p = q
     return p
 
 
@@ -167,12 +175,10 @@ def newton_eval(piece: IntervalInterpolant, mesh, x):
     """
     xs = np.asarray(mesh, dtype=float)
     xv = np.asarray(x, dtype=float)
-    flat = xv.reshape(-1)
     p = horner(
         np.array([piece.coefficients], dtype=float),
         xs[[piece.insertion_order]],
-        np.array([piece.degree]),
-        np.zeros(flat.size, dtype=np.intp),
-        flat,
+        np.zeros(xv.shape, dtype=np.intp),
+        xv,
     )
-    return float(p[0]) if xv.ndim == 0 else p.reshape(xv.shape)
+    return float(p) if xv.ndim == 0 else p

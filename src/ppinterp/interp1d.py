@@ -26,13 +26,16 @@ def interpolate_lines(x, lines, pts, config: InterpConfig) -> np.ndarray:
     The inputs must already be validated, by ``as_mesh1d``, ``as_values`` and
     ``as_points``: the public entry points check each of them once per call.
     Each output point belongs to the half-open interval [x_i, x_{i+1}) that
-    contains it (the last interval is closed on the right).  Output order
-    follows ``pts``.  Only the intervals that hold an output point grow a
-    stencil.  The columns go to the engine a chunk at a time, each chunk
-    holding at most ``CHUNK_PAIRS`` (line, point) pairs, or one line.
+    contains it (the last interval is closed on the right), and a point
+    equal to x[-1] returns the line's last value, so every node is
+    reproduced bit for bit.  Output order follows ``pts``.  Only the
+    intervals that hold an output point grow a stencil.  The columns go to
+    the engine a chunk at a time, each chunk holding at most
+    ``CHUNK_PAIRS`` (line, point) pairs, or one line.
     """
     n, m = x.size, lines.shape[1]
     idx = x.searchsorted(pts, side="right") - 1  # >= 0: no point lies left of x[0]
+    last = (idx == n - 1).nonzero()[0]  # the points equal to x[-1]
     np.minimum(idx, n - 2, out=idx)
     used = np.zeros(n - 1, dtype=bool)
     used[idx] = True
@@ -44,10 +47,12 @@ def interpolate_lines(x, lines, pts, config: InterpConfig) -> np.ndarray:
     for k in range(0, m, step):
         c = min(step, m - k)
         st = grow_stencils(x, lines[:, k : k + c], intervals, config)
-        lane = (rank[:, None] * c + np.arange(c)).ravel()
-        p = horner(st.coeffs, x[st.order], st.degree, lane, pts.repeat(c))
-        out[:, k : k + c] = p.reshape(pts.size, c)
-        del st, lane, p  # free this chunk's lanes before the next one grows
+        lane = rank[:, None] * c + np.arange(c)  # (point, line) -> its lane
+        out[:, k : k + c] = horner(st.coeffs, x[st.order], lane, pts[:, None])
+        # The last interval's records start at x[-2], so x[-1] would come
+        # out rounded; it takes the line's value, as every other node does.
+        out[last, k : k + c] = lines[-1, k : k + c]
+        del st, lane  # free this chunk's lanes before the next one grows
     return out
 
 

@@ -108,10 +108,12 @@ class Stencils(NamedTuple):
     """The grown stencils of many lanes, one row per lane.
 
     ``order`` and ``coeffs`` hold the insertion order and the Newton
-    coefficients, padded past ``degree`` (with the interval's left node and
-    zeros), column-major: the engine writes insertion j of every lane at
-    once.  ``degenerate``, ``denom``, ``m_l`` and ``m_r`` record the
-    normalization and scaling factors the growth used.
+    coefficients, column-major: the engine writes insertion j of every lane
+    at once.  Past ``degree`` every row is padded, ``order`` with the
+    interval's left node and ``coeffs`` with +0; ``horner`` relies on that
+    padding to evaluate every column with no mask.  ``degenerate``,
+    ``denom``, ``m_l`` and ``m_r`` record the normalization and scaling
+    factors the growth used.
     """
 
     order: np.ndarray

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ppinterp.divdiff import IntervalInterpolant, as_mesh1d, build_table, newton_eval
+from ppinterp.divdiff import IntervalInterpolant, as_mesh1d, build_table, horner, newton_eval
 
 from helpers import brute_dd, leading_dd_lagrange, make_piece, monomial_coefficients, random_mesh
 
@@ -150,6 +150,37 @@ class TestNewtonEval:
         lead = leading_dd_lagrange(x, u, 0, 6)
         assert a.coefficients[-1] == pytest.approx(lead, rel=1e-12)
         assert b.coefficients[-1] == pytest.approx(lead, rel=1e-12)
+
+    def test_zero_padded_rows_match_trimmed_pieces(self):
+        # horner evaluates every column with no mask: a row padded past its
+        # degree with +0 coefficients (and any node) gives its trimmed
+        # piece's result bit for bit, for data with +0 and -0 zeros and for
+        # points inside and outside the interval
+        rng = np.random.default_rng(17)
+        x = random_mesh(rng, 9)
+        top = 8
+        coeffs, nodes, pts, want = [], [], [], []
+        for k in range(200):
+            u = rng.uniform(-2.0, 2.0, 9)
+            zeros = rng.random(9) < (1.0 if k % 4 == 0 else 0.4)
+            u[zeros] = rng.choice([0.0, -0.0], zeros.sum())
+            i = int(rng.integers(0, 8))
+            order, l, r = [i, i + 1], i, i + 1
+            for _ in range(int(rng.integers(0, 8))):
+                if l > 0 and (r == 8 or rng.random() < 0.5):
+                    l -= 1
+                    order.append(l)
+                elif r < 8:
+                    r += 1
+                    order.append(r)
+            piece = make_piece(x, u, i, order)
+            s = np.concatenate([np.linspace(x[i], x[i + 1], 5), rng.uniform(x[0], x[-1], 3)])
+            coeffs.append(np.pad(piece.coefficients, (0, top + 1 - len(order))))
+            nodes.append(x[np.pad(order, (0, top + 1 - len(order)), constant_values=i)])
+            pts.append(s)
+            want.append(newton_eval(piece, x, s))
+        got = horner(np.array(coeffs), np.array(nodes), np.arange(200)[:, None], np.array(pts))
+        assert (got.view(np.int64) == np.array(want).view(np.int64)).all()
 
     def test_reproduces_node_values(self):
         rng = np.random.default_rng(13)

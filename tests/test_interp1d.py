@@ -135,6 +135,16 @@ class TestExactness:
         v = adaptive_interpolation_1d(x, u, x[:-1], 4, PPI)
         assert np.array_equal(v, u[:-1])
 
+    def test_every_node_bitwise_exact(self):
+        # x[-1] too: it lies in the last interval, whose records start at
+        # x[-2], and must still return u[-1] bit for bit
+        rng = np.random.default_rng(66)
+        for trial in range(300):
+            x, u, d, st, eps0, eps1 = _random_instance(rng, signed=trial % 2 == 0)
+            for im in (DBI, PPI):
+                v = adaptive_interpolation_1d(x, u, x, d, im, st, eps0, eps1)
+                assert (v.view(np.int64) == u.view(np.int64)).all()
+
     def test_constant_data(self):
         x = np.linspace(0, 1, 9)
         u = np.full(9, 2.5)
@@ -178,23 +188,25 @@ class TestMethodRelations:
             b = adaptive_interpolation_1d(x, u, xout, d, DBI, st)
             assert np.max(np.abs(a - b)) <= 1e-14
 
+    # The dense points include every node and end at x[-1]; the guarantees
+    # hold there with no rounding slack.
     def test_dbi_respects_data_bounds(self):
         rng = np.random.default_rng(77)
         for _ in range(150):
             x, u, d, st, eps0, eps1 = _random_instance(rng, signed=True)
             s, cell = _dense_points(x)
             v = adaptive_interpolation_1d(x, u, s, d, DBI, st, eps0, eps1)
-            tau = 1e-12 * np.abs(u).max()
-            assert np.all(v >= np.minimum(u[:-1], u[1:])[cell] - tau)
-            assert np.all(v <= np.maximum(u[:-1], u[1:])[cell] + tau)
+            assert np.all(v >= np.minimum(u[:-1], u[1:])[cell])
+            assert np.all(v <= np.maximum(u[:-1], u[1:])[cell])
 
     def test_positivity_of_ppi(self):
         rng = np.random.default_rng(19)
         for _ in range(150):
             x, u, d, st, eps0, eps1 = _random_instance(rng, signed=False)
             s, _ = _dense_points(x)
-            v = adaptive_interpolation_1d(x, u, s, d, PPI, st, eps0, eps1)
-            assert v.min() >= -1e-12 * u.max()
+            for im in (DBI, PPI):
+                v = adaptive_interpolation_1d(x, u, s, d, im, st, eps0, eps1)
+                assert v.min() >= 0.0
 
     def test_power_of_two_scaling_is_exact(self):
         # every step is scale-equivariant, so scaling the values by 2**k

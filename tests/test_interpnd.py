@@ -277,6 +277,24 @@ class TestGuarantees:
                     else:
                         assert out.min() >= -tau
 
+    def test_nodes_exact_and_no_rounding_slack(self):
+        # Output axes made of every mesh node plus a grid that ends at the
+        # last node: the nodes return the data bit for bit, DBI stays inside
+        # [min v, max v] and PPI nonnegative, with zero tolerance
+        rng = np.random.default_rng(35)
+        for trial in range(120):
+            ndim = 2 + trial % 2
+            meshes, v, _, cfg = random_grid_case(rng, ndim)
+            grids = [np.linspace(m[0], m[-1], int(rng.integers(2, 9))) for m in meshes]
+            outs = [np.concatenate([m, g]) for m, g in zip(meshes, grids)]
+            nodes = np.ix_(*[np.arange(m.size) for m in meshes])
+            for im in (DBI, PPI):
+                got = ADAPTIVE[ndim](*meshes, v, *outs, cfg.d, im, cfg.st, cfg.eps0, cfg.eps1)
+                assert (got[nodes].view(np.int64) == v.view(np.int64)).all()
+                assert got.min() >= (v.min() if im == DBI else 0.0)
+                if im == DBI:
+                    assert got.max() <= v.max()
+
 
 class TestValidateOnce:
     """Every entry point checks each mesh and output axis once per axis and

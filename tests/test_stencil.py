@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ppinterp.config import DBI, PPI, InterpConfig
-from ppinterp.divdiff import IntervalInterpolant, build_table, newton_eval
+from ppinterp.divdiff import IntervalInterpolant, build_table, horner, newton_eval
 from ppinterp.interp1d import interpolate_lines, interval_interpolants
 from ppinterp.stencil import (
     b_bounds_step,
@@ -387,10 +387,21 @@ def edge_patterns(n):
     return patterns
 
 
+def assert_zero_padded(st):
+    """The record contract ``horner`` relies on: past its degree, every
+    lane's coefficients are +0 (bit pattern 0) and its order repeats the
+    interval's left node."""
+    past = np.arange(st.coeffs.shape[1]) > st.degree[:, None]
+    assert (st.coeffs.view(np.int64)[past] == 0).all()
+    assert (st.order == np.where(past, st.order[:, :1], st.order)).all()
+
+
 def lane_records(x, block, cfg):
     """The engine's stencils for every interval of every column of
-    ``block``, one list of records per column, in ``record``'s format."""
+    ``block``, one list of records per column, in ``record``'s format;
+    the zero padding past each degree is checked on the way."""
     st = grow_stencils(x, block, np.arange(x.size - 1), cfg)
+    assert_zero_padded(st)
     lines = block.shape[1]
     records = [[] for _ in range(lines)]
     for k, deg in enumerate(st.degree.tolist()):
@@ -434,6 +445,43 @@ def test_engine_matches_oracle_at_mesh_ends():
                         for k, block in enumerate(blocks):
                             assert lane_records(x, block, cfg) == want[3 * k : 3 * k + 3]
     assert pieces > 20_000 and degenerate > 300 and spanning > 3_000
+
+
+def test_padded_records_evaluate_like_trimmed_pieces():
+    # horner runs every column of the engine's records with no mask, so a
+    # lane below the top degree must give, bit for bit, what its trimmed
+    # piece gives: on blocks with zero runs, -0.0 data, plateaus (the
+    # degenerate path) and flat lines, DBI and PPI, every st.
+    rng = np.random.default_rng(4242)
+    lanes = short = 0
+    for trial in range(120):
+        n = int(rng.integers(2, 16))
+        x = random_mesh(rng, n)
+        block = np.stack([
+            rng.uniform(0.0, 5.0, n), plateau_values(rng, n), np.zeros(n), np.full(n, 2.0),
+        ], axis=1)
+        zeros = rng.random(block.shape) < 0.3
+        block[zeros] = rng.choice([0.0, -0.0], zeros.sum())
+        cfg = InterpConfig(
+            d=int(rng.integers(1, 12)), im=(DBI, PPI)[trial % 2], st=trial // 2 % 3 + 1,
+        )
+        intervals = np.arange(n - 1)
+        st = grow_stencils(x, block, intervals, cfg)
+        assert_zero_padded(st)
+        # every lane at 9 points: its interval's two ends and 7 inside
+        t = np.linspace(0.0, 1.0, 9)
+        left = x[intervals.repeat(block.shape[1])]
+        pts = left[:, None] + (x[1:] - x[:-1]).repeat(block.shape[1])[:, None] * t
+        lane = np.arange(left.size)[:, None]
+        got = horner(st.coeffs, x[st.order], lane, pts)
+        for col in range(block.shape[1]):
+            for k, piece in enumerate(interval_interpolants(x, block[:, col], cfg)):
+                row = k * block.shape[1] + col
+                want = newton_eval(piece, x, pts[row])
+                assert (got[row].view(np.int64) == want.view(np.int64)).all()
+        lanes += st.degree.size
+        short += np.count_nonzero(st.degree < st.coeffs.shape[1] - 1)
+    assert lanes > 2_000 and short > 1_000
 
 
 # Every piece that interval_interpolants builds for the inputs below, hashed
