@@ -69,7 +69,9 @@ class DividedDifferenceTable:
 
     ``entries[i, j]`` holds the order-j divided difference of the values over
     mesh points i..i+j.  Entries with i + j >= n do not exist and are stored
-    as NaN so that accidental reads surface loudly.
+    as NaN, so a read past either mesh end gives NaN, never a number.
+    ``entries`` is the transpose of the column-major array
+    ``divided_differences`` builds.
     """
 
     entries: np.ndarray
@@ -82,22 +84,32 @@ def build_table(mesh, values, max_degree: int) -> DividedDifferenceTable:
     u = as_values(values, x.shape)
     if not _is_integer(max_degree) or max_degree < 1:
         raise ValueError(f"max_degree must be an integer >= 1, got {max_degree!r}")
-    return DividedDifferenceTable(entries=divided_differences(x, u, max_degree))
+    return DividedDifferenceTable(entries=divided_differences(x, u, max_degree).T)
 
 
 def divided_differences(x: np.ndarray, u: np.ndarray, max_degree: int) -> np.ndarray:
     """``build_table``'s entries without its checks, for inputs already
     validated: ``x`` by ``as_mesh1d``, ``u`` by ``as_values`` and
     ``max_degree`` >= 1.  ``u`` may also be an ``(n, lines)`` block, one line
-    per column, which gives the ``(n, top+1, lines)`` table the engine
-    reads, ``top`` = min(max_degree, n-1); every line shares the recursion."""
+    per column; every line shares the recursion.
+
+    The table is column-major: ``t[j, i]`` (``t[j, i, line]`` for a block)
+    is the order-j divided difference over mesh points i..i+j, for j up to
+    ``top`` = min(max_degree, n-1), so each order is one contiguous slab of
+    shape ``u.shape``.  Entries with i + j >= n are NaN.  The stencil engine
+    reads the table by flat offsets and relies on that NaN: a candidate
+    window past either mesh end reads NaN, which no admissibility test
+    accepts.
+    """
     n = x.size
     top = min(max_degree, n - 1)
-    t = np.full((n, top + 1) + u.shape[1:], np.nan)
-    t[:, 0] = u
+    t = np.full((top + 1,) + u.shape, np.nan)
+    t[0] = u
     xb = x.reshape((n,) + (1,) * (u.ndim - 1))  # broadcasts against the lines
     for j in range(1, top + 1):
-        t[: n - j, j] = (t[1 : n - j + 1, j - 1] - t[: n - j, j - 1]) / (xb[j:] - xb[: n - j])
+        row = t[j, : n - j]
+        np.subtract(t[j - 1, 1 : n - j + 1], t[j - 1, : n - j], out=row)
+        row /= xb[j:] - xb[: n - j]
     return t
 
 

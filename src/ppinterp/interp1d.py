@@ -27,20 +27,23 @@ def interpolate_lines(x, lines, pts, config: InterpConfig) -> np.ndarray:
     ``as_points``: the public entry points check each of them once per call.
     Each output point belongs to the half-open interval [x_i, x_{i+1}) that
     contains it (the last interval is closed on the right), and a point
-    equal to x[-1] returns the line's last value, so every node is
-    reproduced bit for bit.  Output order follows ``pts``.  Only the
-    intervals that hold an output point grow a stencil.  The columns go to
-    the engine a chunk at a time, each chunk holding at most
-    ``CHUNK_PAIRS`` (line, point) pairs, or one line.
+    equal to a mesh node returns the line's value there, so every node,
+    x[-1] and signed zeros included, is reproduced bit for bit.  Output
+    order follows ``pts``.  Only the intervals that hold an output point
+    grow a stencil.  The columns go to the engine a chunk at a time, each
+    chunk holding at most ``CHUNK_PAIRS`` (line, point) pairs, or one line.
     """
     n, m = x.size, lines.shape[1]
     idx = x.searchsorted(pts, side="right") - 1  # >= 0: no point lies left of x[0]
-    last = (idx == n - 1).nonzero()[0]  # the points equal to x[-1]
+    node = (x.take(idx) == pts).nonzero()[0]  # the points equal to a mesh node
+    at = idx[node]  # and the nodes they equal
     np.minimum(idx, n - 2, out=idx)
     used = np.zeros(n - 1, dtype=bool)
     used[idx] = True
     intervals = used.nonzero()[0]
-    rank = (used.cumsum() - 1)[idx]
+    # An interval's lane rank among the used intervals: idx itself when
+    # every interval holds a point.
+    rank = idx if intervals.size == n - 1 else (used.cumsum() - 1)[idx]
 
     out = np.empty((pts.size, m))
     step = max(1, CHUNK_PAIRS // max(n, pts.size))
@@ -49,9 +52,11 @@ def interpolate_lines(x, lines, pts, config: InterpConfig) -> np.ndarray:
         st = grow_stencils(x, lines[:, k : k + c], intervals, config)
         lane = rank[:, None] * c + np.arange(c)  # (point, line) -> its lane
         out[:, k : k + c] = horner(st.coeffs, x[st.order], lane, pts[:, None])
-        # The last interval's records start at x[-2], so x[-1] would come
-        # out rounded; it takes the line's value, as every other node does.
-        out[last, k : k + c] = lines[-1, k : k + c]
+        # A node's value is returned as given.  Horner gives it as
+        # c_0 + 0 * p, which turns a -0.0 into +0.0, and x[-1] lies in the
+        # last interval, whose records start at x[-2], so it would come out
+        # rounded.
+        out[node, k : k + c] = lines[at, k : k + c]
         del st, lane  # free this chunk's lanes before the next one grows
     return out
 

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import boundary_sigmas, classify_interval, interval_bounds, scaling_factors, where
-from .config import InterpConfig
+from .config import DBI, InterpConfig
 from .divdiff import DividedDifferenceTable, IntervalInterpolant, divided_differences
 
 __all__ = [
@@ -92,7 +92,8 @@ def select_direction(st: int, dd, lam, i, window, interval, points):
     policy's key is computed.
     """
     if st == 1:
-        a, b = np.abs(dd)
+        mag = np.abs(dd)
+        a, b = mag[0], mag[1]
     elif st == 2:
         l, r = window
         a, b = i - l, r - (i + 1)
@@ -100,8 +101,8 @@ def select_direction(st: int, dd, lam, i, window, interval, points):
         a, b = interval[0] - points[0], points[1] - interval[1]
     else:
         raise ValueError(f"st must be 1, 2 or 3, got {st}")
-    lam_left, lam_right = np.abs(lam)
-    return (a < b) | ((a == b) & (lam_left < lam_right))
+    lam_abs = np.abs(lam)
+    return (a < b) | ((a == b) & (lam_abs[0] < lam_abs[1]))
 
 
 class Stencils(NamedTuple):
@@ -138,8 +139,9 @@ def grow_stencils(x, values, intervals, config: InterpConfig) -> Stencils:
     k * lines + c is interval ``intervals[k]`` (an integer array) of line
     c.  The block's divided-difference table is built here, to order
     min(d, n-1), so no stencil grows past that degree.  Each lane is
-    classified and bounded from its line's slopes and endpoint values, and
-    marked degenerate where those values are equal or its slope is zero.
+    classified and bounded from its line's slopes and endpoint values (under
+    PPI; DBI's scaling factors are constants), and marked degenerate where
+    those values are equal or its slope is zero.
 
     A lane stops when neither neighbor is admissible, its window holds d+1
     points, or the mesh ends on both sides.  A degenerate lane is normalized
@@ -148,31 +150,43 @@ def grow_stencils(x, values, intervals, config: InterpConfig) -> Stencils:
     to the linear piece.
 
     At step s every growing window spans s+1 intervals, so the two
-    candidates of every lane are windows of s+2 intervals: their divided
-    differences are one gather from column s+2 of the table, and their
-    lengths one gather from x[s+2:] - x[:-s-2].  Candidates past a mesh end
-    are clamped onto an existing entry and masked off.
+    candidates of every lane are windows of s+2 intervals, both in order
+    s+2 of the column-major table: one ``take`` at each lane's flat offset
+    reads their divided differences, and the offset moves one order
+    (n * lines entries) per step.  A candidate past either mesh end reads
+    the table's NaN, which fails B- <= lambda_bar <= B+, so nothing clamps
+    the candidates.  Their lengths and points are read with
+    ``take(mode="clip")``: past a mesh end that gives finite stand-ins,
+    which the failed test masks off.
+    The lanes still growing are compacted only in a step where some lane
+    stops.
     """
-    entries = divided_differences(x, values, config.d)
-    n, width, lines = entries.shape
+    table = divided_differences(x, values, config.d)
+    width, n, lines = table.shape
     top = width - 1
+    tab, stride = table.ravel(), n * lines  # stride: one order of the table
+    sides = _SIDES * lines  # flat offsets of the two candidates' window starts
     i = intervals.repeat(lines)
-    c = np.arange(i.size) % lines
     ip1 = i + 1
-    sp, slope, sn = (s.ravel() for s in boundary_sigmas(entries[:-1, 1], intervals))
-    u_i, u_ip1 = entries[intervals, 0].ravel(), entries[intervals + 1, 0].ravel()
-    cls = classify_interval(sp, slope, sn)
-    u_min, u_max = interval_bounds(u_i, u_ip1, cls, config.eps0, config.eps1)
+    u_i, u_ip1 = table[0, intervals].ravel(), table[0, intervals + 1].ravel()
+    slope = table[1, intervals].ravel()
+    u_min = u_max = None
+    if config.im != DBI:  # DBI's scaling factors ignore the bounds
+        sp, _, sn = (s.ravel() for s in boundary_sigmas(table[1, :-1], intervals))
+        cls = classify_interval(sp, slope, sn)
+        u_min, u_max = interval_bounds(u_i, u_ip1, cls, config.eps0, config.eps1)
     degenerate = (u_i == u_ip1) | (slope == 0.0)
     xi, xi1 = x[i], x[ip1]
     h = xi1 - xi
+    # Flat offset of every lane's window start (row i of its line) in order
+    # 2: where the first step's candidates are read.
+    pos = ((intervals * lines)[:, None] + np.arange(lines)).ravel() + 2 * stride
     # order[j] and coeffs[j] hold insertion j of every lane; the result is
     # their transpose.
     order = i[None].repeat(width, axis=0)
     order[1] = ip1
     coeffs = np.zeros(order.shape)
     coeffs[0], coeffs[1] = u_i, slope
-    degree = np.ones(i.size, dtype=np.intp)
     denom, length_product, w = slope, np.ones(i.size), 1.0
     first = True  # the candidates each lane's first step may take
 
@@ -180,15 +194,12 @@ def grow_stencils(x, values, intervals, config: InterpConfig) -> Stencils:
         # Equal endpoint values: the slope normalization is unusable.  Force
         # the first expansion toward the smaller second divided difference
         # (ties go right) and normalize by that window's scaled difference w.
+        # n >= 3 here, so at most one side is past a mesh end (NaN).
         g = degenerate.nonzero()[0]
-        ig, cg = i[g], c[g]
-        raw = ig + _SIDES
-        cand = np.minimum(np.maximum(raw, 0), n - 3)
-        dd_left, dd_right = abs(entries[cand, 2, cg])
-        can_left, can_right = cand == raw
-        left = can_left & (~can_right | (dd_left < dd_right))
-        l1 = np.where(left, ig - 1, ig)
-        wg = entries[l1, 2, cg] * h[g] * (x[l1 + 2] - x[l1])
+        dd2 = tab.take(pos[g] + sides)
+        left = (abs(dd2[0]) < abs(dd2[1])) | np.isnan(dd2[1])
+        l1 = np.where(left, i[g] - 1, i[g])
+        wg = np.where(left, dd2[0], dd2[1]) * h[g] * (x[l1 + 2] - x[l1])
         flat = wg == 0.0  # flat lanes fall back to the linear piece
         first = np.ones((2, i.size), dtype=bool)
         first[0, g], first[1, g] = left & ~flat, ~(left | flat)
@@ -199,44 +210,56 @@ def grow_stencils(x, values, intervals, config: InterpConfig) -> Stencils:
 
     # The lanes still growing (row numbers) and their state; the first step
     # takes every lane, and m_l, m_r and degenerate are read by it alone.
-    lane, ig, cg, dn, lp = np.arange(i.size), i, c, denom, length_product
-    l, lam, prev, t = i, 1.0, None, None
+    # ``pick`` indexes the flattened (2, lanes) candidates: lane k's left
+    # candidate is k, its right one k + lanes.
+    lane, ig, dn, lp, l = np.arange(i.size), i, denom, length_product, i
+    lam, prev, t = 1.0, None, None
+    near, far = lane, lane + lane.size
     reach = np.zeros((top, 2, 1), dtype=np.intp)  # candidate points: window start + (0, s+2)
     reach[:, 1, 0] = np.arange(2, top + 2)
     for s in range(top - 1):
-        raw = l + _SIDES
-        cand = np.minimum(np.maximum(raw, 0), n - s - 3)
-        ok = cand == raw  # a candidate is valid where the clamp left it alone
-        del raw
+        cand = l + _SIDES  # the candidates' window starts
+        off = pos + sides
+        # NaN past either mesh end: past the right end the window overruns
+        # order s+2's valid rows, and a left candidate at l = 0 reads the
+        # last row of order s+1.
+        dd = tab.take(off)
+        length = (x[s + 2 :] - x[: n - s - 2]).take(cand, mode="clip")
+        lam2, bm, bp = lambda_bar_step(dd, length, h, t, lam, prev, lp, dn, m_l, m_r, degenerate)
+        ok = bm <= lam2
+        ok &= lam2 <= bp
         if prev is None:
             ok &= first
-        dd = entries[cand, s + 2, cg]
-        length = (x[s + 2 :] - x[: n - s - 2])[cand]
-        lam2, bm, bp = lambda_bar_step(dd, length, h, t, lam, prev, lp, dn, m_l, m_r, degenerate)
-        ok &= bm <= lam2
-        ok &= lam2 <= bp
         point = cand + reach[s]
-        xp = x[point]
-        ok_l, ok_r = ok
+        xp = x.take(point, mode="clip")
+        ok_l, ok_r = ok[0], ok[1]
         go_left = ok_l & (~ok_r | select_direction(
             config.st, dd, lam2, ig, (l, l + s + 1), (xi, xi1), xp
         ))
-        keep = (ok_l | ok_r).nonzero()[0]
-        if keep.size == 0:
-            break
-        pick = keep + np.where(go_left, 0, lane.size)[keep]  # flat index into (2, lanes)
+        pick = np.where(go_left, near, far)
+        grow = ok_l | ok_r
+        if not grow.all():  # some lane stops: compact
+            keep = grow.nonzero()[0]
+            if keep.size == 0:
+                break
+            pick = pick[keep]
+            lane, ig, dn, lp = lane[keep], ig[keep], dn[keep], lp[keep]
+            h, xi, xi1 = h[keep], xi[keep], xi1[keep]
+            near = np.arange(keep.size)
+            far = near + keep.size
 
-        lane = lane[keep]
         order[s + 2][lane] = point.take(pick)
         coeffs[s + 2][lane] = dd.take(pick)
-        degree[lane] = s + 2
-        l, lam, prev = cand.take(pick), lam2.take(pick), (bm.take(pick), bp.take(pick))
-        lp = lp[keep] * length.take(pick)
-        ig, cg, dn, h, xi, xi1 = ig[keep], cg[keep], dn[keep], h[keep], xi[keep], xi1[keep]
+        if s == top - 2:
+            break
+        l, pos = cand.take(pick), off.take(pick) + stride
+        lam, prev = lam2.take(pick), (bm.take(pick), bp.take(pick))
+        lp = lp * length.take(pick)
         t = (xp.take(pick) - xi) / h
         # Free this step's (2, lanes) arrays before the next step builds its own.
-        del cand, ok, dd, length, lam2, bm, bp, point, xp
+        del cand, off, ok, dd, length, lam2, bm, bp, point, xp
 
+    degree = np.count_nonzero(order[2:] != i, axis=0) + 1  # padding repeats i
     linear = degenerate & (degree == 1)
     return Stencils(
         order=order.T,

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from ppinterp.divdiff import IntervalInterpolant, as_mesh1d, build_table, horner, newton_eval
+from ppinterp.divdiff import (
+    IntervalInterpolant, as_mesh1d, build_table, divided_differences, horner, newton_eval,
+)
 
 from helpers import brute_dd, leading_dd_lagrange, make_piece, monomial_coefficients, random_mesh
 
@@ -73,8 +75,30 @@ class TestBuildTable:
         assert t.entries.shape == (3, 3)
 
     def test_invalid_region_is_nan(self):
+        # Every entry with i + j >= n is NaN and every other one finite, for
+        # one line and for an (n, lines) block, with d past n-1 too: the
+        # stencil engine reads a candidate past either mesh end as that NaN.
+        # The block's table is column-major, (order, point, line), and each
+        # line's slab is that line's build_table entries transposed.
         t = build_table([0, 1, 2], [0, 1, 4], 2)
         assert np.isnan(t.entries[2, 1]) and np.isnan(t.entries[1, 2])
+        rng = np.random.default_rng(19)
+        for n in range(2, 7):
+            x = random_mesh(rng, n)
+            block = rng.uniform(-2.0, 2.0, (n, 3))
+            block[rng.random(block.shape) < 0.3] = 0.0
+            for d in range(1, n + 3):
+                top = min(d, n - 1)
+                i, j = np.indices((n, top + 1))
+                invalid = i + j >= n
+                cm = divided_differences(x, block, d)
+                assert cm.shape == (top + 1, n, 3)
+                for c in range(3):
+                    entries = build_table(x, block[:, c], d).entries
+                    assert entries.shape == (n, top + 1)
+                    assert np.isnan(entries[invalid]).all()
+                    assert np.isfinite(entries[~invalid]).all()
+                    assert (cm[:, :, c].T.view(np.int64) == entries.view(np.int64)).all()
 
     @pytest.mark.parametrize("values", [[1, 2], [[1, 2], [3, 4], [5, 6]]], ids=["short", "block"])
     def test_length_mismatch(self, values):

@@ -137,10 +137,18 @@ class TestExactness:
 
     def test_every_node_bitwise_exact(self):
         # x[-1] too: it lies in the last interval, whose records start at
-        # x[-2], and must still return u[-1] bit for bit
+        # x[-2], and must still return u[-1] bit for bit.  Signed zeros
+        # too: Horner gives an interior node as c_0 + 0 * p, which would
+        # turn a -0.0 into +0.0.
+        x = np.linspace(0.0, 1.0, 6)
+        u = np.array([1.0, -0.0, 0.5, -0.0, 2.0, -0.0])
+        for im in (DBI, PPI):
+            v = adaptive_interpolation_1d(x, u, x, 3, im)
+            assert (v.view(np.int64) == u.view(np.int64)).all()
         rng = np.random.default_rng(66)
         for trial in range(300):
             x, u, d, st, eps0, eps1 = _random_instance(rng, signed=trial % 2 == 0)
+            u[(u == 0.0) & (rng.random(u.size) < 0.5)] = -0.0
             for im in (DBI, PPI):
                 v = adaptive_interpolation_1d(x, u, x, d, im, st, eps0, eps1)
                 assert (v.view(np.int64) == u.view(np.int64)).all()

@@ -418,11 +418,12 @@ def lane_records(x, block, cfg):
 def test_engine_matches_oracle_at_mesh_ends():
     # Every tiny mesh size, degree, policy and method, on uniform meshes
     # (where st=3 ties) and jittered ones, with the value patterns that
-    # drive windows against both mesh ends: the candidate gather clamps
-    # there, so every record field must still match the oracle bit for bit,
-    # in one-line calls and in 3-line blocks alike.  Degrees past n-1 grow
-    # the same stencils as n-1 (the table stops there), so d=10 stands for
-    # all of them.
+    # drive windows against both mesh ends, where the engine's candidates
+    # read the table's NaN past the end and their lengths and points are
+    # clipped stand-ins, so every record field must still match the oracle
+    # bit for bit, in one-line calls and in 3-line blocks alike.  Degrees
+    # past n-1 grow the same stencils as n-1 (the table stops there), so
+    # d=10 stands for all of them.
     rng = np.random.default_rng(77)
     pieces = degenerate = spanning = 0
     for n in range(2, 8):
