@@ -1,7 +1,13 @@
 """Monotone piecewise cubic Hermite (Fritsch-Carlson) baseline.
 
-Backed by scipy's PCHIP implementation: harmonic-mean slope estimates zeroed
-at data extrema, three-point one-sided endpoint slopes with limiting."""
+Node slopes are weighted harmonic means of the neighbouring secant slopes,
+zeroed at data extrema (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980;
+Fritsch & Butland, SIAM J. Sci. Comput. 5, 1984); the end slopes are
+three-point one-sided estimates with shape-preserving limits (Moler,
+*Numerical Computing with MATLAB*, 2004, section 3.6, ``pchiptx``).  The
+arithmetic follows SciPy's ``PchipInterpolator`` operation by operation, so
+the results equal SciPy's bit for bit, signs of zero included, while the
+package runs on numpy alone."""
 
 from __future__ import annotations
 
@@ -11,16 +17,74 @@ from .interpnd import tensor_sweep
 
 __all__ = ["pchip_1d", "pchip_2d"]
 
+# The points are evaluated a chunk at a time, each chunk holding at most this
+# many values (256 KiB), so the chunk and its work buffer stay in cache on
+# large 2D blocks; the chunking never changes a result.
+CHUNK_VALUES = 1 << 15
+
+
+def _end_slope(h0, h1, m0, m1):
+    """One-sided three-point slope at a mesh end, from the spacings ``h0``
+    (end interval), ``h1`` (its neighbour) and their secant slopes ``m0``,
+    ``m1``: zero if its sign differs from ``m0``'s, and ``3*m0`` if the
+    secants change sign and it exceeds ``3*|m0|``."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    s0 = np.sign(m0)
+    cap = (s0 != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    return np.where(np.sign(d) == s0, np.where(cap, 3.0 * m0, d), 0.0)
+
 
 def _pchip(mesh, lines, points):
-    """SciPy's PCHIP of ``lines`` along axis 0, evaluated at ``points``.
+    """PCHIP of the columns of the ``(n, m)`` block ``lines`` on ``mesh``,
+    evaluated at ``points``; equals SciPy's
+    ``PchipInterpolator(mesh, lines, axis=0)(points)`` bit for bit.
 
-    ``scipy.interpolate`` is imported here, on the first PCHIP call, and not
-    with the package: it costs most of the package's import time and memory,
-    and the adaptive methods run on numpy alone."""
-    from scipy.interpolate import PchipInterpolator
-
-    return PchipInterpolator(mesh, lines, axis=0)(points)
+    The harmonic mean is formed only where both secants are nonzero and
+    share a sign: elsewhere the slope is +0 and the secants are replaced by 1
+    before dividing, so no division by zero happens.  A two-point mesh is
+    linear.  Each point takes the cubic of the interval ``x[i] <= p <
+    x[i+1]`` (the last one for ``p == x[-1]``), summed from the constant
+    term up, as SciPy's ``PPoly`` does; node values are not written back."""
+    lines = np.ascontiguousarray(lines)  # rows gathered per point must be contiguous
+    h = np.diff(mesh)[:, None]
+    m = np.diff(lines, axis=0) / h
+    d = np.empty_like(lines)
+    if mesh.size == 2:
+        d[:] = m
+    else:
+        m0, m1 = m[:-1], m[1:]
+        # secants of opposite signs, or a zero one (two zeros share a sign)
+        flat = (np.sign(m0) != np.sign(m1)) | (m0 == 0)
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        whmean = (w1 / np.where(flat, 1.0, m0) + w2 / np.where(flat, 1.0, m1)) / (w1 + w2)
+        d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+        d[0] = _end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+    # the interior nodes <= p number i, with x[i] <= p < x[i+1] and n-2 at x[-1]
+    i = np.searchsorted(mesh[1:-1], points, side="right")
+    s = (points - mesh.take(i))[:, None]
+    s2 = s * s
+    # CubicHermiteSpline's coefficients times the powers of s, summed in
+    # PPoly's order from a start at 0.0, which turns a -0.0 into +0.0
+    c3 = 0.0 + lines[:-1]
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    c1 = (m - d[:-1]) / h
+    c1 -= t
+    terms = ((d[:-1], s), (c1, s2), (t / h, s2 * s))
+    out = np.empty((points.size, lines.shape[1]))
+    step = max(1, CHUNK_VALUES // max(1, lines.shape[1]))
+    buf = np.empty_like(out[:step])
+    # i is in range, and mode="clip" lets take write into out= unbuffered
+    for a in range(0, points.size, step):
+        rows, at = out[a : a + step], i[a : a + step]
+        term = buf[: len(rows)]
+        c3.take(at, axis=0, out=rows, mode="clip")
+        for c, power in terms:
+            c.take(at, axis=0, out=term, mode="clip")
+            term *= power[a : a + step]
+            rows += term
+    return out
 
 
 def pchip_1d(x, v, xout) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Cold start: the adaptive methods never import ``scipy.interpolate``; PCHIP
-imports it on its first call."""
+"""Cold start on numpy alone: no call of the package, PCHIP included, ever
+imports SciPy."""
 
 import os
 import subprocess
@@ -13,10 +13,11 @@ import numpy as np
 import ppinterp
 from ppinterp import PPI, DBI, cli
 
-def loaded():
-    return "scipy.interpolate" in sys.modules
+def check(after):
+    loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+    assert not loaded, f"{after} loaded {loaded}"
 
-assert not loaded(), "import ppinterp"
+check("import ppinterp")
 x = np.linspace(0.0, 1.0, 9)
 u = np.abs(np.sin(7.0 * x))
 xo = np.linspace(0.0, 1.0, 13)
@@ -25,17 +26,23 @@ ppinterp.adaptive_interpolation_2d(x, x, np.outer(u, u), xo, xo, 5, DBI)
 ppinterp.adaptive_interpolation_3d(x, x, x, u[:, None, None] * np.ones((9, 9, 9)), xo, xo, xo, 3, PPI)
 pieces = ppinterp.interval_interpolants(x, u, ppinterp.InterpConfig(d=4, im=PPI))
 ppinterp.replay_chain(pieces[3], ppinterp.build_table(x, u, 4), x)
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["approx", "--fn", "f1", "--n", "17", "--method", "ppi", "--degree", "8"]) == 0
-    assert cli.main(["roundtrip", "--fn", "f1", "--n", "16", "--method", "dbi", "--degree", "3"]) == 0
-assert not loaded(), "adaptive calls and the approx/roundtrip subcommands"
+check("the adaptive calls")
 ppinterp.pchip_1d(x, u, xo)
-assert loaded(), "pchip_1d"
+check("pchip_1d")
+ppinterp.pchip_2d(x, x, np.outer(u, u), xo, xo)
+check("pchip_2d")
+with contextlib.redirect_stdout(io.StringIO()):
+    for method, degree in (("ppi", "8"), ("pchip", "3")):
+        assert cli.main(["approx", "--fn", "f1", "--n", "17", "--method", method, "--degree", degree]) == 0
+        check(f"approx --method {method}")
+    for method in ("dbi", "pchip"):
+        assert cli.main(["roundtrip", "--fn", "f1", "--n", "16", "--method", method, "--degree", "3"]) == 0
+        check(f"roundtrip --method {method}")
 print("ok")
 """
 
 
-def test_scipy_interpolate_loads_only_with_pchip():
+def test_scipy_never_loads():
     src = os.path.dirname(os.path.dirname(os.path.abspath(ppinterp.__file__)))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(

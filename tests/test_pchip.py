@@ -3,9 +3,16 @@ import pytest
 
 from ppinterp import pchip_1d, pchip_2d
 from ppinterp.diagnostics import l2_error_continuum
+from ppinterp.pchip import _end_slope
 from ppinterp.testfunctions import TEST_FUNCTIONS
 
 from helpers import random_mesh
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestPchip1D:
@@ -60,8 +67,8 @@ class TestPchip1D:
             pchip_1d([0, 1], [1, 2], [1.2])
 
     def test_matches_scipy_bit_for_bit(self):
-        # pchip_1d runs SciPy on a one-column block; the result must equal
-        # SciPy's own 1D call, signs of zero included
+        # pchip_1d runs the numpy sweep on a one-column block; the result
+        # must equal SciPy's own 1D call, signs of zero included
         from scipy.interpolate import PchipInterpolator
 
         rng = np.random.default_rng(6)
@@ -77,8 +84,71 @@ class TestPchip1D:
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
+    def test_short_meshes_and_end_slopes_match_scipy(self):
+        from scipy.interpolate import PchipInterpolator
+
+        one = np.array([1.0])
+        # the one-sided end slope (3*1 - 5)/2 = -1 opposes the end secant: it
+        # is zeroed; (3*1 + 5)/2 = 4 > 3 with the secants changing sign: it is
+        # capped at 3 times the end secant
+        assert _end_slope(1.0, 1.0, one, 5 * one)[0] == 0.0
+        assert _end_slope(1.0, 1.0, one, -5 * one)[0] == 3.0
+        data = [
+            [0.0, 1.0, 6.0], [6.0, 1.0, 0.0], [0.0, 1.0, -4.0], [-4.0, 1.0, 0.0],
+            [1.0, 1.0, 1.0], [0.0, 0.0, 2.0], [2.0, -0.0, -0.0], [-0.0, -0.0, -0.0],
+            [0.0, 1.0, 6.0, 1.0, 0.0], [0.0, 1.0, -4.0, 1.0, 0.0], [-4.0, 1.0, 0.0, 1.0, -4.0],
+            [1.0, -1.0, 1.0, -1.0, 1.0], [3.0, 3.0, 2.0, 2.0, 5.0, 5.0], [2.0, 5.0], [-0.0, 1.0], [4.0, 4.0],
+        ]
+        rng = np.random.default_rng(7)
+        for u in data:
+            u = np.array(u)
+            for x in (np.arange(u.size, dtype=float), random_mesh(rng, u.size)):
+                xq = np.concatenate((x, np.linspace(x[0], x[-1], 41)))
+                for scale in (1e-8, 1.0, 1e8):
+                    assert_bitwise(pchip_1d(x, scale * u, xq), PchipInterpolator(x, scale * u)(xq))
+
+    def test_signed_zeros_nodes_and_scales_match_scipy(self):
+        from scipy.interpolate import PchipInterpolator
+
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            n = int(rng.integers(2, 40))
+            x = random_mesh(rng, n)
+            u = rng.uniform(-1.0, 1.0, n)
+            r = rng.random(n)
+            u[r < 0.25] = -0.0
+            u[(r >= 0.25) & (r < 0.4)] = 0.0
+            u[r > 0.85] = np.roll(u, 1)[r > 0.85]  # plateaus
+            u *= 10.0 ** int(rng.choice([-8, 0, 8]))
+            xq = np.concatenate((x, [x[-1], x[0]], rng.uniform(x[0], x[-1], 20)))
+            got = pchip_1d(x, u, xq)
+            assert_bitwise(got, PchipInterpolator(x, u)(xq))
+            # no node value is written back: the nodes before x[-1] come back
+            # by value (a -0.0 as +0.0), while x[-1] is evaluated on the last
+            # interval and may round
+            assert np.array_equal(got[: n - 1], u[:-1])
+
 
 class TestPchip2D:
+    def test_blocks_match_scipy_axis_by_axis(self):
+        from scipy.interpolate import PchipInterpolator
+
+        rng = np.random.default_rng(9)
+        # (2, 3) and (3, 2) grids, random ones, and one large enough that the
+        # evaluation runs in several chunks
+        shapes = [(2, 3), (3, 2), (2, 2)] + [tuple(rng.integers(2, 30, 2)) for _ in range(40)] + [(181, 190)]
+        for nx, ny in shapes:
+            x, y = random_mesh(rng, nx), random_mesh(rng, ny)
+            v = rng.uniform(-1.0, 2.0, (nx, ny))
+            r = rng.random((nx, ny))
+            v[r < 0.2] = -0.0
+            v[(r >= 0.2) & (r < 0.3)] = 0.0
+            v *= 10.0 ** int(rng.choice([-8, 0, 8]))
+            xo = np.concatenate((x, rng.uniform(x[0], x[-1], 2 * nx)))
+            yo = np.concatenate((y[::-1], rng.uniform(y[0], y[-1], ny)))
+            along_x = PchipInterpolator(x, v, axis=0)(xo)
+            assert_bitwise(pchip_2d(x, y, v, xo, yo), PchipInterpolator(y, along_x, axis=1)(yo))
+
     def test_constant_in_y_matches_1d(self):
         rng = np.random.default_rng(4)
         x = random_mesh(rng, 9)
