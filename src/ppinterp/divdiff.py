@@ -52,14 +52,19 @@ def as_values(values, shape: tuple[int, ...]) -> np.ndarray:
 
 def as_points(mesh: np.ndarray, points) -> np.ndarray:
     """Validate and return output points for the validated ``mesh``: a 1D
-    float array whose entries all lie in [mesh[0], mesh[-1]]."""
+    float array whose entries are finite and all lie in [mesh[0], mesh[-1]].
+
+    A NaN fails the range test too; finiteness is checked only once that
+    test has failed, so valid points are scanned once."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 1:
         raise ValueError(f"output points must be one-dimensional, got shape {pts.shape}")
     inside = (pts >= mesh[0]) & (pts <= mesh[-1])
     if not inside.all():
-        bad = pts[~inside][0]
-        raise ValueError(f"output point {bad!r} outside the mesh range [{mesh[0]}, {mesh[-1]}]")
+        if not np.isfinite(pts).all():
+            raise ValueError("output points must be finite")
+        bad = float(pts[~inside][0])
+        raise ValueError(f"output point {bad} outside the mesh range [{mesh[0]}, {mesh[-1]}]")
     return pts
 
 
@@ -153,28 +158,36 @@ class IntervalInterpolant:
             raise ValueError("insertion order must be a permutation of the window")
 
 
-def horner(coeffs, nodes, lane, points):
+def horner(coeffs, nodes, runs, points):
     """Evaluate many Newton-form polynomials at once by nested multiplication.
 
     Row k of ``coeffs`` and ``nodes`` holds the coefficients and node
-    abscissae of polynomial k; point m is evaluated on polynomial
-    ``lane[m]`` (``lane`` and ``points`` broadcast together, and the result
-    takes their shape).  Every point runs c_j + (x - x_j) * p over every
+    abscissae of polynomial k.  The rows come in ``runs.size`` groups of
+    equal size, in order, and the 1D ``points`` in runs of the lengths
+    ``runs`` holds: every point of run r is evaluated on every polynomial
+    of group r.  The result has shape ``(points.size, rows per group)``.
+    Each column j is expanded to the points by repeating group r's entries
+    ``runs[r]`` times.  Every point runs c_j + (x - x_j) * p over every
     column, with no mask, so a row of lower degree must be padded with +0
     coefficients, as ``grow_stencils`` pads its records: past the degree p
     stays +0, and c_deg + (+-0) is c_deg, so the padded row gives the
     trimmed row's result bit for bit.  (A zero result could change sign
     only on a row of all-zero coefficients; the engine makes those at
-    degree 1 alone, where it does not.)  Column j is gathered once per
-    pass, so column-major ``coeffs`` and ``nodes`` (the layout
-    ``grow_stencils`` returns) gather fastest.
+    degree 1 alone, where it does not.)  Column-major ``coeffs`` and
+    ``nodes`` (the layout ``grow_stencils`` returns) make each column one
+    contiguous row to expand.
     """
-    c, xn = coeffs.T, nodes.T  # row j: coefficient j and node j of every polynomial
-    p = c[-1].take(lane)
-    for j in range(c.shape[0] - 2, -1, -1):
-        q = points - xn[j].take(lane)
+    groups = runs.size
+    shape = (coeffs.shape[1], groups, coeffs.shape[0] // groups if groups else 0)
+    c, xn = coeffs.T.reshape(shape), nodes.T.reshape(shape)  # [j, group, row]
+    col = points[:, None]
+    # the axis goes by position: numpy's keyword parsing costs more than
+    # the copy itself on small calls
+    p = c[-1].repeat(runs, 0)
+    for j in range(shape[0] - 2, -1, -1):
+        q = col - xn[j].repeat(runs, 0)
         q *= p
-        q += c[j].take(lane)
+        q += c[j].repeat(runs, 0)
         p = q
     return p
 
@@ -183,14 +196,15 @@ def newton_eval(piece: IntervalInterpolant, mesh, x):
     """Evaluate the Newton-form interpolant at ``x`` (scalar or array).
 
     Nested multiplication over the insertion order: the result is
-    c_0 + (x - x_e0)(c_1 + (x - x_e1)(c_2 + ...)).
+    c_0 + (x - x_e0)(c_1 + (x - x_e1)(c_2 + ...)), computed by ``horner``
+    with every point in one run.
     """
     xs = np.asarray(mesh, dtype=float)
     xv = np.asarray(x, dtype=float)
     p = horner(
         np.array([piece.coefficients], dtype=float),
         xs[[piece.insertion_order]],
-        np.zeros(xv.shape, dtype=np.intp),
-        xv,
+        np.array([xv.size]),
+        xv.reshape(-1),
     )
-    return float(p) if xv.ndim == 0 else p
+    return float(p[0, 0]) if xv.ndim == 0 else p.reshape(xv.shape)

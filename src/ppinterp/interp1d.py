@@ -14,8 +14,8 @@ __all__ = ["interpolate_lines", "interval_interpolants"]
 
 # Upper bound on the (line, point) pairs one engine call holds, counting each
 # line's mesh points or output points, whichever are more.  It caps the
-# memory of the lane and evaluation arrays; the chunking never changes a
-# result, since every line is interpolated on its own.
+# memory of the stencil records and evaluation arrays; the chunking never
+# changes a result, since every line is interpolated on its own.
 CHUNK_PAIRS = 1 << 17
 
 
@@ -28,36 +28,51 @@ def interpolate_lines(x, lines, pts, config: InterpConfig) -> np.ndarray:
     Each output point belongs to the half-open interval [x_i, x_{i+1}) that
     contains it (the last interval is closed on the right), and a point
     equal to a mesh node returns the line's value there, so every node,
-    x[-1] and signed zeros included, is reproduced bit for bit.  Output
-    order follows ``pts``.  Only the intervals that hold an output point
-    grow a stencil.  The columns go to the engine a chunk at a time, each
-    chunk holding at most ``CHUNK_PAIRS`` (line, point) pairs, or one line.
+    x[-1] and signed zeros included, is reproduced bit for bit.
+
+    The points are located as runs: sorted, the points of one interval are
+    one contiguous run, so one search of the n mesh nodes into the sorted
+    points gives every run's length, and ``horner`` evaluates each interval's
+    polynomials on its run.  Points already in non-decreasing order are used
+    as given; otherwise they are sorted with one ``argsort`` and the results
+    are written back through that permutation, so output order follows
+    ``pts``.  Only the intervals that hold an output point grow a stencil.
+    The columns go to the engine a chunk at a time, each chunk holding at
+    most ``CHUNK_PAIRS`` (line, point) pairs, or one line.
     """
     n, m = x.size, lines.shape[1]
-    idx = x.searchsorted(pts, side="right") - 1  # >= 0: no point lies left of x[0]
-    node = (x.take(idx) == pts).nonzero()[0]  # the points equal to a mesh node
-    at = idx[node]  # and the nodes they equal
-    np.minimum(idx, n - 2, out=idx)
-    used = np.zeros(n - 1, dtype=bool)
-    used[idx] = True
-    intervals = used.nonzero()[0]
-    # An interval's lane rank among the used intervals: idx itself when
-    # every interval holds a point.
-    rank = idx if intervals.size == n - 1 else (used.cumsum() - 1)[idx]
-
     out = np.empty((pts.size, m))
+    if not pts.size:
+        return out
+    dest = slice(None)  # where the sorted points' results go
+    if np.count_nonzero(pts[1:] < pts[:-1]):  # some point is below the one before
+        dest = pts.argsort()
+        pts = pts[dest]
+    edge = pts.searchsorted(x)  # edge[i]: the first point >= x[i]
+    counts = edge[1:] - edge[:-1]  # points in [x_i, x_{i+1})
+    counts[-1] = pts.size - edge[-2]  # the last one takes the points at x[-1] too
+    intervals = counts.nonzero()[0]
+    runs = counts if intervals.size == n - 1 else counts[intervals]
+    # The points equal to node i are the sorted positions edge[i] up to
+    # past[i]; numbered in order, node point j of node i sits at
+    # j + past[i] - total[i].
+    past = pts.searchsorted(x, side="right")
+    hits = past - edge
+    total = hits.cumsum()
+    node = np.arange(total[-1]) + (past - total).repeat(hits)
+
     step = max(1, CHUNK_PAIRS // max(n, pts.size))
     for k in range(0, m, step):
         c = min(step, m - k)
         st = grow_stencils(x, lines[:, k : k + c], intervals, config)
-        lane = rank[:, None] * c + np.arange(c)  # (point, line) -> its lane
-        out[:, k : k + c] = horner(st.coeffs, x[st.order], lane, pts[:, None])
+        res = horner(st.coeffs, x[st.order], runs, pts)
         # A node's value is returned as given.  Horner gives it as
         # c_0 + 0 * p, which turns a -0.0 into +0.0, and x[-1] lies in the
         # last interval, whose records start at x[-2], so it would come out
         # rounded.
-        out[node, k : k + c] = lines[at, k : k + c]
-        del st, lane  # free this chunk's lanes before the next one grows
+        res[node] = lines[:, k : k + c].repeat(hits, 0)
+        out[dest, k : k + c] = res
+        del st, res  # free this chunk's records before the next one grows
     return out
 
 

@@ -44,7 +44,10 @@ def _pchip(mesh, lines, points):
     before dividing, so no division by zero happens.  A two-point mesh is
     linear.  Each point takes the cubic of the interval ``x[i] <= p <
     x[i+1]`` (the last one for ``p == x[-1]``), summed from the constant
-    term up, as SciPy's ``PPoly`` does; node values are not written back."""
+    term up, as SciPy's ``PPoly`` does; node values are not written back.
+    So, unlike the adaptive methods, x[-1] is evaluated on the last cubic
+    and may come out rounded: on nonnegative data it can be a tiny negative
+    value (-3.3e-16 has been seen)."""
     lines = np.ascontiguousarray(lines)  # rows gathered per point must be contiguous
     h = np.diff(mesh)[:, None]
     m = np.diff(lines, axis=0) / h

@@ -54,3 +54,38 @@ def leading_dd_lagrange(x, u, l, r):
                 denom *= x[k] - x[j]
         total += u[k] / denom
     return total
+
+
+def zero_node_mesh(rng, n):
+    """A random mesh with one node, chosen at random, exactly at 0.0."""
+    x = random_mesh(rng, n, -1.0, 1.0)
+    return x - x[rng.integers(n)]
+
+
+def mixed_points(rng, x, size):
+    """Sorted output points on mesh ``x``: ``size`` uniform draws, every
+    node, x[-1] once more, repeats of some of these, and -0.0 and +0.0 when
+    the mesh spans zero."""
+    pts = np.concatenate([rng.uniform(x[0], x[-1], size), x, x[-1:]])
+    pts = np.concatenate([pts, rng.choice(pts, size // 3 + 2)])
+    if x[0] <= 0.0 <= x[-1]:
+        pts = np.concatenate([pts, [-0.0, 0.0, -0.0]])
+    return np.sort(pts)
+
+
+def signed_zeros(rng, v, share=0.3):
+    """``v`` with about ``share`` of its entries set to +0.0 or -0.0."""
+    v = v.copy()
+    zeros = rng.random(v.shape) < share
+    v[zeros] = rng.choice([0.0, -0.0], zeros.sum())
+    return v
+
+
+def signed_equal(a, b):
+    """Equal values and equal sign bits, so -0.0 and +0.0 differ."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def reorderings(rng, size):
+    """The reversing permutation and a random one."""
+    return np.arange(size)[::-1], rng.permutation(size)

@@ -203,8 +203,9 @@ class TestNewtonEval:
             nodes.append(x[np.pad(order, (0, top + 1 - len(order)), constant_values=i)])
             pts.append(s)
             want.append(newton_eval(piece, x, s))
-        got = horner(np.array(coeffs), np.array(nodes), np.arange(200)[:, None], np.array(pts))
-        assert (got.view(np.int64) == np.array(want).view(np.int64)).all()
+        # one run of 8 points per row
+        got = horner(np.array(coeffs), np.array(nodes), np.full(200, 8), np.ravel(pts))
+        assert (got.reshape(200, 8).view(np.int64) == np.array(want).view(np.int64)).all()
 
     def test_reproduces_node_values(self):
         rng = np.random.default_rng(13)

@@ -4,7 +4,7 @@ import pytest
 from ppinterp import DBI, PPI, InterpConfig, adaptive_interpolation_1d, interval_interpolants
 from ppinterp.interp1d import interpolate_lines
 
-from helpers import random_mesh
+from helpers import mixed_points, random_mesh, reorderings, signed_equal, signed_zeros
 
 
 def _random_instance(rng, signed):
@@ -53,9 +53,22 @@ class TestValidation:
         with pytest.raises(ValueError, match="1.5"):
             adaptive_interpolation_1d([0, 1], [1, 2], [0.5, 1.5], 1, DBI)
 
+    def test_out_of_range_value_printed_as_float(self):
+        msg = r"^output point -0\.25 outside the mesh range \[0\.0, 1\.0\]$"
+        with pytest.raises(ValueError, match=msg):
+            adaptive_interpolation_1d([0, 1], [1, 2], np.array([0.5, -0.25]), 1, DBI)
+
     def test_nan_output_point_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match="^output points must be finite$"):
             adaptive_interpolation_1d([0, 1], [1, 2], [np.nan], 1, DBI)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_output_points(self, bad):
+        # the same wording as for a non-finite mesh or values, wherever the
+        # bad point sits among valid ones
+        for pts in ([bad], [0.5, bad], [bad, 0.0, 1.0]):
+            with pytest.raises(ValueError, match="^output points must be finite$"):
+                adaptive_interpolation_1d([0, 1], [1, 2], pts, 1, DBI)
 
     @pytest.mark.parametrize("im", [3, True, 2.0], ids=["out-of-range", "bool", "float"])
     def test_bad_method(self, im):
@@ -104,7 +117,7 @@ class TestValidation:
 
     def test_empty_output(self):
         out = adaptive_interpolation_1d([0, 1], [1, 2], [], 1, DBI)
-        assert out.size == 0
+        assert out.shape == (0,)
 
 
 class TestExactness:
@@ -170,6 +183,22 @@ class TestOutputOrdering:
         base = adaptive_interpolation_1d(x, u, xout, 5, PPI)
         shuffled = adaptive_interpolation_1d(x, u, xout[perm], 5, PPI)
         assert np.array_equal(shuffled, base[perm])
+
+    def test_reversed_and_shuffled_points_permute_result(self):
+        # Duplicate points, -0.0 and +0.0 points at a zero node, -0.0 data,
+        # every node and x[-1] twice: each point's value, sign bit included,
+        # must not depend on where the point sits in the output axis.
+        rng = np.random.default_rng(31)
+        for trial in range(120):
+            x, u, d, st, eps0, eps1 = _random_instance(rng, signed=trial % 2 == 0)
+            x = x - x[rng.integers(x.size)]  # one node exactly at 0.0
+            u = signed_zeros(rng, u)
+            pts = mixed_points(rng, x, int(rng.integers(1, 80)))
+            for im in (DBI, PPI):
+                base = adaptive_interpolation_1d(x, u, pts, d, im, st, eps0, eps1)
+                for perm in reorderings(rng, pts.size):
+                    got = adaptive_interpolation_1d(x, u, pts[perm], d, im, st, eps0, eps1)
+                    assert signed_equal(got, base[perm])
 
     def test_unsorted_output_points(self):
         x = np.linspace(0, 1, 5)

@@ -18,7 +18,9 @@ from ppinterp import (
 )
 from ppinterp import interp1d, interpnd
 
-from helpers import random_mesh
+from helpers import (
+    mixed_points, random_mesh, reorderings, signed_equal, signed_zeros, zero_node_mesh,
+)
 
 
 def assert_one_axis_field_matches_1d(interp, meshes, outs):
@@ -55,9 +57,13 @@ class TestValidation2D:
 
     def test_out_of_hull_output_rejected(self):
         v = np.ones((3, 3))
-        for xout, yout in (([2.5], [0.5]), ([0.5], [-0.5]), ([0.5], [np.nan])):
+        for xout, yout in (([2.5], [0.5]), ([0.5], [-0.5])):
             with pytest.raises(ValueError, match="outside the mesh range"):
                 adaptive_interpolation_2d([0, 1, 2], [0, 1, 2], v, xout, yout, 1, DBI)
+        for xout, yout in (([0.5], [np.nan]), ([np.inf], [0.5]), ([0.5], [-np.inf])):
+            for interp in (lambda *a: adaptive_interpolation_2d(*a, 1, DBI), pchip_2d):
+                with pytest.raises(ValueError, match="output points must be finite"):
+                    interp([0, 1, 2], [0, 1, 2], v, xout, yout)
 
     def test_unsorted_output_permutes_result(self):
         rng = np.random.default_rng(7)
@@ -294,6 +300,50 @@ class TestGuarantees:
                 assert got.min() >= (v.min() if im == DBI else 0.0)
                 if im == DBI:
                     assert got.max() <= v.max()
+
+
+class TestOutputAxes:
+    def test_reversed_and_shuffled_axes_permute_result(self):
+        # Every axis holds duplicates, -0.0 and +0.0 at a zero node, every
+        # node and x[-1] twice, over -0.0 data: reversing or shuffling the
+        # axes permutes the result, sign bits included.
+        rng = np.random.default_rng(36)
+        for trial in range(60):
+            ndim = 2 + trial % 2
+            meshes = [zero_node_mesh(rng, int(rng.integers(2, 10 if ndim == 2 else 6)))
+                      for _ in range(ndim)]
+            v = signed_zeros(rng, rng.uniform(-1.0 if trial % 4 < 2 else 0.0, 1.0,
+                                              [m.size for m in meshes]))
+            outs = [mixed_points(rng, m, int(rng.integers(1, 12 if ndim == 2 else 5)))
+                    for m in meshes]
+            d, im, st = int(rng.integers(1, 9)), (DBI, PPI)[trial // 2 % 2], trial % 3 + 1
+            interps = [lambda *a: ADAPTIVE[ndim](*a, d, im, st)]
+            if ndim == 2:
+                interps.append(pchip_2d)
+            for interp in interps:
+                base = interp(*meshes, v, *outs)
+                for perms in zip(*(reorderings(rng, o.size) for o in outs)):
+                    got = interp(*meshes, v, *(o[p] for o, p in zip(outs, perms)))
+                    assert signed_equal(got, base[np.ix_(*perms)])
+
+    def test_empty_output_axes(self):
+        # any empty output axis gives an empty result of the grid's shape
+        rng = np.random.default_rng(37)
+        meshes = [random_mesh(rng, n) for n in (5, 4, 3)]
+        v = rng.uniform(0.0, 1.0, (5, 4, 3))
+        full = [np.linspace(m[0], m[-1], k) for m, k in zip(meshes, (3, 2, 4))]
+        assert pchip_1d(meshes[0], v[:, 0, 0], []).shape == (0,)
+        for ndim in (2, 3):
+            grid = v[(slice(None),) * ndim + (0,) * (3 - ndim)]
+            interps = [lambda *a: ADAPTIVE[ndim](*a, 3, PPI)]
+            if ndim == 2:
+                interps.append(pchip_2d)
+            for empty in range(1, 2**ndim):
+                outs = [[] if empty >> k & 1 else full[k] for k in range(ndim)]
+                shape = tuple(len(o) for o in outs)
+                for interp in interps:
+                    got = interp(*meshes[:ndim], grid, *outs)
+                    assert got.shape == shape and got.dtype == float
 
 
 class TestValidateOnce:

@@ -469,17 +469,16 @@ def test_padded_records_evaluate_like_trimmed_pieces():
         intervals = np.arange(n - 1)
         st = grow_stencils(x, block, intervals, cfg)
         assert_zero_padded(st)
-        # every lane at 9 points: its interval's two ends and 7 inside
+        # every lane at 9 points: its interval's two ends and 7 inside, one
+        # run of 9 points per interval
         t = np.linspace(0.0, 1.0, 9)
-        left = x[intervals.repeat(block.shape[1])]
-        pts = left[:, None] + (x[1:] - x[:-1]).repeat(block.shape[1])[:, None] * t
-        lane = np.arange(left.size)[:, None]
-        got = horner(st.coeffs, x[st.order], lane, pts)
+        pts = x[:-1, None] + (x[1:] - x[:-1])[:, None] * t
+        got = horner(st.coeffs, x[st.order], np.full(n - 1, 9), pts.ravel())
+        got = got.reshape(n - 1, 9, block.shape[1])
         for col in range(block.shape[1]):
             for k, piece in enumerate(interval_interpolants(x, block[:, col], cfg)):
-                row = k * block.shape[1] + col
-                want = newton_eval(piece, x, pts[row])
-                assert (got[row].view(np.int64) == want.view(np.int64)).all()
+                want = newton_eval(piece, x, pts[k])
+                assert (got[k, :, col].view(np.int64) == want.view(np.int64)).all()
         lanes += st.degree.size
         short += np.count_nonzero(st.degree < st.coeffs.shape[1] - 1)
     assert lanes > 2_000 and short > 1_000
