@@ -1,6 +1,7 @@
 """The 1D engine driver: a block of lines on one mesh, interpolated to one set
-of output points.  Every public entry point, 1D included, reaches it as one
-axis of ``interpnd.tensor_sweep``, which validates the input first."""
+of output points.  Every public entry point, 1D included, reaches it
+through ``interpnd.tensor_sweep``, which validates the input first and
+hands it one chunk of an axis's lines per call."""
 
 from __future__ import annotations
 
@@ -11,12 +12,6 @@ from .divdiff import IntervalInterpolant, as_mesh1d, as_values, horner
 from .stencil import grow_stencils
 
 __all__ = ["interpolate_lines", "interval_interpolants"]
-
-# Upper bound on the (line, point) pairs one engine call holds, counting each
-# line's mesh points or output points, whichever are more.  It caps the
-# memory of the stencil records and evaluation arrays; the chunking never
-# changes a result, since every line is interpolated on its own.
-CHUNK_PAIRS = 1 << 17
 
 
 def interpolate_lines(x, lines, pts, config: InterpConfig) -> np.ndarray:
@@ -37,14 +32,10 @@ def interpolate_lines(x, lines, pts, config: InterpConfig) -> np.ndarray:
     as given; otherwise they are sorted with one ``argsort`` and the results
     are written back through that permutation, so output order follows
     ``pts``.  Only the intervals that hold an output point grow a stencil.
-    The columns go to the engine a chunk at a time, each chunk holding at
-    most ``CHUNK_PAIRS`` (line, point) pairs, or one line.
     """
-    n, m = x.size, lines.shape[1]
-    out = np.empty((pts.size, m))
     if not pts.size:
-        return out
-    dest = slice(None)  # where the sorted points' results go
+        return np.empty((0, lines.shape[1]))
+    dest = None  # where the sorted points' results go, if they were sorted
     if np.count_nonzero(pts[1:] < pts[:-1]):  # some point is below the one before
         dest = pts.argsort()
         pts = pts[dest]
@@ -52,7 +43,6 @@ def interpolate_lines(x, lines, pts, config: InterpConfig) -> np.ndarray:
     counts = edge[1:] - edge[:-1]  # points in [x_i, x_{i+1})
     counts[-1] = pts.size - edge[-2]  # the last one takes the points at x[-1] too
     intervals = counts.nonzero()[0]
-    runs = counts if intervals.size == n - 1 else counts[intervals]
     # The points equal to node i are the sorted positions edge[i] up to
     # past[i]; numbered in order, node point j of node i sits at
     # j + past[i] - total[i].
@@ -60,19 +50,16 @@ def interpolate_lines(x, lines, pts, config: InterpConfig) -> np.ndarray:
     hits = past - edge
     total = hits.cumsum()
     node = np.arange(total[-1]) + (past - total).repeat(hits)
-
-    step = max(1, CHUNK_PAIRS // max(n, pts.size))
-    for k in range(0, m, step):
-        c = min(step, m - k)
-        st = grow_stencils(x, lines[:, k : k + c], intervals, config)
-        res = horner(st.coeffs, x[st.order], runs, pts)
-        # A node's value is returned as given.  Horner gives it as
-        # c_0 + 0 * p, which turns a -0.0 into +0.0, and x[-1] lies in the
-        # last interval, whose records start at x[-2], so it would come out
-        # rounded.
-        res[node] = lines[:, k : k + c].repeat(hits, 0)
-        out[dest, k : k + c] = res
-        del st, res  # free this chunk's records before the next one grows
+    st = grow_stencils(x, lines, intervals, config)
+    res = horner(st.coeffs, x[st.order], counts[intervals], pts)
+    # A node's value is returned as given.  Horner gives it as c_0 + 0 * p,
+    # which turns a -0.0 into +0.0, and x[-1] lies in the last interval,
+    # whose records start at x[-2], so it would come out rounded.
+    res[node] = lines.repeat(hits, 0)
+    if dest is None:
+        return res
+    out = np.empty_like(res)
+    out[dest] = res
     return out
 
 

@@ -23,6 +23,13 @@ __all__ = [
     "tensor_sweep",
 ]
 
+# Upper bound on the (line, point) pairs one sweep call holds, counting each
+# line's mesh points or output points, whichever are more.  Measured over
+# 2^14 to 2^17 (BENCH_15.json): below 2^16, PCHIP's fixed work per call,
+# repeated per chunk, slows large 2D calls; at 2^17 the adaptive engine's
+# work arrays take twice the memory and lose the cache.
+CHUNK_PAIRS = 1 << 16
+
 
 def tensor_sweep(meshes, v, outs, sweep) -> np.ndarray:
     """Map grid values ``v`` on the tensor product of ``meshes`` onto the
@@ -34,15 +41,28 @@ def tensor_sweep(meshes, v, outs, sweep) -> np.ndarray:
     axis as the columns of a ``(mesh.size, m)`` block and returns their
     ``(points.size, m)`` values at ``points``.  The block is the grid with
     that axis swapped to the front; every line is interpolated on its own,
-    so the order of the columns does not matter.
+    so the order and grouping of the columns do not matter.
+
+    The columns go to ``sweep`` a chunk at a time, each chunk holding at
+    most ``CHUNK_PAIRS`` (line, point) pairs, or one line, which caps the
+    memory of a sweep's work arrays on large grids.  A block that fits in
+    one chunk is swept in one call and its result used as returned; larger
+    ones are copied chunk by chunk into one output block.
     """
     ms = [as_mesh1d(m) for m in meshes]
     q = as_values(v, tuple(m.size for m in ms))
     pts = [as_points(m, o) for m, o in zip(ms, outs)]
     for k, (mesh, p) in enumerate(zip(ms, pts)):
         front = q.swapaxes(0, k)
-        lines = sweep(mesh, front.reshape(mesh.size, -1), p)
-        q = lines.reshape(p.shape + front.shape[1:]).swapaxes(0, k)
+        lines = front.reshape(mesh.size, -1)
+        step = max(1, CHUNK_PAIRS // max(mesh.size, p.size))
+        if step >= lines.shape[1]:
+            block = sweep(mesh, lines, p)
+        else:
+            block = np.empty((p.size, lines.shape[1]))
+            for c in range(0, lines.shape[1], step):
+                block[:, c : c + step] = sweep(mesh, lines[:, c : c + step], p)
+        q = block.reshape(p.shape + front.shape[1:]).swapaxes(0, k)
     return q
 
 

@@ -17,11 +17,6 @@ from .interpnd import tensor_sweep
 
 __all__ = ["pchip_1d", "pchip_2d"]
 
-# The points are evaluated a chunk at a time, each chunk holding at most this
-# many values (256 KiB), so the chunk and its work buffer stay in cache on
-# large 2D blocks; the chunking never changes a result.
-CHUNK_VALUES = 1 << 15
-
 
 def _end_slope(h0, h1, m0, m1):
     """One-sided three-point slope at a mesh end, from the spacings ``h0``
@@ -74,19 +69,14 @@ def _pchip(mesh, lines, points):
     t = (d[:-1] + d[1:] - 2 * m) / h
     c1 = (m - d[:-1]) / h
     c1 -= t
-    terms = ((d[:-1], s), (c1, s2), (t / h, s2 * s))
-    out = np.empty((points.size, lines.shape[1]))
-    step = max(1, CHUNK_VALUES // max(1, lines.shape[1]))
-    buf = np.empty_like(out[:step])
-    # i is in range, and mode="clip" lets take write into out= unbuffered
-    for a in range(0, points.size, step):
-        rows, at = out[a : a + step], i[a : a + step]
-        term = buf[: len(rows)]
-        c3.take(at, axis=0, out=rows, mode="clip")
-        for c, power in terms:
-            c.take(at, axis=0, out=term, mode="clip")
-            term *= power[a : a + step]
-            rows += term
+    # i is in range, so mode="clip" changes no index; it lets take write
+    # into out= unbuffered
+    out = c3.take(i, axis=0, mode="clip")
+    term = np.empty_like(out)
+    for c, power in ((d[:-1], s), (c1, s2), (t / h, s2 * s)):
+        c.take(i, axis=0, out=term, mode="clip")
+        term *= power
+        out += term
     return out
 
 

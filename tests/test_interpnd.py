@@ -1,5 +1,6 @@
 import inspect
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from ppinterp import (
     pchip_2d,
 )
 from ppinterp import interp1d, interpnd
+from ppinterp.testfunctions import TEST_FUNCTIONS
 
 from helpers import (
     mixed_points, random_mesh, reorderings, signed_equal, signed_zeros, zero_node_mesh,
@@ -242,8 +244,45 @@ class TestBlockBookkeeping:
     def test_across_chunk_boundaries(self, monkeypatch, pairs):
         # one line per chunk, or two or three: most sweeps split into
         # several chunks, the last one short
-        monkeypatch.setattr(interp1d, "CHUNK_PAIRS", pairs)
+        rng = np.random.default_rng(33)
+        cases = []
+        for _ in range(30):
+            meshes, v, outs = random_grid_case(rng, 2)[:3]
+            v[(v == 0.0) & (rng.random(v.shape) < 0.5)] = -0.0
+            cases.append((meshes, v, outs, pchip_2d(*meshes, v, *outs)))
+        monkeypatch.setattr(interpnd, "CHUNK_PAIRS", pairs)
         self.check(np.random.default_rng(32), 30)
+        for meshes, v, outs, whole in cases:
+            assert signed_equal(pchip_2d(*meshes, v, *outs), whole)
+
+
+class TestChunkMemory:
+    """The chunks cap the memory of a sweep's work arrays: beyond the output,
+    a large 2D call holds no more than a fixed number of float64 values per
+    (line, point) pair of one chunk, so the bound follows
+    ``interpnd.CHUNK_PAIRS``, not the grid."""
+
+    VALUES_PER_PAIR = 40  # work arrays and the intermediate field
+
+    @pytest.mark.parametrize(
+        "size, call",
+        [
+            (2000, lambda x, v, xo: pchip_2d(x, x, v, xo, xo)),
+            (1000, lambda x, v, xo: adaptive_interpolation_2d(x, x, v, xo, xo, 8, PPI)),
+        ],
+        ids=["pchip", "ppi"],
+    )
+    def test_peak_beyond_output_set_by_chunk_budget(self, size, call):
+        x = np.linspace(-1.0, 1.0, 257)
+        v = TEST_FUNCTIONS["f4"].sample(x, x)
+        xo = np.linspace(-1.0, 1.0, size)
+        tracemalloc.start()
+        try:
+            out = call(x, v, xo)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < self.VALUES_PER_PAIR * 8 * interpnd.CHUNK_PAIRS
 
 
 def sweep_blocks(meshes, v, outs, cfg):

@@ -8,6 +8,7 @@ where a tolerance-based comparison would not.
 """
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from ppinterp import (
     adaptive_interpolation_2d,
     adaptive_interpolation_3d,
 )
+from ppinterp import interpnd
 
 from helpers import random_mesh
 
@@ -71,7 +73,7 @@ def digest_cases():
             k // 18 % 3 + 1, float(eps0), float(eps1),
         )
     # 2D blocks large enough that both sweeps split their lines into
-    # several chunks of interp1d.CHUNK_PAIRS pairs
+    # several chunks of interpnd.CHUNK_PAIRS pairs (checked by the test)
     for order in range(3):
         x, y = _mesh(rng, 20), _mesh(rng, 300)
         v = rng.uniform(0.0, 1.0, (20, 300))
@@ -80,10 +82,24 @@ def digest_cases():
         yield 2, [x, y], v, outs, 5, PPI, order + 1, 0.01, 1.0
 
 
+def sweep_chunks(meshes, outs):
+    """How many chunks ``tensor_sweep`` splits each axis's lines into."""
+    sizes = [m.size for m in meshes]
+    chunks = []
+    for k, (mesh, points) in enumerate(zip(meshes, outs)):
+        lines = math.prod(sizes) // mesh.size
+        step = max(1, interpnd.CHUNK_PAIRS // max(mesh.size, points.size))
+        chunks.append(math.ceil(lines / step))
+        sizes[k] = points.size
+    return chunks
+
+
 def test_output_digest():
     h = hashlib.sha256()
     calls = negative_zeros = 0
     for ndim, meshes, v, outs, d, im, st, eps0, eps1 in digest_cases():
+        if calls >= CALLS:
+            assert min(sweep_chunks(meshes, outs)) >= 2
         out = INTERP[ndim](*meshes, v, *outs, d, im, st, eps0, eps1)
         assert out.shape == tuple(o.size for o in outs)
         h.update(repr((ndim, out.shape)).encode())

@@ -134,8 +134,8 @@ class TestPchip2D:
         from scipy.interpolate import PchipInterpolator
 
         rng = np.random.default_rng(9)
-        # (2, 3) and (3, 2) grids, random ones, and one large enough that the
-        # evaluation runs in several chunks
+        # (2, 3) and (3, 2) grids, random ones, and one large enough that
+        # both sweeps run in several chunks of interpnd.CHUNK_PAIRS pairs
         shapes = [(2, 3), (3, 2), (2, 2)] + [tuple(rng.integers(2, 30, 2)) for _ in range(40)] + [(181, 190)]
         for nx, ny in shapes:
             x, y = random_mesh(rng, nx), random_mesh(rng, ny)
