@@ -1,7 +1,8 @@
 """The 1D engine driver: a block of lines on one mesh, interpolated to one set
 of output points.  Every public entry point, 1D included, reaches it
-through ``interpnd.tensor_sweep``, which validates the input first and
-hands it one chunk of an axis's lines per call."""
+through ``interpnd.tensor_sweep``, which validates the input first, locates
+the output points once per axis and hands it one chunk of an axis's lines
+per call."""
 
 from __future__ import annotations
 
@@ -14,32 +15,24 @@ from .stencil import grow_stencils
 __all__ = ["interpolate_lines", "interval_interpolants"]
 
 
-def interpolate_lines(x, lines, pts, config: InterpConfig) -> np.ndarray:
+def interpolate_lines(x, lines, pts, edge, config: InterpConfig) -> np.ndarray:
     """Interpolate every column of the ``(n, m)`` block ``lines``, values on
     mesh ``x``, to the points ``pts``; returns the ``(pts.size, m)`` block.
 
     The inputs must already be validated, by ``as_mesh1d``, ``as_values`` and
-    ``as_points``: the public entry points check each of them once per call.
-    Each output point belongs to the half-open interval [x_i, x_{i+1}) that
+    ``as_points``, and located as ``interpnd.tensor_sweep`` does once per
+    axis: ``pts`` non-decreasing and ``edge = pts.searchsorted(x)``.  Each
+    output point belongs to the half-open interval [x_i, x_{i+1}) that
     contains it (the last interval is closed on the right), and a point
     equal to a mesh node returns the line's value there, so every node,
     x[-1] and signed zeros included, is reproduced bit for bit.
 
-    The points are located as runs: sorted, the points of one interval are
-    one contiguous run, so one search of the n mesh nodes into the sorted
-    points gives every run's length, and ``horner`` evaluates each interval's
-    polynomials on its run.  Points already in non-decreasing order are used
-    as given; otherwise they are sorted with one ``argsort`` and the results
-    are written back through that permutation, so output order follows
-    ``pts``.  Only the intervals that hold an output point grow a stencil.
+    The points of one interval are one contiguous run, ``edge`` gives every
+    run's length, and ``horner`` evaluates each interval's polynomials on its
+    run.  Only the intervals that hold an output point grow a stencil.
     """
     if not pts.size:
         return np.empty((0, lines.shape[1]))
-    dest = None  # where the sorted points' results go, if they were sorted
-    if np.count_nonzero(pts[1:] < pts[:-1]):  # some point is below the one before
-        dest = pts.argsort()
-        pts = pts[dest]
-    edge = pts.searchsorted(x)  # edge[i]: the first point >= x[i]
     counts = edge[1:] - edge[:-1]  # points in [x_i, x_{i+1})
     counts[-1] = pts.size - edge[-2]  # the last one takes the points at x[-1] too
     intervals = counts.nonzero()[0]
@@ -56,11 +49,7 @@ def interpolate_lines(x, lines, pts, config: InterpConfig) -> np.ndarray:
     # which turns a -0.0 into +0.0, and x[-1] lies in the last interval,
     # whose records start at x[-2], so it would come out rounded.
     res[node] = lines.repeat(hits, 0)
-    if dest is None:
-        return res
-    out = np.empty_like(res)
-    out[dest] = res
-    return out
+    return res
 
 
 def interval_interpolants(x, v, config: InterpConfig) -> list[IntervalInterpolant]:

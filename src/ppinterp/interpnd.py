@@ -37,11 +37,20 @@ def tensor_sweep(meshes, v, outs, sweep) -> np.ndarray:
     first.
 
     Every mesh, the values and every output axis are validated before any
-    sweep runs.  ``sweep(mesh, lines, points)`` receives the lines along one
-    axis as the columns of a ``(mesh.size, m)`` block and returns their
+    sweep runs.  ``sweep(mesh, lines, points, edge)`` receives the lines along
+    one axis as the columns of a ``(mesh.size, m)`` block and returns their
     ``(points.size, m)`` values at ``points``.  The block is the grid with
     that axis swapped to the front; every line is interpolated on its own,
     so the order and grouping of the columns do not matter.
+
+    Each output axis is located once, here: its points are checked for
+    order, sorted with one ``argsort`` only if some point is below the one
+    before, and searched against the mesh once, ``edge =
+    points.searchsorted(mesh)``.  The points of interval i, ``x[i] <= p <
+    x[i+1]``, are then ``points[edge[i]:edge[i+1]]``, and the last interval
+    also takes the points at x[-1].  Every call for the axis receives the
+    same sorted ``points`` and ``edge``, and the results of sorted points
+    are scattered back to the caller's order.
 
     The columns go to ``sweep`` a chunk at a time, each chunk holding at
     most ``CHUNK_PAIRS`` (line, point) pairs, or one line, which caps the
@@ -55,13 +64,20 @@ def tensor_sweep(meshes, v, outs, sweep) -> np.ndarray:
     for k, (mesh, p) in enumerate(zip(ms, pts)):
         front = q.swapaxes(0, k)
         lines = front.reshape(mesh.size, -1)
+        dest = None  # where the sorted points' results go, if they were sorted
+        if np.count_nonzero(p[1:] < p[:-1]):  # some point is below the one before
+            dest = p.argsort()
+            p = p[dest]
+        edge = p.searchsorted(mesh)  # edge[i]: the first point >= x[i]
         step = max(1, CHUNK_PAIRS // max(mesh.size, p.size))
         if step >= lines.shape[1]:
-            block = sweep(mesh, lines, p)
+            block = sweep(mesh, lines, p, edge)
         else:
             block = np.empty((p.size, lines.shape[1]))
             for c in range(0, lines.shape[1], step):
-                block[:, c : c + step] = sweep(mesh, lines[:, c : c + step], p)
+                block[:, c : c + step] = sweep(mesh, lines[:, c : c + step], p, edge)
+        if dest is not None:
+            block[dest] = block.copy()
         q = block.reshape(p.shape + front.shape[1:]).swapaxes(0, k)
     return q
 

@@ -29,10 +29,12 @@ def _end_slope(h0, h1, m0, m1):
     return np.where(np.sign(d) == s0, np.where(cap, 3.0 * m0, d), 0.0)
 
 
-def _pchip(mesh, lines, points):
+def _pchip(mesh, lines, points, edge):
     """PCHIP of the columns of the ``(n, m)`` block ``lines`` on ``mesh``,
     evaluated at ``points``; equals SciPy's
-    ``PchipInterpolator(mesh, lines, axis=0)(points)`` bit for bit.
+    ``PchipInterpolator(mesh, lines, axis=0)(points)`` bit for bit.  The
+    points come located by ``interpnd.tensor_sweep``: non-decreasing, with
+    ``edge = points.searchsorted(mesh)``.
 
     The harmonic mean is formed only where both secants are nonzero and
     share a sign: elsewhere the slope is +0 and the secants are replaced by 1
@@ -44,8 +46,8 @@ def _pchip(mesh, lines, points):
     and may come out rounded: on nonnegative data it can be a tiny negative
     value (-3.3e-16 has been seen)."""
     lines = np.ascontiguousarray(lines)  # rows gathered per point must be contiguous
-    h = np.diff(mesh)[:, None]
-    m = np.diff(lines, axis=0) / h
+    h = (mesh[1:] - mesh[:-1])[:, None]
+    m = (lines[1:] - lines[:-1]) / h
     d = np.empty_like(lines)
     if mesh.size == 2:
         d[:] = m
@@ -59,8 +61,10 @@ def _pchip(mesh, lines, points):
         d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
         d[0] = _end_slope(h[0], h[1], m[0], m[1])
         d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
-    # the interior nodes <= p number i, with x[i] <= p < x[i+1] and n-2 at x[-1]
-    i = np.searchsorted(mesh[1:-1], points, side="right")
+    # each point's interval i, x[i] <= p < x[i+1] (n-2 at x[-1]), from its run
+    counts = edge[1:] - edge[:-1]
+    counts[-1] = points.size - edge[-2]
+    i = np.arange(mesh.size - 1).repeat(counts)
     s = (points - mesh.take(i))[:, None]
     s2 = s * s
     # CubicHermiteSpline's coefficients times the powers of s, summed in

@@ -2,6 +2,7 @@ import inspect
 import sys
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from ppinterp import (
     pchip_2d,
 )
 from ppinterp import interp1d, interpnd
+from ppinterp.pchip import _pchip
 from ppinterp.testfunctions import TEST_FUNCTIONS
 
 from helpers import (
@@ -256,6 +258,38 @@ class TestBlockBookkeeping:
             assert signed_equal(pchip_2d(*meshes, v, *outs), whole)
 
 
+class TestSweepContract:
+    """``tensor_sweep`` locates each output axis once: every chunk of an
+    axis receives the same sorted points and the same search of the mesh
+    into them, and the caller's order is restored afterwards."""
+
+    @pytest.mark.parametrize("pairs", [1, 40])
+    def test_one_locate_per_axis(self, monkeypatch, pairs):
+        # the y axis is shuffled; both axes split into several chunks
+        monkeypatch.setattr(interpnd, "CHUNK_PAIRS", pairs)
+        rng = np.random.default_rng(38)
+        x, y = random_mesh(rng, 5), zero_node_mesh(rng, 6)
+        v = signed_zeros(rng, rng.uniform(0.0, 1.0, (5, 6)))
+        xo, yo = mixed_points(rng, x, 2), mixed_points(rng, y, 2)
+        perm = rng.permutation(yo.size)
+        for method in (partial(interp1d.interpolate_lines, config=InterpConfig(d=5, im=PPI)), _pchip):
+            calls = []
+
+            def sweep(mesh, lines, points, edge):
+                calls.append((mesh, points, edge))
+                return method(mesh, lines, points, edge)
+
+            got = interpnd.tensor_sweep((x, y), v, (xo, yo[perm]), sweep)
+            assert signed_equal(got, interpnd.tensor_sweep((x, y), v, (xo, yo), method)[:, perm])
+            for mesh in (x, y):
+                axis = [c for c in calls if c[0].size == mesh.size]
+                points, edge = axis[0][1:]
+                assert len(axis) > 1
+                assert all(c[1] is points and c[2] is edge for c in axis)
+                assert np.all(points[1:] >= points[:-1])
+                assert np.array_equal(edge, points.searchsorted(mesh))
+
+
 class TestChunkMemory:
     """The chunks cap the memory of a sweep's work arrays: beyond the output,
     a large 2D call holds no more than a fixed number of float64 values per
@@ -290,8 +324,8 @@ def sweep_blocks(meshes, v, outs, cfg):
     received and the block it returned."""
     blocks = []
 
-    def sweep(mesh, lines, points):
-        out = interp1d.interpolate_lines(mesh, lines, points, cfg)
+    def sweep(mesh, lines, points, edge):
+        out = interp1d.interpolate_lines(mesh, lines, points, edge, cfg)
         blocks.append((lines, out))
         return out
 

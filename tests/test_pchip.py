@@ -127,6 +127,13 @@ class TestPchip1D:
             # by value (a -0.0 as +0.0), while x[-1] is evaluated on the last
             # interval and may round
             assert np.array_equal(got[: n - 1], u[:-1])
+            # the intervals at x[0], the nodes and x[-1], sign bits included,
+            # on a mesh that starts at 0.0 hit by -0.0 and +0.0, and with
+            # the points reversed
+            x0 = x - x[0]
+            xq0 = np.concatenate((xq - x[0], [-0.0, 0.0]))
+            for mesh, q in ((x, xq[::-1]), (x0, xq0), (x0, xq0[::-1])):
+                assert_bitwise(pchip_1d(mesh, u, q), PchipInterpolator(mesh, u)(q))
 
 
 class TestPchip2D:

@@ -228,11 +228,12 @@ class TestBuildStencil:
         x = random_mesh(rng, 10)
         u = rng.uniform(0, 3, (10, 5))
         u[:, 3] = u[:, 1]
-        xout = rng.uniform(x[0], x[-1], 40)
+        xout = np.sort(rng.uniform(x[0], x[-1], 40))
+        edge = xout.searchsorted(x)
         cfg = InterpConfig(d=6, im=PPI)
-        block = interpolate_lines(x, u, xout, cfg)
+        block = interpolate_lines(x, u, xout, edge, cfg)
         for k in range(5):
-            assert np.array_equal(block[:, k], interpolate_lines(x, u[:, [k]], xout, cfg)[:, 0])
+            assert np.array_equal(block[:, k], interpolate_lines(x, u[:, [k]], xout, edge, cfg)[:, 0])
         assert np.array_equal(block[:, 3], block[:, 1])
 
     def test_window_invariants(self):
