@@ -7,7 +7,7 @@ import enum
 
 import numpy as np
 
-from .config import DBI, PPI
+from .config import DBI
 
 __all__ = [
     "ExtremumClass",
@@ -42,9 +42,9 @@ class ExtremumClass(enum.IntEnum):
 
 
 def where(cond, a, b):
-    """``np.where(cond, a, b)``, except that a scalar ``cond`` (one lane: a
-    bool or an integer flag) picks its branch directly and keeps scalar
-    arithmetic in Python floats."""
+    """``np.where(cond, a, b)``, except that a scalar ``cond`` (one interval,
+    as the test oracle passes it: a bool or an integer flag) picks its
+    branch directly and keeps scalar arithmetic in Python floats."""
     if isinstance(cond, (int, np.bool_, np.integer)):
         return a if cond else b
     return np.where(cond, a, b)
@@ -104,7 +104,8 @@ def interval_bounds(u_i, u_ip1, cls, eps0: float, eps1: float):
 def scaling_factors(u_i, u_ip1, u_min, u_max, method: int, degenerate_w=None):
     """Factors (m_l, m_r) bounding the normalized interpolant shape.
 
-    DBI pins them to (0, 1).  For PPI they widen with (u_min, u_max),
+    DBI pins them to (0, 1).  Any other ``method`` is PPI (``InterpConfig``
+    admits only the two), and they widen with (u_min, u_max),
     normalized by the endpoint jump: m_l <= 0 and m_r >= 1, since the shape
     is pinned to 0 and 1 at the interval endpoints.
 
@@ -116,8 +117,6 @@ def scaling_factors(u_i, u_ip1, u_min, u_max, method: int, degenerate_w=None):
     """
     if method == DBI:
         return 0.0, 1.0
-    if method != PPI:
-        raise ValueError(f"method must be {DBI} (DBI) or {PPI} (PPI), got {method}")
 
     equal = u_ip1 == u_i
     if degenerate_w is None:

@@ -66,6 +66,8 @@ class ExperimentSpec:
             raise ValueError(f"refine must be a nonnegative integer, got {self.refine!r}")
         if self.refine != 0 and self.kind != "roundtrip":
             raise ValueError(f"refine applies only to roundtrip experiments, not {self.kind!r}")
+        if self.kind == "roundtrip" and TEST_FUNCTIONS[self.fn].ndim != 1:
+            raise ValueError("round-trip experiments use the 1D test functions")
 
 
 _ADAPTIVE = {1: adaptive_interpolation_1d, 2: adaptive_interpolation_2d}
@@ -95,10 +97,7 @@ def approximation_error(spec: ExperimentSpec) -> float:
 def roundtrip_meshes(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray]:
     """Advection mesh (uniform n points, optionally refined) and reaction mesh
     (interval midpoints, plus the shared endpoints so the hulls coincide)."""
-    tf = TEST_FUNCTIONS[spec.fn]
-    if tf.ndim != 1:
-        raise ValueError("round-trip experiments use the 1D test functions")
-    (lo, hi), = tf.domain
+    (lo, hi), = TEST_FUNCTIONS[spec.fn].domain
     mesh_a = refine_mesh(np.linspace(lo, hi, spec.n), spec.refine)
     mids = 0.5 * (mesh_a[:-1] + mesh_a[1:])
     mesh_r = np.concatenate(([mesh_a[0]], mids, [mesh_a[-1]]))

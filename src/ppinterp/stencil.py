@@ -8,8 +8,10 @@ picks the side.
 
 The engine works on lanes: one lane is one interval of one line of values,
 and every lane of a block takes expansion step j together.  The step
-functions are written elementwise, so the same code handles one lane
-(``replay_chain``) or an array of them (``grow_stencils``)."""
+functions are written elementwise, so one interval (the test oracle's) and
+an array of lanes run the same code.  ``grow_stencils`` grows a block's
+lanes, ``replay_stencils`` re-checks them in the same lockstep, and
+``replay_chain`` is its one-lane case."""
 
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ __all__ = [
     "select_direction",
     "Stencils",
     "grow_stencils",
+    "replay_stencils",
     "replay_chain",
 ]
 
@@ -87,9 +90,10 @@ def select_direction(st: int, dd, lam, i, window, interval, points):
     divided differences and lambda_bar, ``points`` their coordinates, each as
     a (left, right) pair; ``interval`` is (x_i, x_{i+1}).  st=1 prefers the
     smaller divided-difference magnitude, st=2 the side that keeps the
-    stencil symmetric, st=3 the closer point.  Exact ties fall back to the
-    smaller |lambda_bar| (the right side wins equality).  Only the active
-    policy's key is computed.
+    stencil symmetric, st=3 (any other value; ``InterpConfig`` admits only
+    1, 2 and 3) the closer point.  Exact ties fall back to the smaller
+    |lambda_bar| (the right side wins equality).  Only the active policy's
+    key is computed.
     """
     if st == 1:
         mag = np.abs(dd)
@@ -97,10 +101,8 @@ def select_direction(st: int, dd, lam, i, window, interval, points):
     elif st == 2:
         l, r = window
         a, b = i - l, r - (i + 1)
-    elif st == 3:
-        a, b = interval[0] - points[0], points[1] - interval[1]
     else:
-        raise ValueError(f"st must be 1, 2 or 3, got {st}")
+        a, b = interval[0] - points[0], points[1] - interval[1]
     lam_abs = np.abs(lam)
     return (a < b) | ((a == b) & (lam_abs[0] < lam_abs[1]))
 
@@ -272,32 +274,49 @@ def grow_stencils(x, values, intervals, config: InterpConfig) -> Stencils:
     )
 
 
-def replay_chain(piece: IntervalInterpolant, table: DividedDifferenceTable, mesh):
-    """Recompute (lambda_bar_j, B-_j, B+_j) along an accepted stencil.
+def replay_stencils(x, table, st: Stencils):
+    """Recompute (lambda_bar, B-, B+) at every expansion step of every lane
+    of ``st``, all lanes in lockstep; every accepted step must satisfy
+    B- <= lambda_bar <= B+.
 
-    Returns one (j, lambda_bar, b_minus, b_plus) tuple per expansion.  The
-    windows, length products and previous bounds are rebuilt from the
-    recorded insertion order, normalization and scaling factors alone; every
-    accepted step must satisfy B- <= lambda_bar <= B+.
+    ``table`` is the column-major ``(width, n, lines)`` block
+    ``divided_differences`` builds from the values the stencils were grown
+    on, and lane k reads line k % lines.  The windows, length products and
+    previous bounds are rebuilt from the recorded insertion order,
+    normalization and scaling factors alone.  The padding repeats the
+    interval's left node, so a padded step leaves the window unchanged.
+    Returns a ``(3, width - 2, lanes)`` array, lambda_bar, B- and B+ of
+    step j at ``[:, j - 1]``, with NaN past each lane's degree.
     """
-    x = np.asarray(mesh, dtype=float)
-    i = piece.interval_index
-    order = piece.insertion_order
-    degenerate = piece.normalization == "degenerate"
+    order = st.order.T  # order[j]: insertion j of every lane
+    i, l, r = order[0], order[0], order[1]
+    line = np.arange(i.size) % table.shape[2]
     h = x[i + 1] - x[i]
-    length_product = float(h) if degenerate else 1.0
-    l, r = i, i + 1
+    dn = np.where(st.denom == 0.0, 1.0, st.denom)  # a flat linear fallback records 0
+    lp = np.where(st.degenerate, h, 1.0)  # the product of window lengths
     lam, prev = 1.0, None
-    chain = []
-    for j in range(1, len(order) - 1):
-        e = order[j + 1]
-        l, r = min(l, e), max(r, e)
-        length = x[r] - x[l]
+    out = np.empty((3, order.shape[0] - 2, i.size))
+    for j in range(1, order.shape[0] - 1):
+        l, r = np.minimum(l, order[j + 1]), np.maximum(r, order[j + 1])
+        length, t = x[r] - x[l], (x[order[j]] - x[i]) / h
         lam, bm, bp = lambda_bar_step(
-            table.entries[l, r - l], length, h, (x[order[j]] - x[i]) / h, lam, prev,
-            length_product, piece.denom, piece.m_l, piece.m_r, degenerate,
+            table[r - l, l, line], length, h, t, lam, prev, lp, dn, st.m_l, st.m_r, st.degenerate
         )
-        chain.append((j, lam, bm, bp))
-        prev = (bm, bp)
-        length_product *= length
-    return chain
+        out[:, j - 1] = lam, bm, bp
+        prev, lp = (bm, bp), lp * length
+    out[:, np.arange(1, out.shape[1] + 1)[:, None] >= st.degree] = np.nan
+    return out
+
+
+def replay_chain(piece: IntervalInterpolant, table: DividedDifferenceTable, mesh):
+    """Recompute (lambda_bar_j, B-_j, B+_j) along one accepted stencil:
+    ``replay_stencils`` on a one-lane record of ``piece``.
+
+    Returns one (j, lambda_bar, b_minus, b_plus) tuple of floats per
+    expansion; every accepted step must satisfy B- <= lambda_bar <= B+.
+    """
+    fields = (piece.insertion_order, piece.coefficients, piece.degree,
+              piece.normalization == "degenerate", piece.denom, piece.m_l, piece.m_r)
+    one = Stencils(*(np.array([f]) for f in fields))
+    out = replay_stencils(np.asarray(mesh, dtype=float), table.entries.T[..., None], one)
+    return [(j, *step) for j, step in enumerate(out[..., 0].T.tolist(), 1)]

@@ -1,7 +1,9 @@
-"""Shared helpers for the test suite: random meshes and independent oracles."""
+"""Shared helpers for the test suite: random meshes and grids, and independent
+oracles."""
 
 import numpy as np
 
+from ppinterp.config import DBI, PPI, InterpConfig
 from ppinterp.divdiff import IntervalInterpolant
 
 
@@ -89,3 +91,23 @@ def signed_equal(a, b):
 def reorderings(rng, size):
     """The reversing permutation and a random one."""
     return np.arange(size)[::-1], rng.permutation(size)
+
+
+def random_grid_case(rng, ndim):
+    """Meshes, nonnegative grid values with zero runs and plateaus along
+    each axis, output axes and a configuration."""
+    meshes = [random_mesh(rng, int(rng.integers(2, 13 if ndim == 2 else 7))) for _ in range(ndim)]
+    v = rng.uniform(0.0, 5.0, [m.size for m in meshes])
+    v[rng.random(v.shape) < 0.3] = 0.0
+    for axis in range(ndim):
+        if rng.random() < 0.5:
+            front = np.moveaxis(v, axis, 0)
+            front[1::3] = front[: front.shape[0] - 1 : 3]
+    v *= 10.0 ** int(rng.integers(-8, 9))
+    outs = [rng.uniform(m[0], m[-1], int(rng.integers(1, 16))) for m in meshes]
+    eps0, eps1 = rng.uniform(0.0, 1.0, 2)
+    cfg = InterpConfig(
+        d=int(rng.integers(1, 9)), im=int(rng.choice([DBI, PPI])),
+        st=int(rng.integers(1, 4)), eps0=eps0, eps1=eps1,
+    )
+    return meshes, v, outs, cfg

@@ -169,8 +169,8 @@ def bits(values):
 
 
 class TestArrayPathMatchesScalar:
-    """Every function has a scalar path (one interval, as the oracle and
-    replay_chain call it) and an array path (the engine's); element for
+    """Every function has a scalar path (one interval, as the oracle calls
+    it) and an array path (the engine's and the replay's); element for
     element they give the same result, bit for bit."""
 
     SLOPES = (-1.5, -1e-200, -0.0, 0.0, 1e-200, 2.0)

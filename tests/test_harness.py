@@ -88,6 +88,16 @@ class TestExperimentSpec:
             ExperimentSpec("f1", 17, "ppi", 3, refine=3)
         assert ExperimentSpec("f1", 17, "ppi", 3, refine=0).refine == 0
 
+    def test_2d_roundtrip_rejected_at_construction(self, capsys):
+        # the round trip maps 1D meshes only; a 2D spec used to be accepted
+        # and raise only when run
+        with pytest.raises(ValueError, match="1D test functions"):
+            ExperimentSpec("f4", 17, "ppi", 3, kind="roundtrip")
+        assert ExperimentSpec("f4", 17, "ppi", 3).kind == "approx"
+        argv = ["roundtrip", "--fn", "f4", "--n", "17", "--method", "ppi", "--degree", "3"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: round-trip experiments use the 1D test functions\n"
+
     def test_numpy_integer_fields_accepted(self):
         spec = ExperimentSpec("f1", np.int64(16), "ppi", 3, kind="roundtrip", refine=np.int32(1))
         assert roundtrip_meshes(spec)[0].size == 31

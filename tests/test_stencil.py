@@ -1,22 +1,27 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ppinterp import interpnd
 from ppinterp.config import DBI, PPI, InterpConfig
-from ppinterp.divdiff import IntervalInterpolant, build_table, horner, newton_eval
+from ppinterp.divdiff import (
+    IntervalInterpolant, build_table, divided_differences, horner, newton_eval,
+)
 from ppinterp.interp1d import interpolate_lines, interval_interpolants
 from ppinterp.stencil import (
     b_bounds_step,
     grow_stencils,
     lambda_bar_step,
     replay_chain,
+    replay_stencils,
     select_direction,
 )
 from ppinterp.testfunctions import TEST_FUNCTIONS
 
 import oracle
-from helpers import random_mesh
+from helpers import random_grid_case, random_mesh
 from oracle import IntervalBounds, build_stencil
 
 
@@ -328,6 +333,50 @@ def test_replay_chain_digest():
                 degenerate_steps += len(chain)
     assert steps > 10_000 and degenerate_steps > 100
     assert h.hexdigest() == REPLAY_CHAIN_DIGEST
+
+
+@pytest.mark.parametrize("pairs", [interpnd.CHUNK_PAIRS, 40])
+def test_replay_stencils_every_lane_of_a_sweep(monkeypatch, pairs):
+    # Every block of lines that 2D and 3D sweeps hand the engine, along
+    # every axis, regrown and replayed in lockstep: every step of every lane
+    # satisfies the bounds with no slack, the steps stop at each lane's
+    # degree, and the lanes of one line equal replay_chain on that line's
+    # pieces bit for bit.  Zero runs and paired plateaus reach the
+    # degenerate normalization and its flat fallback; with 40 pairs the
+    # blocks split into chunks of a few lines.  Both cases take about 2 s
+    # on a 2-vCPU x86-64 guest, most of it in the per-block grow_stencils.
+    monkeypatch.setattr(interpnd, "CHUNK_PAIRS", pairs)
+    rng = np.random.default_rng(1717)
+    steps = degenerate = flat = 0
+    for trial in range(60):
+        meshes, v, outs, cfg = random_grid_case(rng, 2 + trial % 2)
+        cfg = replace(cfg, im=(DBI, PPI)[trial // 2 % 2], st=trial % 3 + 1)
+        blocks = []
+
+        def sweep(mesh, lines, points, edge):
+            blocks.append((mesh, lines))
+            return interpolate_lines(mesh, lines, points, edge, cfg)
+
+        interpnd.tensor_sweep(meshes, v, outs, sweep)
+        assert {b[0].size for b in blocks} == {m.size for m in meshes}
+        for mesh, lines in blocks:
+            st = grow_stencils(mesh, lines, np.arange(mesh.size - 1), cfg)
+            out = replay_stencils(mesh, divided_differences(mesh, lines, cfg.d), st)
+            lam, bm, bp = out
+            real = ~np.isnan(lam)
+            assert (np.isnan(out) == ~real).all()
+            assert (real.sum(axis=0) == st.degree - 1).all()
+            assert (bm[real] <= lam[real]).all() and (lam[real] <= bp[real]).all()
+            c = int(rng.integers(lines.shape[1]))
+            table = build_table(mesh, lines[:, c], cfg.d)
+            for k, piece in enumerate(interval_interpolants(mesh, lines[:, c], cfg)):
+                chain = np.array([s[1:] for s in replay_chain(piece, table, mesh)]).reshape(-1, 3)
+                lane = out[:, : piece.degree - 1, k * lines.shape[1] + c].T
+                assert (lane.view(np.int64) == chain.view(np.int64)).all()
+            steps += np.count_nonzero(real)
+            degenerate += np.count_nonzero(real[:, st.degenerate])
+            flat += np.count_nonzero(st.denom == 0.0)
+    assert steps > 5_000 and degenerate > 100 and flat > 0
 
 
 def record(piece):
