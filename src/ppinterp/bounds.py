@@ -42,12 +42,12 @@ class ExtremumClass(enum.IntEnum):
 
 
 def where(cond, a, b):
-    """``np.where(cond, a, b)``, except that a scalar ``cond`` (one interval,
-    as the test oracle passes it: a bool or an integer flag) picks its
-    branch directly and keeps scalar arithmetic in Python floats."""
-    if isinstance(cond, (int, np.bool_, np.integer)):
-        return a if cond else b
-    return np.where(cond, a, b)
+    """``np.where(cond, a, b)`` for an array ``cond``; any other ``cond``
+    (one interval, as the test oracle passes it: a bool or an integer flag)
+    picks its branch directly and keeps scalar arithmetic in Python floats."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
 
 
 def boundary_sigmas(slopes, i):
@@ -59,8 +59,7 @@ def boundary_sigmas(slopes, i):
     so the nearest available slope is copied.
     """
     s = np.asarray(slopes, dtype=float)
-    last = s.shape[0] - 1
-    return s[np.maximum(i - 1, 0)], s[i], s[np.minimum(np.add(i, 1), last)]
+    return s.take(np.subtract(i, 1), 0, mode="clip"), s[i], s.take(np.add(i, 1), 0, mode="clip")
 
 
 def classify_interval(sigma_prev, sigma_cur, sigma_next):
@@ -119,15 +118,14 @@ def scaling_factors(u_i, u_ip1, u_min, u_max, method: int, degenerate_w=None):
         return 0.0, 1.0
 
     equal = u_ip1 == u_i
-    if degenerate_w is None:
-        if np.any(equal):
+    den, floor = u_ip1 - u_i, 1.0
+    if np.count_nonzero(equal):
+        if degenerate_w is None:
             raise ValueError("equal endpoint values require degenerate_w")
-        degenerate_w = 1.0
-    den = where(equal, degenerate_w, u_ip1 - u_i)
+        den, floor = where(equal, degenerate_w, den), where(equal, 0.0, 1.0)
     if np.count_nonzero(den == 0.0):
         raise ValueError("flat data: expanded window has zero divided difference")
     rising = den > 0.0
     a = (where(rising, u_min, u_max) - u_i) / den
     b = (where(rising, u_max, u_min) - u_i) / den
-    floor = where(equal, 0.0, 1.0)
     return where(a < 0.0, a, 0.0), where(b > floor, b, floor)

@@ -4,6 +4,7 @@ and nested (Horner-like) evaluation."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -26,15 +27,18 @@ def as_mesh1d(points) -> np.ndarray:
     """Validate and return a 1D mesh as a float array.
 
     The mesh must hold at least two finite, strictly increasing coordinates.
+    A strictly increasing mesh with finite ends is finite throughout (a NaN
+    fails the increase), so the whole mesh is scanned for finiteness only
+    once that test has failed, and a non-finite mesh is reported as such.
     """
     x = np.asarray(points, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"mesh must be one-dimensional, got shape {x.shape}")
     if x.size < 2:
         raise ValueError(f"mesh needs at least 2 points, got {x.size}")
-    if not np.isfinite(x).all():
-        raise ValueError("mesh coordinates must be finite")
-    if not (x[1:] > x[:-1]).all():
+    if np.count_nonzero(x[1:] > x[:-1]) < x.size - 1 or not isfinite(x[0]) or not isfinite(x[-1]):
+        if np.count_nonzero(np.isfinite(x)) < x.size:
+            raise ValueError("mesh coordinates must be finite")
         raise ValueError("mesh coordinates must be strictly increasing")
     return x
 
@@ -45,7 +49,7 @@ def as_values(values, shape: tuple[int, ...]) -> np.ndarray:
     u = np.asarray(values, dtype=float)
     if u.shape != shape:
         raise ValueError(f"values shape {u.shape} does not match mesh shape {shape}")
-    if not np.isfinite(u).all():
+    if np.count_nonzero(np.isfinite(u)) < u.size:
         raise ValueError("values must be finite")
     return u
 
@@ -60,8 +64,8 @@ def as_points(mesh: np.ndarray, points) -> np.ndarray:
     if pts.ndim != 1:
         raise ValueError(f"output points must be one-dimensional, got shape {pts.shape}")
     inside = (pts >= mesh[0]) & (pts <= mesh[-1])
-    if not inside.all():
-        if not np.isfinite(pts).all():
+    if np.count_nonzero(inside) < pts.size:
+        if np.count_nonzero(np.isfinite(pts)) < pts.size:
             raise ValueError("output points must be finite")
         bad = float(pts[~inside][0])
         raise ValueError(f"output point {bad} outside the mesh range [{mesh[0]}, {mesh[-1]}]")
@@ -113,7 +117,7 @@ def divided_differences(x: np.ndarray, u: np.ndarray, max_degree: int) -> np.nda
     xb = x.reshape((n,) + (1,) * (u.ndim - 1))  # broadcasts against the lines
     for j in range(1, top + 1):
         row = t[j, : n - j]
-        np.subtract(t[j - 1, 1 : n - j + 1], t[j - 1, : n - j], out=row)
+        np.subtract(t[j - 1, 1 : n - j + 1], t[j - 1, : n - j], row)
         row /= xb[j:] - xb[: n - j]
     return t
 

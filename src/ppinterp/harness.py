@@ -104,15 +104,21 @@ def roundtrip_meshes(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray]:
     return mesh_a, mesh_r
 
 
-def roundtrip_error(spec: ExperimentSpec) -> float:
-    """Map function values advection -> reaction -> advection and return the
-    grid-point L2 error against the original values."""
+def _roundtrip(spec: ExperimentSpec) -> tuple[int, float]:
+    """Map function values advection -> reaction -> advection; returns the
+    advection mesh size and the grid-point L2 error against the original
+    values."""
     tf = TEST_FUNCTIONS[spec.fn]
     mesh_a, mesh_r = roundtrip_meshes(spec)
     u = tf.func(mesh_a)
     on_r = _interp(spec, [mesh_a], u, [mesh_r])
     back = _interp(spec, [mesh_r], on_r, [mesh_a])
-    return l2_error_grid(back, u)
+    return mesh_a.size, l2_error_grid(back, u)
+
+
+def roundtrip_error(spec: ExperimentSpec) -> float:
+    """The round trip's grid-point L2 error (see ``_roundtrip``)."""
+    return _roundtrip(spec)[1]
 
 
 def run_experiments(specs) -> list[tuple]:
@@ -123,8 +129,7 @@ def run_experiments(specs) -> list[tuple]:
     rows = []
     for spec in specs:
         if spec.kind == "roundtrip":
-            err = roundtrip_error(spec)
-            n_row = roundtrip_meshes(spec)[0].size
+            n_row, err = _roundtrip(spec)
         else:
             err = approximation_error(spec)
             n_row = spec.n

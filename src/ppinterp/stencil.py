@@ -72,10 +72,10 @@ def b_bounds_step(prev, lambda_bar_prev, d_j, t_j, m_l, m_r, degenerate_base=Fal
     -4*m_l*d_1).  ``degenerate_base`` selects that seed.
     """
     if prev is None:
-        return (
-            where(degenerate_base, -4.0 * m_r, -4.0 * (m_r - 1.0) - 1.0) * d_j,
-            where(degenerate_base, -4.0 * m_l, -4.0 * m_l + 1.0) * d_j,
-        )
+        bm, bp = -4.0 * (m_r - 1.0) - 1.0, -4.0 * m_l + 1.0
+        if np.count_nonzero(degenerate_base):
+            bm, bp = where(degenerate_base, -4.0 * m_r, bm), where(degenerate_base, -4.0 * m_l, bp)
+        return bm * d_j, bp * d_j
     bm, bp = prev
     left = t_j <= 0.0
     f = d_j / (left - t_j)  # 1 - t on the left, -t on the right
@@ -93,7 +93,7 @@ def select_direction(st: int, dd, lam, i, window, interval, points):
     stencil symmetric, st=3 (any other value; ``InterpConfig`` admits only
     1, 2 and 3) the closer point.  Exact ties fall back to the smaller
     |lambda_bar| (the right side wins equality).  Only the active policy's
-    key is computed.
+    key is computed, and |lambda_bar| only where some key ties.
     """
     if st == 1:
         mag = np.abs(dd)
@@ -103,8 +103,11 @@ def select_direction(st: int, dd, lam, i, window, interval, points):
         a, b = i - l, r - (i + 1)
     else:
         a, b = interval[0] - points[0], points[1] - interval[1]
+    tie = a == b
+    if not np.count_nonzero(tie):
+        return a < b
     lam_abs = np.abs(lam)
-    return (a < b) | ((a == b) & (lam_abs[0] < lam_abs[1]))
+    return (a < b) | (tie & (lam_abs[0] < lam_abs[1]))
 
 
 class Stencils(NamedTuple):
@@ -161,38 +164,44 @@ def grow_stencils(x, values, intervals, config: InterpConfig) -> Stencils:
     ``take(mode="clip")``: past a mesh end that gives finite stand-ins,
     which the failed test masks off.
     The lanes still growing are compacted only in a step where some lane
-    stops.
+    stops.  A degenerate lane left at degree 1 is recorded as the linear
+    piece (slope normalization, factors (0, 1)); that rewrite runs only in
+    a call where some lane is degenerate.
     """
     table = divided_differences(x, values, config.d)
     width, n, lines = table.shape
     top = width - 1
     tab, stride = table.ravel(), n * lines  # stride: one order of the table
-    sides = _SIDES * lines  # flat offsets of the two candidates' window starts
+    # from a lane's offset to its two candidates: the window start one row
+    # left or the same, one order up
+    sides = _SIDES * lines + stride
     i = intervals.repeat(lines)
     ip1 = i + 1
-    u_i, u_ip1 = table[0, intervals].ravel(), table[0, intervals + 1].ravel()
-    slope = table[1, intervals].ravel()
+    # Flat offset of every lane's window start (row i of its line): in order
+    # 0, where its values and slope are read, then in order 1, one order
+    # below its candidates.
+    pos = ((intervals * lines)[:, None] + np.arange(lines)).ravel()
+    u_i, u_ip1, slope = tab.take(pos), tab.take(pos + lines), tab.take(pos + stride)
+    pos += stride
     u_min = u_max = None
     if config.im != DBI:  # DBI's scaling factors ignore the bounds
-        sp, _, sn = (s.ravel() for s in boundary_sigmas(table[1, :-1], intervals))
-        cls = classify_interval(sp, slope, sn)
+        sp, _, sn = boundary_sigmas(table[1, :-1], intervals)
+        cls = classify_interval(sp.ravel(), slope, sn.ravel())
         u_min, u_max = interval_bounds(u_i, u_ip1, cls, config.eps0, config.eps1)
     degenerate = (u_i == u_ip1) | (slope == 0.0)
+    ndeg = np.count_nonzero(degenerate)
     xi, xi1 = x[i], x[ip1]
     h = xi1 - xi
-    # Flat offset of every lane's window start (row i of its line) in order
-    # 2: where the first step's candidates are read.
-    pos = ((intervals * lines)[:, None] + np.arange(lines)).ravel() + 2 * stride
     # order[j] and coeffs[j] hold insertion j of every lane; the result is
     # their transpose.
-    order = i[None].repeat(width, axis=0)
+    order = i[None].repeat(width, 0)
     order[1] = ip1
     coeffs = np.zeros(order.shape)
     coeffs[0], coeffs[1] = u_i, slope
     denom, length_product, w = slope, np.ones(i.size), 1.0
     first = True  # the candidates each lane's first step may take
 
-    if top >= 2 and degenerate.any():
+    if top >= 2 and ndeg:
         # Equal endpoint values: the slope normalization is unusable.  Force
         # the first expansion toward the smaller second divided difference
         # (ties go right) and normalize by that window's scaled difference w.
@@ -200,14 +209,14 @@ def grow_stencils(x, values, intervals, config: InterpConfig) -> Stencils:
         g = degenerate.nonzero()[0]
         dd2 = tab.take(pos[g] + sides)
         left = (abs(dd2[0]) < abs(dd2[1])) | np.isnan(dd2[1])
-        l1 = np.where(left, i[g] - 1, i[g])
+        l1 = i[g] - left
         wg = np.where(left, dd2[0], dd2[1]) * h[g] * (x[l1 + 2] - x[l1])
         flat = wg == 0.0  # flat lanes fall back to the linear piece
         first = np.ones((2, i.size), dtype=bool)
         first[0, g], first[1, g] = left & ~flat, ~(left | flat)
-        w = np.ones(i.size)
-        w[g] = np.where(flat, 1.0, wg)  # any nonzero w will do
-        denom, length_product = np.where(degenerate, w, slope), np.where(degenerate, h, 1.0)
+        denom = w = slope.copy()  # w is read only on degenerate lanes
+        denom[g] = wg + flat  # any nonzero w will do for a flat lane
+        length_product[g] = h[g]
     m_l, m_r = scaling_factors(u_i, u_ip1, u_min, u_max, config.im, w)  # DBI gives scalars
 
     # The lanes still growing (row numbers) and their state; the first step
@@ -235,12 +244,14 @@ def grow_stencils(x, values, intervals, config: InterpConfig) -> Stencils:
         point = cand + reach[s]
         xp = x.take(point, mode="clip")
         ok_l, ok_r = ok[0], ok[1]
-        go_left = ok_l & (~ok_r | select_direction(
-            config.st, dd, lam2, ig, (l, l + s + 1), (xi, xi1), xp
-        ))
+        # left where only it is admissible, or both are and the policy says
+        # so: (sel >= ok_r) is sel | ~ok_r on booleans
+        go_left = ok_l & (select_direction(
+            config.st, dd, lam2, ig, (l, l + (s + 1)), (xi, xi1), xp
+        ) >= ok_r)
         pick = np.where(go_left, near, far)
         grow = ok_l | ok_r
-        if not grow.all():  # some lane stops: compact
+        if np.count_nonzero(grow) < grow.size:  # some lane stops: compact
             keep = grow.nonzero()[0]
             if keep.size == 0:
                 break
@@ -254,24 +265,21 @@ def grow_stencils(x, values, intervals, config: InterpConfig) -> Stencils:
         coeffs[s + 2][lane] = dd.take(pick)
         if s == top - 2:
             break
-        l, pos = cand.take(pick), off.take(pick) + stride
+        l, pos = cand.take(pick), off.take(pick)
         lam, prev = lam2.take(pick), (bm.take(pick), bp.take(pick))
         lp = lp * length.take(pick)
         t = (xp.take(pick) - xi) / h
         # Free this step's (2, lanes) arrays before the next step builds its own.
         del cand, off, ok, dd, length, lam2, bm, bp, point, xp
 
-    degree = np.count_nonzero(order[2:] != i, axis=0) + 1  # padding repeats i
-    linear = degenerate & (degree == 1)
-    return Stencils(
-        order=order.T,
-        coeffs=coeffs.T,
-        degree=degree,
-        degenerate=degenerate & ~linear,
-        denom=np.where(linear, slope, denom),
-        m_l=np.where(linear, 0.0, m_l),
-        m_r=np.where(linear, 1.0, m_r),
-    )
+    degree = (order[2:] != i).sum(0) + 1  # padding repeats i
+    if ndeg:  # a degenerate lane left at degree 1 records the linear piece
+        linear = degenerate & (degree == 1)
+        degenerate, denom = degenerate & ~linear, np.where(linear, slope, denom)
+        m_l, m_r = np.where(linear, 0.0, m_l), np.where(linear, 1.0, m_r)
+    elif config.im == DBI:  # one factor per lane in the record
+        m_l, m_r = np.full(i.size, m_l), np.full(i.size, m_r)
+    return Stencils(order.T, coeffs.T, degree, degenerate, denom, m_l, m_r)
 
 
 def replay_stencils(x, table, st: Stencils):

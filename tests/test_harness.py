@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ppinterp import adaptive_interpolation_1d, PPI
-from ppinterp import cli
+from ppinterp import cli, harness
 from ppinterp.cli import main
 from ppinterp.diagnostics import l2_error_grid
 from ppinterp.harness import (
@@ -151,6 +151,24 @@ class TestRoundtrip:
     def test_2d_function_rejected(self):
         with pytest.raises(ValueError, match="1D"):
             roundtrip_error(ExperimentSpec("f4", 64, "ppi", 3, kind="roundtrip"))
+
+    def test_row_builds_meshes_once(self, monkeypatch):
+        # the N column comes from the meshes the round trip itself maps
+        built = []
+
+        def counted(spec):
+            built.append(spec)
+            return roundtrip_meshes(spec)
+
+        monkeypatch.setattr(harness, "roundtrip_meshes", counted)
+        specs = [ExperimentSpec("f1", 16, m, 3, kind="roundtrip", refine=k)
+                 for m in ("pchip", "dbi", "ppi") for k in (0, 1, 3)]
+        rows = run_experiments(specs)
+        assert built == specs
+        assert [row[0] for row in rows] == [16, 31, 61] * 3
+        built.clear()
+        assert [roundtrip_error(spec) for spec in specs] == [row[-1] for row in rows]
+        assert built == specs
 
 
 class TestSweeps:

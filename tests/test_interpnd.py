@@ -1,4 +1,5 @@
 import inspect
+import re
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -398,6 +399,113 @@ class TestOutputAxes:
                 for interp in interps:
                     got = interp(*meshes[:ndim], grid, *outs)
                     assert got.shape == shape and got.dtype == float
+
+
+# Every public entry point as (axes, call(meshes, values, outs)).
+ENTRY_POINTS = {
+    "adaptive_1d": (1, lambda m, v, o: adaptive_interpolation_1d(*m, v, *o, 3, PPI)),
+    "adaptive_2d": (2, lambda m, v, o: adaptive_interpolation_2d(*m, v, *o, 3, DBI)),
+    "adaptive_3d": (3, lambda m, v, o: adaptive_interpolation_3d(*m, v, *o, 3, PPI)),
+    "pchip_1d": (1, lambda m, v, o: pchip_1d(*m, v, *o)),
+    "pchip_2d": (2, lambda m, v, o: pchip_2d(*m, v, *o)),
+}
+MESH_FINITE = "mesh coordinates must be finite"
+MESH_INCREASING = "mesh coordinates must be strictly increasing"
+VALUES_FINITE = "values must be finite"
+POINTS_FINITE = "output points must be finite"
+NAN, INF = np.nan, np.inf
+
+
+def outside(point):
+    return f"output point {point} outside the mesh range [0.0, 3.0]"
+
+
+class TestValidatorMessages:
+    """Each bad input gets its own message, whichever entry point and axis
+    it reaches.  A call with several faults reports the first in check
+    order: the meshes axis by axis, then the values, then the output axes
+    axis by axis; within one input, non-finite numbers come before order
+    and range."""
+
+    @staticmethod
+    def expect(name, message, meshes=None, values=None, outs=None):
+        axes, call = ENTRY_POINTS[name]
+        grid = [np.array([0.0, 1.0, 2.0, 3.0])] * axes
+        v = np.linspace(1.0, 2.0, 4 ** axes).reshape((4,) * axes)
+        points = [np.array([2.5, 0.0, 1.5])] * axes
+        call(grid, v, points)  # the valid call goes through
+        v = v if values is None else values
+        for k, mesh in (meshes or {}).items():
+            grid[k] = np.array(mesh)
+        for k, pts in (outs or {}).items():
+            points[k] = np.array(pts)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(grid, v, points)
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    @pytest.mark.parametrize("mesh, message", [
+        ([0.0, NAN, 2.0, 3.0], MESH_FINITE),
+        ([NAN, 1.0, 2.0, 3.0], MESH_FINITE),
+        ([0.0, 1.0, 2.0, NAN], MESH_FINITE),
+        ([0.0, INF, 2.0, 3.0], MESH_FINITE),
+        ([0.0, -INF, 2.0, 3.0], MESH_FINITE),
+        ([-INF, 1.0, 2.0, 3.0], MESH_FINITE),  # increasing, but not finite
+        ([0.0, 1.0, 2.0, INF], MESH_FINITE),
+        ([INF, 1.0, 2.0, 3.0], MESH_FINITE),
+        ([0.0, 1.0, 2.0, -INF], MESH_FINITE),
+        ([3.0, NAN, 1.0, 0.0], MESH_FINITE),  # decreasing and not finite
+        ([0.0, 1.0, 1.0, 3.0], MESH_INCREASING),
+        ([0.0, 2.0, 1.0, 3.0], MESH_INCREASING),
+        ([3.0, 2.0, 1.0, 0.0], MESH_INCREASING),
+    ])
+    def test_mesh(self, name, mesh, message):
+        for axis in range(ENTRY_POINTS[name][0]):
+            self.expect(name, message, meshes={axis: mesh})
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    @pytest.mark.parametrize("bad", [NAN, INF, -INF])
+    def test_values(self, name, bad):
+        axes = ENTRY_POINTS[name][0]
+        for flat in (0, 4 ** axes // 2, 4 ** axes - 1):
+            v = np.ones(4 ** axes)
+            v[flat] = bad
+            self.expect(name, VALUES_FINITE, values=v.reshape((4,) * axes))
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    @pytest.mark.parametrize("pts, message", [
+        ([0.0, 1.5, 3.0, NAN], POINTS_FINITE),  # sorted
+        ([NAN, 3.0, 1.5, 0.0], POINTS_FINITE),  # reversed
+        ([1.5, NAN, 0.0, 3.0], POINTS_FINITE),  # shuffled
+        ([1.5, INF, 0.0], POINTS_FINITE),
+        ([-INF, 0.0, 1.5], POINTS_FINITE),
+        ([4.0, 1.5, NAN], POINTS_FINITE),  # outside, then not finite
+        ([-1.0, 0.5, 3.5], outside(-1.0)),  # sorted
+        ([3.5, 0.5, -1.0], outside(3.5)),  # reversed
+        ([0.5, 3.5, -1.0, 2.0], outside(3.5)),  # shuffled: the caller's first
+        ([2.0, -1.0, 0.5, 3.5], outside(-1.0)),
+        ([3.0, 0.0, 3.0000000000000004], outside(3.0000000000000004)),
+    ])
+    def test_output_points(self, name, pts, message):
+        for axis in range(ENTRY_POINTS[name][0]):
+            self.expect(name, message, outs={axis: pts})
+
+    @pytest.mark.parametrize("name", ["adaptive_2d", "adaptive_3d", "pchip_2d"])
+    def test_first_fault_in_check_order(self, name):
+        axes = ENTRY_POINTS[name][0]
+        last = axes - 1
+        nan_values = np.full((4,) * axes, NAN)
+        bad_mesh = [0.0, 1.0, 1.0, 3.0]
+        # a mesh fault on the last axis comes before the values and points
+        self.expect(name, MESH_INCREASING, meshes={last: bad_mesh}, values=nan_values,
+                    outs={0: [NAN]})
+        # the meshes are checked in turn
+        self.expect(name, MESH_FINITE, meshes={0: [0.0, NAN, 2.0, 3.0], last: bad_mesh})
+        self.expect(name, MESH_INCREASING, meshes={0: bad_mesh, last: [0.0, NAN, 2.0, 3.0]})
+        # the values come before the output points
+        self.expect(name, VALUES_FINITE, values=nan_values, outs={0: [4.0], last: [NAN]})
+        # the output axes are checked in turn
+        self.expect(name, outside(4.0), outs={0: [4.0], last: [NAN]})
+        self.expect(name, POINTS_FINITE, outs={0: [NAN], last: [4.0]})
 
 
 class TestValidateOnce:

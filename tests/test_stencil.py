@@ -498,6 +498,35 @@ def test_engine_matches_oracle_at_mesh_ends():
     assert pieces > 20_000 and degenerate > 300 and spanning > 3_000
 
 
+def test_both_finish_paths_give_the_same_record():
+    # grow_stencils turns a degenerate lane left at degree 1 back into the
+    # linear piece only in a call where some lane is degenerate.  Both
+    # paths, under DBI (scalar scaling factors) and PPI, and d=1 (no forced
+    # first step), must return the same record layout, one m_l and m_r per
+    # lane, and the oracle's records.
+    rng = np.random.default_rng(18)
+    x = random_mesh(rng, 9)
+    rising = np.exp(x / 4.0)  # distinct neighbours, no zero slope
+    plateau = rising.copy()
+    plateau[3:5] = 2.0  # equal endpoint values: a degenerate lane
+    plateau[6:8] = 0.0  # a flat pair: falls back to the linear piece
+    layouts = set()
+    for d in (1, 4):
+        for im in (DBI, PPI):
+            cfg = InterpConfig(d=d, im=im)
+            for block in (rising[:, None], plateau[:, None], np.stack([rising, plateau], 1)):
+                st = grow_stencils(x, block, np.arange(8), cfg)
+                lanes = 8 * block.shape[1]
+                assert st.order.shape == st.coeffs.shape == (lanes, d + 1)
+                assert all(f.shape == (lanes,) for f in st[2:])
+                assert st.degree.dtype == np.intp
+                layouts.add(tuple((type(f), f.dtype) for f in st))
+                want = [[record(p) for p in oracle.interval_interpolants(x, u, cfg)]
+                        for u in block.T]
+                assert lane_records(x, block, cfg) == want
+    assert len(layouts) == 1
+
+
 def test_padded_records_evaluate_like_trimmed_pieces():
     # horner runs every column of the engine's records with no mask, so a
     # lane below the top degree must give, bit for bit, what its trimmed
