@@ -13,7 +13,6 @@ from .config import _is_integer
 __all__ = [
     "as_mesh1d",
     "as_values",
-    "as_points",
     "DividedDifferenceTable",
     "build_table",
     "divided_differences",
@@ -52,24 +51,6 @@ def as_values(values, shape: tuple[int, ...]) -> np.ndarray:
     if np.count_nonzero(np.isfinite(u)) < u.size:
         raise ValueError("values must be finite")
     return u
-
-
-def as_points(mesh: np.ndarray, points) -> np.ndarray:
-    """Validate and return output points for the validated ``mesh``: a 1D
-    float array whose entries are finite and all lie in [mesh[0], mesh[-1]].
-
-    A NaN fails the range test too; finiteness is checked only once that
-    test has failed, so valid points are scanned once."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 1:
-        raise ValueError(f"output points must be one-dimensional, got shape {pts.shape}")
-    inside = (pts >= mesh[0]) & (pts <= mesh[-1])
-    if np.count_nonzero(inside) < pts.size:
-        if np.count_nonzero(np.isfinite(pts)) < pts.size:
-            raise ValueError("output points must be finite")
-        bad = float(pts[~inside][0])
-        raise ValueError(f"output point {bad} outside the mesh range [{mesh[0]}, {mesh[-1]}]")
-    return pts
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 of output points.  Every public entry point, 1D included, reaches it
 through ``interpnd.tensor_sweep``, which validates the input first, locates
 the output points once per axis and hands it one chunk of an axis's lines
-per call."""
+per call, with the axis's located points."""
 
 from __future__ import annotations
 
@@ -15,27 +15,26 @@ from .stencil import grow_stencils
 __all__ = ["interpolate_lines", "interval_interpolants"]
 
 
-def interpolate_lines(x, lines, pts, edge, config: InterpConfig) -> np.ndarray:
+def interpolate_lines(x, lines, pts, edge, runs, config: InterpConfig) -> np.ndarray:
     """Interpolate every column of the ``(n, m)`` block ``lines``, values on
     mesh ``x``, to the points ``pts``; returns the ``(pts.size, m)`` block.
 
-    The inputs must already be validated, by ``as_mesh1d``, ``as_values`` and
-    ``as_points``, and located as ``interpnd.tensor_sweep`` does once per
-    axis: ``pts`` non-decreasing and ``edge = pts.searchsorted(x)``.  Each
+    The inputs must already be validated, by ``as_mesh1d`` and
+    ``as_values``, and the points validated and located by
+    ``interpnd.locate``, which gives the sorted ``pts``, ``edge =
+    pts.searchsorted(x)`` and the ``runs`` of points per interval.  Each
     output point belongs to the half-open interval [x_i, x_{i+1}) that
     contains it (the last interval is closed on the right), and a point
     equal to a mesh node returns the line's value there, so every node,
     x[-1] and signed zeros included, is reproduced bit for bit.
 
-    The points of one interval are one contiguous run, ``edge`` gives every
-    run's length, and ``horner`` evaluates each interval's polynomials on its
-    run.  Only the intervals that hold an output point grow a stencil.
+    Only the intervals with a nonempty run grow a stencil, and ``horner``
+    evaluates each one's polynomials on its run.  ``edge`` serves only the
+    search for the points that equal a node.
     """
     if not pts.size:
         return np.empty((0, lines.shape[1]))
-    counts = edge[1:] - edge[:-1]  # points in [x_i, x_{i+1})
-    counts[-1] = pts.size - edge[-2]  # the last one takes the points at x[-1] too
-    intervals = counts.nonzero()[0]
+    intervals = runs.nonzero()[0]
     # The points equal to node i are the sorted positions edge[i] up to
     # past[i]; numbered in order, node point j of node i sits at
     # j + past[i] - total[i].
@@ -44,7 +43,7 @@ def interpolate_lines(x, lines, pts, edge, config: InterpConfig) -> np.ndarray:
     total = hits.cumsum()
     node = np.arange(total[-1]) + (past - total).repeat(hits)
     st = grow_stencils(x, lines, intervals, config)
-    res = horner(st.coeffs, x[st.order], counts[intervals], pts)
+    res = horner(st.coeffs, x[st.order], runs[intervals], pts)
     # A node's value is returned as given.  Horner gives it as c_0 + 0 * p,
     # which turns a -0.0 into +0.0, and x[-1] lies in the last interval,
     # whose records start at x[-2], so it would come out rounded.

@@ -29,12 +29,12 @@ def _end_slope(h0, h1, m0, m1):
     return np.where(np.sign(d) == s0, np.where(cap, 3.0 * m0, d), 0.0)
 
 
-def _pchip(mesh, lines, points, edge):
+def _pchip(mesh, lines, points, edge, runs):
     """PCHIP of the columns of the ``(n, m)`` block ``lines`` on ``mesh``,
     evaluated at ``points``; equals SciPy's
     ``PchipInterpolator(mesh, lines, axis=0)(points)`` bit for bit.  The
-    points come located by ``interpnd.tensor_sweep``: non-decreasing, with
-    ``edge = points.searchsorted(mesh)``.
+    points come located by ``interpnd.locate``: non-decreasing, with
+    ``runs[i]`` points in interval i; ``edge`` is not read.
 
     The harmonic mean is formed only where both secants are nonzero and
     share a sign: elsewhere the slope is +0 and the secants are replaced by 1
@@ -62,9 +62,7 @@ def _pchip(mesh, lines, points, edge):
         d[0] = _end_slope(h[0], h[1], m[0], m[1])
         d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
     # each point's interval i, x[i] <= p < x[i+1] (n-2 at x[-1]), from its run
-    counts = edge[1:] - edge[:-1]
-    counts[-1] = points.size - edge[-2]
-    i = np.arange(mesh.size - 1).repeat(counts)
+    i = np.arange(mesh.size - 1).repeat(runs)
     s = (points - mesh.take(i))[:, None]
     s2 = s * s
     # CubicHermiteSpline's coefficients times the powers of s, summed in

@@ -132,6 +132,12 @@ class TestIntervalInterpolant:
         with pytest.raises(ValueError, match="permutation"):
             IntervalInterpolant(1, (0, 2), (1, 2, 2), (1.0, 2.0, 3.0))
 
+    @pytest.mark.parametrize("order, coeffs", [((0, 1), (1.0, 2.0, 3.0)), ((0, 1, 2), (1.0, 2.0))])
+    def test_order_and_coefficients_sized_to_window(self, order, coeffs):
+        # a window of three points takes three nodes and three coefficients
+        with pytest.raises(ValueError, match="^insertion order / coefficients must cover the window$"):
+            IntervalInterpolant(0, (0, 2), order, coeffs)
+
 
 class TestNewtonEval:
     def test_linear_piece_at_left_node(self):

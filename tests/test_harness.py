@@ -47,6 +47,13 @@ class TestFunctions:
     def test_dimensions(self):
         assert [TEST_FUNCTIONS[f"f{k}"].ndim for k in range(1, 7)] == [1, 1, 1, 2, 2, 2]
 
+    def test_sample_takes_one_mesh_per_dimension(self):
+        x = np.linspace(-1.0, 1.0, 5)
+        with pytest.raises(ValueError, match=r"^f4 needs 2 mesh\(es\), got 1$"):
+            TEST_FUNCTIONS["f4"].sample(x)
+        with pytest.raises(ValueError, match=r"^f1 needs 1 mesh\(es\), got 2$"):
+            TEST_FUNCTIONS["f1"].sample(x, x)
+
 
 class TestExperimentSpec:
     def test_rejects_unknown_method(self):
@@ -56,6 +63,10 @@ class TestExperimentSpec:
     def test_rejects_unknown_function(self):
         with pytest.raises(ValueError, match="test function"):
             ExperimentSpec("g1", 17, "ppi", 3)
+
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="^unknown experiment kind 'table'$"):
+            ExperimentSpec("f1", 17, "ppi", 3, kind="table")
 
     def test_rejects_tiny_mesh(self):
         with pytest.raises(ValueError, match="at least 2"):

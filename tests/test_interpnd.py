@@ -242,8 +242,8 @@ class TestBlockBookkeeping:
 
 class TestSweepContract:
     """``tensor_sweep`` locates each output axis once: every chunk of an
-    axis receives the same sorted points and the same search of the mesh
-    into them, and the caller's order is restored afterwards."""
+    axis receives the same sorted points, the same search of the mesh into
+    them and the same runs, and the caller's order is restored afterwards."""
 
     @pytest.mark.parametrize("pairs", [1, 40])
     def test_one_locate_per_axis(self, monkeypatch, pairs):
@@ -257,19 +257,24 @@ class TestSweepContract:
         for method in (partial(interp1d.interpolate_lines, config=InterpConfig(d=5, im=PPI)), _pchip):
             calls = []
 
-            def sweep(mesh, lines, points, edge):
-                calls.append((mesh, points, edge))
-                return method(mesh, lines, points, edge)
+            def sweep(mesh, lines, points, edge, runs):
+                calls.append((mesh, points, edge, runs))
+                return method(mesh, lines, points, edge, runs)
 
             got = interpnd.tensor_sweep((x, y), v, (xo, yo[perm]), sweep)
             assert signed_equal(got, interpnd.tensor_sweep((x, y), v, (xo, yo), method)[:, perm])
             for mesh in (x, y):
                 axis = [c for c in calls if c[0].size == mesh.size]
-                points, edge = axis[0][1:]
+                points, edge, runs = axis[0][1:]
                 assert len(axis) > 1
-                assert all(c[1] is points and c[2] is edge for c in axis)
+                assert all(c[1] is points and c[2] is edge and c[3] is runs for c in axis)
                 assert np.all(points[1:] >= points[:-1])
                 assert np.array_equal(edge, points.searchsorted(mesh))
+                # the points of each interval x[i] <= p < x[i+1], the last
+                # one taking the points at x[-1] (two or more of them here)
+                owner = np.minimum(mesh.searchsorted(points, side="right") - 1, mesh.size - 2)
+                assert np.count_nonzero(points == mesh[-1]) >= 2
+                assert np.array_equal(runs, np.bincount(owner, minlength=mesh.size - 1))
 
 
 class TestChunkMemory:
@@ -306,8 +311,8 @@ def sweep_blocks(meshes, v, outs, cfg):
     received and the block it returned."""
     blocks = []
 
-    def sweep(mesh, lines, points, edge):
-        out = interp1d.interpolate_lines(mesh, lines, points, edge, cfg)
+    def sweep(mesh, lines, points, edge, runs):
+        out = interp1d.interpolate_lines(mesh, lines, points, edge, runs, cfg)
         blocks.append((lines, out))
         return out
 
@@ -484,6 +489,7 @@ class TestValidatorMessages:
         ([0.5, 3.5, -1.0, 2.0], outside(3.5)),  # shuffled: the caller's first
         ([2.0, -1.0, 0.5, 3.5], outside(-1.0)),
         ([3.0, 0.0, 3.0000000000000004], outside(3.0000000000000004)),
+        ([[0.0, 1.5], [3.0, 2.0]], "output points must be one-dimensional, got shape (2, 2)"),
     ])
     def test_output_points(self, name, pts, message):
         for axis in range(ENTRY_POINTS[name][0]):
@@ -518,7 +524,7 @@ class TestValidateOnce:
         # check made anywhere is counted
         counts = {}
         for mod in [m for name, m in sys.modules.items() if name.startswith("ppinterp")]:
-            for name in ("as_mesh1d", "as_values", "as_points"):
+            for name in ("as_mesh1d", "as_values", "locate"):
                 fn = getattr(mod, name, None)
                 if fn is not None:
                     def counted(*args, _fn=fn, _name=name):
@@ -543,7 +549,7 @@ class TestValidateOnce:
         for call, axes in cases:
             counts.clear()
             call()
-            assert counts == {"as_mesh1d": axes, "as_values": 1, "as_points": axes}
+            assert counts == {"as_mesh1d": axes, "as_values": 1, "locate": axes}
         counts.clear()
         interval_interpolants(x, v1, InterpConfig(d=3, im=PPI))
         assert counts == {"as_mesh1d": 1, "as_values": 1}

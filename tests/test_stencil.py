@@ -234,11 +234,11 @@ class TestBuildStencil:
         u = rng.uniform(0, 3, (10, 5))
         u[:, 3] = u[:, 1]
         xout = np.sort(rng.uniform(x[0], x[-1], 40))
-        edge = xout.searchsorted(x)
+        located = interpnd.locate(x, xout)[:3]
         cfg = InterpConfig(d=6, im=PPI)
-        block = interpolate_lines(x, u, xout, edge, cfg)
+        block = interpolate_lines(x, u, *located, cfg)
         for k in range(5):
-            assert np.array_equal(block[:, k], interpolate_lines(x, u[:, [k]], xout, edge, cfg)[:, 0])
+            assert np.array_equal(block[:, k], interpolate_lines(x, u[:, [k]], *located, cfg)[:, 0])
         assert np.array_equal(block[:, 3], block[:, 1])
 
     def test_window_invariants(self):
@@ -353,9 +353,9 @@ def test_replay_stencils_every_lane_of_a_sweep(monkeypatch, pairs):
         cfg = replace(cfg, im=(DBI, PPI)[trial // 2 % 2], st=trial % 3 + 1)
         blocks = []
 
-        def sweep(mesh, lines, points, edge):
+        def sweep(mesh, lines, points, edge, runs):
             blocks.append((mesh, lines))
-            return interpolate_lines(mesh, lines, points, edge, cfg)
+            return interpolate_lines(mesh, lines, points, edge, runs, cfg)
 
         interpnd.tensor_sweep(meshes, v, outs, sweep)
         assert {b[0].size for b in blocks} == {m.size for m in meshes}
