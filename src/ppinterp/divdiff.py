@@ -150,30 +150,32 @@ def horner(coeffs, nodes, runs, points):
     abscissae of polynomial k.  The rows come in ``runs.size`` groups of
     equal size, in order, and the 1D ``points`` in runs of the lengths
     ``runs`` holds: every point of run r is evaluated on every polynomial
-    of group r.  The result has shape ``(points.size, rows per group)``.
-    Each column j is expanded to the points by repeating group r's entries
-    ``runs[r]`` times.  Every point runs c_j + (x - x_j) * p over every
-    column, with no mask, so a row of lower degree must be padded with +0
-    coefficients, as ``grow_stencils`` pads its records: past the degree p
-    stays +0, and c_deg + (+-0) is c_deg, so the padded row gives the
-    trimmed row's result bit for bit.  (A zero result could change sign
-    only on a row of all-zero coefficients; the engine makes those at
-    degree 1 alone, where it does not.)  Column-major ``coeffs`` and
-    ``nodes`` (the layout ``grow_stencils`` returns) make each column one
-    contiguous row to expand.
+    of group r.  ``runs`` holds at least one group.  The result has shape
+    ``(points.size, rows per group)``.  Each column j is expanded to the
+    points by repeating group r's entries ``runs[r]`` times.  Every point
+    runs c_j + (x - x_j) * p over every column, accumulated in place in
+    the expansion of the last column, so the result is a new array and the
+    inputs are only read.  There is no mask, so a row of lower degree must
+    be padded with +0 coefficients, as ``grow_stencils`` pads its records:
+    past the degree p stays +0, and c_deg + (+-0) is c_deg, so the padded
+    row gives the trimmed row's result bit for bit.  (A zero result could
+    change sign only on a row of all-zero coefficients; the engine makes
+    those at degree 1 alone, where it does not.)  Column-major ``coeffs``
+    and ``nodes`` (the layout ``grow_stencils`` returns) make each column
+    one contiguous row to expand.
     """
     groups = runs.size
-    shape = (coeffs.shape[1], groups, coeffs.shape[0] // groups if groups else 0)
+    shape = (coeffs.shape[1], groups, coeffs.shape[0] // groups)
     c, xn = coeffs.T.reshape(shape), nodes.T.reshape(shape)  # [j, group, row]
     col = points[:, None]
     # the axis goes by position: numpy's keyword parsing costs more than
     # the copy itself on small calls
     p = c[-1].repeat(runs, 0)
     for j in range(shape[0] - 2, -1, -1):
-        q = col - xn[j].repeat(runs, 0)
-        q *= p
-        q += c[j].repeat(runs, 0)
-        p = q
+        q = xn[j].repeat(runs, 0)
+        np.subtract(col, q, q)
+        p *= q
+        p += c[j].repeat(runs, 0)
     return p
 
 

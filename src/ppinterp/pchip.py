@@ -45,7 +45,7 @@ def _pchip(mesh, lines, points, edge, runs):
     So, unlike the adaptive methods, x[-1] is evaluated on the last cubic
     and may come out rounded: on nonnegative data it can be a tiny negative
     value (-3.3e-16 has been seen)."""
-    lines = np.ascontiguousarray(lines)  # rows gathered per point must be contiguous
+    lines = np.ascontiguousarray(lines)  # rows repeated over the runs must be contiguous
     h = (mesh[1:] - mesh[:-1])[:, None]
     m = (lines[1:] - lines[:-1]) / h
     d = np.empty_like(lines)
@@ -61,22 +61,18 @@ def _pchip(mesh, lines, points, edge, runs):
         d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
         d[0] = _end_slope(h[0], h[1], m[0], m[1])
         d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
-    # each point's interval i, x[i] <= p < x[i+1] (n-2 at x[-1]), from its run
-    i = np.arange(mesh.size - 1).repeat(runs)
-    s = (points - mesh.take(i))[:, None]
+    # each interval's left node and coefficients repeated over its run of
+    # points, as divdiff.horner expands its records
+    s = (points - mesh[:-1].repeat(runs, 0))[:, None]
     s2 = s * s
     # CubicHermiteSpline's coefficients times the powers of s, summed in
     # PPoly's order from a start at 0.0, which turns a -0.0 into +0.0
-    c3 = 0.0 + lines[:-1]
+    out = (0.0 + lines[:-1]).repeat(runs, 0)
     t = (d[:-1] + d[1:] - 2 * m) / h
     c1 = (m - d[:-1]) / h
     c1 -= t
-    # i is in range, so mode="clip" changes no index; it lets take write
-    # into out= unbuffered
-    out = c3.take(i, axis=0, mode="clip")
-    term = np.empty_like(out)
     for c, power in ((d[:-1], s), (c1, s2), (t / h, s2 * s)):
-        c.take(i, axis=0, out=term, mode="clip")
+        term = c.repeat(runs, 0)
         term *= power
         out += term
     return out

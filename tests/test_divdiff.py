@@ -213,6 +213,34 @@ class TestNewtonEval:
         got = horner(np.array(coeffs), np.array(nodes), np.full(200, 8), np.ravel(pts))
         assert (got.reshape(200, 8).view(np.int64) == np.array(want).view(np.int64)).all()
 
+    def test_reads_its_inputs_only(self, monkeypatch):
+        # horner accumulates in place: on the padded multi-line records of a
+        # 2D sweep it leaves every input as it was, and its result shares no
+        # memory with any of them
+        from ppinterp import adaptive_interpolation_2d, interp1d
+
+        calls = []
+
+        def recorded(*args):
+            before = [a.tobytes() for a in args]
+            res = horner(*args)
+            calls.append((args, before, res))
+            return res
+
+        monkeypatch.setattr(interp1d, "horner", recorded)
+        rng = np.random.default_rng(19)
+        x, y = random_mesh(rng, 12), random_mesh(rng, 10)
+        v = rng.uniform(0.0, 2.0, (12, 10))
+        v[rng.random((12, 10)) < 0.3] = 0.0
+        adaptive_interpolation_2d(x, y, v, rng.uniform(x[0], x[-1], 30), rng.uniform(y[0], y[-1], 25), 8, 2)
+        assert len(calls) == 2
+        for args, before, res in calls:
+            coeffs, runs = args[0], args[2]
+            assert coeffs.shape[0] > runs.size  # several lines per interval
+            assert (coeffs[:, -1] == 0.0).any()  # rows padded past their degree
+            assert [a.tobytes() for a in args] == before
+            assert not any(np.shares_memory(res, a) for a in args)
+
     def test_reproduces_node_values(self):
         rng = np.random.default_rng(13)
         x = random_mesh(rng, 7)

@@ -72,13 +72,19 @@ class TestPchip1D:
         from scipy.interpolate import PchipInterpolator
 
         rng = np.random.default_rng(6)
-        for _ in range(300):
-            n = int(rng.integers(2, 301))
+        # 2-300 point meshes with 55 output points, then 2-20 point meshes
+        # with 2,000 (dense output, about 100 to 2,000 per interval), every
+        # node and so x[-1] among them
+        for dense in [False] * 300 + [True] * 100:
+            n = int(rng.integers(2, 21 if dense else 301))
             x = random_mesh(rng, n)
             u = rng.uniform(-1.0, 3.0, n)
             u[rng.random(n) < 0.3] = 0.0
             u *= 10.0 ** int(rng.integers(-8, 9))
-            xq = np.concatenate((rng.uniform(x[0], x[-1], 50), x[rng.integers(0, n, 5)]))
+            if dense:
+                xq = np.concatenate((rng.uniform(x[0], x[-1], 2000 - n), x))
+            else:
+                xq = np.concatenate((rng.uniform(x[0], x[-1], 50), x[rng.integers(0, n, 5)]))
             got = pchip_1d(x, u, xq)
             want = PchipInterpolator(x, u)(xq)
             assert np.array_equal(got, want)
@@ -142,17 +148,20 @@ class TestPchip2D:
 
         rng = np.random.default_rng(9)
         # (2, 3) and (3, 2) grids, random ones, and one large enough that
-        # both sweeps run in several chunks of interpnd.CHUNK_PAIRS pairs
+        # both sweeps run in several chunks of interpnd.CHUNK_PAIRS pairs,
+        # with 2 random output points per x node and 1 per y node; then one
+        # grid with 30 per node on both axes (dense output)
         shapes = [(2, 3), (3, 2), (2, 2)] + [tuple(rng.integers(2, 30, 2)) for _ in range(40)] + [(181, 190)]
-        for nx, ny in shapes:
+        grids = [(nx, ny, 2, 1) for nx, ny in shapes] + [(9, 12, 30, 30)]
+        for nx, ny, kx, ky in grids:
             x, y = random_mesh(rng, nx), random_mesh(rng, ny)
             v = rng.uniform(-1.0, 2.0, (nx, ny))
             r = rng.random((nx, ny))
             v[r < 0.2] = -0.0
             v[(r >= 0.2) & (r < 0.3)] = 0.0
             v *= 10.0 ** int(rng.choice([-8, 0, 8]))
-            xo = np.concatenate((x, rng.uniform(x[0], x[-1], 2 * nx)))
-            yo = np.concatenate((y[::-1], rng.uniform(y[0], y[-1], ny)))
+            xo = np.concatenate((x, rng.uniform(x[0], x[-1], kx * nx)))
+            yo = np.concatenate((y[::-1], rng.uniform(y[0], y[-1], ky * ny)))
             along_x = PchipInterpolator(x, v, axis=0)(xo)
             assert_bitwise(pchip_2d(x, y, v, xo, yo), PchipInterpolator(y, along_x, axis=1)(yo))
 
