@@ -16,21 +16,37 @@ __all__ = [
     "DividedDifferenceTable",
     "build_table",
     "divided_differences",
+    "next_order",
     "IntervalInterpolant",
     "horner",
     "newton_eval",
 ]
 
 
+_FLOAT = np.dtype(float)
+
+
+def _as_float(data, what: str) -> np.ndarray:
+    """``data`` as a float64 array, which passes with one dtype test.
+    Complex data raise: converting them would keep only the real part."""
+    a = np.asarray(data)
+    if a.dtype is not _FLOAT:
+        if a.dtype.kind == "c":
+            raise ValueError(f"{what} must be real, got dtype {a.dtype}")
+        a = a.astype(float)
+    return a
+
+
 def as_mesh1d(points) -> np.ndarray:
     """Validate and return a 1D mesh as a float array.
 
-    The mesh must hold at least two finite, strictly increasing coordinates.
+    The mesh must hold at least two real, finite, strictly increasing
+    coordinates.
     A strictly increasing mesh with finite ends is finite throughout (a NaN
     fails the increase), so the whole mesh is scanned for finiteness only
     once that test has failed, and a non-finite mesh is reported as such.
     """
-    x = np.asarray(points, dtype=float)
+    x = _as_float(points, "mesh coordinates")
     if x.ndim != 1:
         raise ValueError(f"mesh must be one-dimensional, got shape {x.shape}")
     if x.size < 2:
@@ -44,8 +60,8 @@ def as_mesh1d(points) -> np.ndarray:
 
 def as_values(values, shape: tuple[int, ...]) -> np.ndarray:
     """Validate and return the values on a mesh (or a grid of meshes) as a
-    float array: they must have ``shape`` and be finite."""
-    u = np.asarray(values, dtype=float)
+    float array: they must be real, have ``shape`` and be finite."""
+    u = _as_float(values, "values")
     if u.shape != shape:
         raise ValueError(f"values shape {u.shape} does not match mesh shape {shape}")
     if np.count_nonzero(np.isfinite(u)) < u.size:
@@ -86,10 +102,8 @@ def divided_differences(x: np.ndarray, u: np.ndarray, max_degree: int) -> np.nda
     The table is column-major: ``t[j, i]`` (``t[j, i, line]`` for a block)
     is the order-j divided difference over mesh points i..i+j, for j up to
     ``top`` = min(max_degree, n-1), so each order is one contiguous slab of
-    shape ``u.shape``.  Entries with i + j >= n are NaN.  The stencil engine
-    reads the table by flat offsets and relies on that NaN: a candidate
-    window past either mesh end reads NaN, which no admissibility test
-    accepts.
+    shape ``u.shape``, built from the one below by ``next_order``.  Entries
+    with i + j >= n are NaN.
     """
     n = x.size
     top = min(max_degree, n - 1)
@@ -97,10 +111,28 @@ def divided_differences(x: np.ndarray, u: np.ndarray, max_degree: int) -> np.nda
     t[0] = u
     xb = x.reshape((n,) + (1,) * (u.ndim - 1))  # broadcasts against the lines
     for j in range(1, top + 1):
-        row = t[j, : n - j]
-        np.subtract(t[j - 1, 1 : n - j + 1], t[j - 1, : n - j], row)
-        row /= xb[j:] - xb[: n - j]
+        next_order(t[j - 1], xb[j:] - xb[: n - j], t[j])
     return t
+
+
+def next_order(prev: np.ndarray, span: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the divided differences one order above ``prev`` into ``out``
+    and return ``out``: the one place the recursion is written.
+
+    ``prev`` holds order j-1 over the n mesh points (rows, with lines as
+    columns), NaN wherever the order does not exist, and ``span`` the
+    window spans x[i+j] - x[i] of order j, shaped to broadcast against
+    ``out[:n-j]``.  Every row but ``out``'s last is written: the difference
+    of two rows of ``prev`` carries its NaN tail up one order, so rows
+    n-j..n-2 come out NaN without a mask, and only the n-j rows that exist
+    are divided.  ``out``'s last row is never written, so it stays NaN if it
+    was.  The stencil engine keeps two such slabs and builds each order in
+    the step that reads it; a read past either mesh end gives NaN there,
+    which no admissibility test accepts.
+    """
+    np.subtract(prev[1:], prev[:-1], out[:-1])
+    out[: span.shape[0]] /= span
+    return out
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from functools import partial
 import numpy as np
 
 from .config import InterpConfig
-from .divdiff import as_mesh1d, as_values
+from .divdiff import _as_float, as_mesh1d, as_values
 from .interp1d import interpolate_lines
 
 __all__ = [
@@ -35,7 +35,7 @@ def locate(mesh: np.ndarray, points):
     """Validate the output points of one axis for the validated ``mesh`` and
     locate them; returns ``(pts, edge, runs, dest)``.
 
-    The points must be a 1D sequence of finite values in [mesh[0],
+    The points must be a 1D sequence of real, finite values in [mesh[0],
     mesh[-1]], in any order.  ``pts`` holds them as floats in non-decreasing
     order; ``dest`` is None if they came so, and otherwise the ``argsort``
     that sorted them, so that ``out[dest] = result`` restores the caller's
@@ -49,7 +49,7 @@ def locate(mesh: np.ndarray, points):
     where the end-point range test then fails.  Only a failed range test
     scans the points for finiteness, and an outside point is named in the
     caller's order."""
-    pts = np.asarray(points, dtype=float)
+    pts = _as_float(points, "output points")
     if pts.ndim != 1:
         raise ValueError(f"output points must be one-dimensional, got shape {pts.shape}")
     p, dest = pts, None

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bounds import boundary_sigmas, classify_interval, interval_bounds, scaling_factors, where
 from .config import DBI, InterpConfig
-from .divdiff import DividedDifferenceTable, IntervalInterpolant, divided_differences
+from .divdiff import DividedDifferenceTable, IntervalInterpolant, next_order
 
 __all__ = [
     "lambda_bar_step",
@@ -142,11 +142,11 @@ def grow_stencils(x, values, intervals, config: InterpConfig) -> Stencils:
     ``values`` is an ``(n, lines)`` block of values on mesh ``x``, one line
     per column, both validated (by ``as_values`` and ``as_mesh1d``); lane
     k * lines + c is interval ``intervals[k]`` (an integer array) of line
-    c.  The block's divided-difference table is built here, to order
-    min(d, n-1), so no stencil grows past that degree.  Each lane is
-    classified and bounded from its line's slopes and endpoint values (under
-    PPI; DBI's scaling factors are constants), and marked degenerate where
-    those values are equal or its slope is zero.
+    c.  The block's divided differences go up to order min(d, n-1), so no
+    stencil grows past that degree.  Each lane is classified and bounded
+    from its line's slopes and endpoint values (under PPI; DBI's scaling
+    factors are constants), and marked degenerate where those values are
+    equal or its slope is zero.
 
     A lane stops when neither neighbor is admissible, its window holds d+1
     points, or the mesh ends on both sides.  A degenerate lane is normalized
@@ -156,50 +156,57 @@ def grow_stencils(x, values, intervals, config: InterpConfig) -> Stencils:
 
     At step s every growing window spans s+1 intervals, so the two
     candidates of every lane are windows of s+2 intervals, both in order
-    s+2 of the column-major table: one ``take`` at each lane's flat offset
-    reads their divided differences, and the offset moves one order
-    (n * lines entries) per step.  A candidate past either mesh end reads
-    the table's NaN, which fails B- <= lambda_bar <= B+, so nothing clamps
-    the candidates.  Their lengths and points are read with
-    ``take(mode="clip")``: past a mesh end that gives finite stand-ins,
-    which the failed test masks off.
+    s+2 of the divided differences.  The table is never held whole: two
+    ``(n, lines)`` slabs hold order s+1 and order s+2, and ``next_order``
+    builds order s+2 over the older slab just before step s reads it,
+    divided by the window spans that also give the candidates' lengths.
+    One ``take`` at each lane's flat offset in the slab (row l of its line)
+    reads both candidates' divided differences.  A candidate past either
+    mesh end reads NaN, which fails B- <= lambda_bar <= B+, so nothing
+    clamps the candidates: past the right end the window starts in the
+    slab's NaN tail, and a left candidate at l = 0 wraps to the slab's last
+    row, which is never written.  The candidates' lengths and points are
+    read with ``take(mode="clip")``: past a mesh end that gives finite
+    stand-ins, which the failed test masks off.
     The lanes still growing are compacted only in a step where some lane
     stops.  A degenerate lane left at degree 1 is recorded as the linear
     piece (slope normalization, factors (0, 1)); that rewrite runs only in
     a call where some lane is degenerate.
     """
-    table = divided_differences(x, values, config.d)
-    width, n, lines = table.shape
-    top = width - 1
-    tab, stride = table.ravel(), n * lines  # stride: one order of the table
+    n, lines = values.shape
+    top = min(config.d, n - 1)
+    xb = x[:, None]  # window spans broadcast against the lines
+    # order 1 in ``cur``; the slabs' last rows stay NaN
+    cur, nxt = np.full((2, n, lines), np.nan)
+    next_order(values, xb[1:] - xb[:-1], cur)
     # from a lane's offset to its two candidates: the window start one row
-    # left or the same, one order up
-    sides = _SIDES * lines + stride
-    i = intervals.repeat(lines)
-    ip1 = i + 1
-    # Flat offset of every lane's window start (row i of its line): in order
-    # 0, where its values and slope are read, then in order 1, one order
-    # below its candidates.
+    # left or the same
+    sides = _SIDES * lines
+    # Flat offset of every lane's window start in a slab (row i of its line)
     pos = ((intervals * lines)[:, None] + np.arange(lines)).ravel()
-    u_i, u_ip1, slope = tab.take(pos), tab.take(pos + lines), tab.take(pos + stride)
-    pos += stride
+    u_i, u_ip1, slope = values[intervals].ravel(), values[intervals + 1].ravel(), cur.take(pos)
     u_min = u_max = None
     if config.im != DBI:  # DBI's scaling factors ignore the bounds
-        sp, _, sn = boundary_sigmas(table[1, :-1], intervals)
+        sp, _, sn = boundary_sigmas(cur[:-1], intervals)
         cls = classify_interval(sp.ravel(), slope, sn.ravel())
         u_min, u_max = interval_bounds(u_i, u_ip1, cls, config.eps0, config.eps1)
+        del sp, _, sn, cls
     degenerate = (u_i == u_ip1) | (slope == 0.0)
     ndeg = np.count_nonzero(degenerate)
-    xi, xi1 = x[i], x[ip1]
-    h = xi1 - xi
+    i = intervals.repeat(lines)
     # order[j] and coeffs[j] hold insertion j of every lane; the result is
     # their transpose.
-    order = i[None].repeat(width, 0)
-    order[1] = ip1
+    order = i[None].repeat(top + 1, 0)
+    order[1] += 1
+    xi, xi1 = x[i], x[order[1]]
+    h = xi1 - xi
     coeffs = np.zeros(order.shape)
     coeffs[0], coeffs[1] = u_i, slope
-    denom, length_product, w = slope, np.ones(i.size), 1.0
+    denom, lp, w = slope, np.ones(i.size), 1.0  # lp: the product of window lengths
     first = True  # the candidates each lane's first step may take
+
+    span = xb[2:] - xb[:-2]  # order 2's window spans, read by step 0
+    cur, nxt = next_order(cur, span, nxt), cur
 
     if top >= 2 and ndeg:
         # Equal endpoint values: the slope normalization is unusable.  Force
@@ -207,23 +214,24 @@ def grow_stencils(x, values, intervals, config: InterpConfig) -> Stencils:
         # (ties go right) and normalize by that window's scaled difference w.
         # n >= 3 here, so at most one side is past a mesh end (NaN).
         g = degenerate.nonzero()[0]
-        dd2 = tab.take(pos[g] + sides)
+        dd2 = cur.take(pos[g] + sides)
         left = (abs(dd2[0]) < abs(dd2[1])) | np.isnan(dd2[1])
         l1 = i[g] - left
-        wg = np.where(left, dd2[0], dd2[1]) * h[g] * (x[l1 + 2] - x[l1])
+        wg = np.where(left, dd2[0], dd2[1]) * h[g] * span.take(l1)
         flat = wg == 0.0  # flat lanes fall back to the linear piece
         first = np.ones((2, i.size), dtype=bool)
         first[0, g], first[1, g] = left & ~flat, ~(left | flat)
         denom = w = slope.copy()  # w is read only on degenerate lanes
         denom[g] = wg + flat  # any nonzero w will do for a flat lane
-        length_product[g] = h[g]
+        lp[g] = h[g]
     m_l, m_r = scaling_factors(u_i, u_ip1, u_min, u_max, config.im, w)  # DBI gives scalars
+    del u_i, u_ip1, u_min, u_max  # coeffs[0] keeps u_i
 
     # The lanes still growing (row numbers) and their state; the first step
     # takes every lane, and m_l, m_r and degenerate are read by it alone.
     # ``pick`` indexes the flattened (2, lanes) candidates: lane k's left
     # candidate is k, its right one k + lanes.
-    lane, ig, dn, lp, l = np.arange(i.size), i, denom, length_product, i
+    lane, ig, dn, l = np.arange(i.size), i, denom, i
     lam, prev, t = 1.0, None, None
     near, far = lane, lane + lane.size
     reach = np.zeros((top, 2, 1), dtype=np.intp)  # candidate points: window start + (0, s+2)
@@ -231,11 +239,8 @@ def grow_stencils(x, values, intervals, config: InterpConfig) -> Stencils:
     for s in range(top - 1):
         cand = l + _SIDES  # the candidates' window starts
         off = pos + sides
-        # NaN past either mesh end: past the right end the window overruns
-        # order s+2's valid rows, and a left candidate at l = 0 reads the
-        # last row of order s+1.
-        dd = tab.take(off)
-        length = (x[s + 2 :] - x[: n - s - 2]).take(cand, mode="clip")
+        dd = cur.take(off)  # NaN past either mesh end
+        length = span.take(cand, mode="clip")
         lam2, bm, bp = lambda_bar_step(dd, length, h, t, lam, prev, lp, dn, m_l, m_r, degenerate)
         ok = bm <= lam2
         ok &= lam2 <= bp
@@ -271,6 +276,8 @@ def grow_stencils(x, values, intervals, config: InterpConfig) -> Stencils:
         t = (xp.take(pick) - xi) / h
         # Free this step's (2, lanes) arrays before the next step builds its own.
         del cand, off, ok, dd, length, lam2, bm, bp, point, xp
+        span = xb[s + 3 :] - xb[: n - s - 3]  # order s+3's, read by step s+1
+        cur, nxt = next_order(cur, span, nxt), cur
 
     degree = (order[2:] != i).sum(0) + 1  # padding repeats i
     if ndeg:  # a degenerate lane left at degree 1 records the linear piece

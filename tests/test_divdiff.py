@@ -3,6 +3,7 @@ import pytest
 
 from ppinterp.divdiff import (
     IntervalInterpolant, as_mesh1d, build_table, divided_differences, horner, newton_eval,
+    next_order,
 )
 
 from helpers import brute_dd, leading_dd_lagrange, make_piece, monomial_coefficients, random_mesh
@@ -99,6 +100,23 @@ class TestBuildTable:
                     assert np.isnan(entries[invalid]).all()
                     assert np.isfinite(entries[~invalid]).all()
                     assert (cm[:, :, c].T.view(np.int64) == entries.view(np.int64)).all()
+
+    def test_two_slabs_give_every_order(self):
+        # The stencil engine keeps two (n, lines) slabs and builds each order
+        # over the older one, whose stale entries must all be overwritten;
+        # every order, NaN tail included, equals the whole table's bit for bit.
+        rng = np.random.default_rng(20)
+        for n in range(2, 9):
+            x = random_mesh(rng, n)
+            block = rng.uniform(-2.0, 2.0, (n, 3))
+            table = divided_differences(x, block, n - 1)
+            xb = x[:, None]
+            cur, nxt = np.full((2, n, 3), np.nan)
+            next_order(block, xb[1:] - xb[:-1], cur)
+            for j in range(1, n):
+                if j > 1:
+                    cur, nxt = next_order(cur, xb[j:] - xb[: n - j], nxt), cur
+                assert (cur.view(np.int64) == table[j].view(np.int64)).all()
 
     @pytest.mark.parametrize("values", [[1, 2], [[1, 2], [3, 4], [5, 6]]], ids=["short", "block"])
     def test_length_mismatch(self, values):

@@ -281,19 +281,28 @@ class TestChunkMemory:
     """The chunks cap the memory of a sweep's work arrays: beyond the output,
     a large 2D call holds no more than a fixed number of float64 values per
     (line, point) pair of one chunk, so the bound follows
-    ``interpnd.CHUNK_PAIRS``, not the grid."""
+    ``interpnd.CHUNK_PAIRS``, not the grid.
+
+    The number of values per pair depends on the output axis: a chunk's
+    pairs count each line's mesh or output points, whichever are more, but
+    the adaptive engine's arrays scale with its lanes, one per interval
+    that holds a point.  Refining 257 points to 1000 gives about one lane
+    per four pairs; an output axis as long as the mesh gives one lane per
+    pair, the most, and so the most values per pair."""
 
     VALUES_PER_PAIR = 40  # work arrays and the intermediate field
 
     @pytest.mark.parametrize(
-        "size, call",
+        "size, call, values_per_pair",
         [
-            (2000, lambda x, v, xo: pchip_2d(x, x, v, xo, xo)),
-            (1000, lambda x, v, xo: adaptive_interpolation_2d(x, x, v, xo, xo, 8, PPI)),
+            (2000, lambda x, v, xo: pchip_2d(x, x, v, xo, xo), VALUES_PER_PAIR),
+            (1000, lambda x, v, xo: adaptive_interpolation_2d(x, x, v, xo, xo, 8, PPI),
+             VALUES_PER_PAIR),
+            (257, lambda x, v, xo: adaptive_interpolation_2d(x, x, v, xo, xo, 8, PPI), 70),
         ],
-        ids=["pchip", "ppi"],
+        ids=["pchip", "ppi", "ppi-same-size"],
     )
-    def test_peak_beyond_output_set_by_chunk_budget(self, size, call):
+    def test_peak_beyond_output_set_by_chunk_budget(self, size, call, values_per_pair):
         x = np.linspace(-1.0, 1.0, 257)
         v = TEST_FUNCTIONS["f4"].sample(x, x)
         xo = np.linspace(-1.0, 1.0, size)
@@ -303,7 +312,7 @@ class TestChunkMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - out.nbytes < self.VALUES_PER_PAIR * 8 * interpnd.CHUNK_PAIRS
+        assert peak - out.nbytes < values_per_pair * 8 * interpnd.CHUNK_PAIRS
 
 
 def sweep_blocks(meshes, v, outs, cfg):
@@ -418,6 +427,9 @@ MESH_FINITE = "mesh coordinates must be finite"
 MESH_INCREASING = "mesh coordinates must be strictly increasing"
 VALUES_FINITE = "values must be finite"
 POINTS_FINITE = "output points must be finite"
+MESH_REAL = "mesh coordinates must be real, got dtype complex128"
+VALUES_REAL = "values must be real, got dtype complex128"
+POINTS_REAL = "output points must be real, got dtype complex128"
 NAN, INF = np.nan, np.inf
 
 
@@ -494,6 +506,20 @@ class TestValidatorMessages:
     def test_output_points(self, name, pts, message):
         for axis in range(ENTRY_POINTS[name][0]):
             self.expect(name, message, outs={axis: pts})
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_complex(self, name):
+        # complex input is refused, not cut to its real part, even when the
+        # imaginary part is zero; a Python complex in a list of points too
+        axes, call = ENTRY_POINTS[name]
+        for axis in range(axes):
+            self.expect(name, MESH_REAL, meshes={axis: [0.0, 1.0, 2.0, 3.0 + 0j]})
+            self.expect(name, POINTS_REAL, outs={axis: np.array([0.5, 1.5]) + 1j})
+            points = [[2.5, 0.0]] * axes
+            points[axis] = [2.5, 1.5 + 0j]
+            with pytest.raises(ValueError, match=f"^{re.escape(POINTS_REAL)}$"):
+                call([np.array([0.0, 1.0, 2.0, 3.0])] * axes, np.ones((4,) * axes), points)
+        self.expect(name, VALUES_REAL, values=np.ones((4,) * axes) + 1j)
 
     @pytest.mark.parametrize("name", ["adaptive_2d", "adaptive_3d", "pchip_2d"])
     def test_first_fault_in_check_order(self, name):

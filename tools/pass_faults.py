@@ -1,5 +1,5 @@
-"""Time the passes of one benchmark workload and count the minor page faults
-each pass makes.
+"""Time the passes of one benchmark workload, count the minor page faults
+each pass makes and trace the memory of its largest call.
 
     python tools/pass_faults.py --workload grid3d --seed 0 --passes 20
 
@@ -8,7 +8,10 @@ checkout's ``src/`` and the workload's cells from ``perfbench/workloads.py``,
 as ``perfbench/run.py`` does.  After one untimed warm-up pass it runs the
 passes back to back and prints one JSON line: the best and the median pass
 time, the minor page faults per pass (``getrusage``'s ``ru_minflt``; the
-median, with the smallest and largest) and the process's max RSS.
+median, with the smallest and largest) and the process's max RSS.  One more
+untimed pass, after the max RSS is read, traces every public call with
+``tracemalloc`` and adds the largest traced peak of any one call: the
+working set of the workload's biggest call, output included.
 
 The faults show how much memory the allocator hands back to the system
 between passes and then takes again: a change that moves them can move a
@@ -23,6 +26,7 @@ import os
 import resource
 import statistics
 import sys
+import tracemalloc
 from time import perf_counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -36,6 +40,25 @@ def run_pass(cells):
         cell.run(lambda layer, fn, *args: fn(*args))
     seconds = perf_counter() - t0
     return seconds, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+
+
+def traced_peak(cells):
+    """Run every cell once, tracing each public call; returns the largest
+    traced peak of any one call, in bytes."""
+    peak = 0
+
+    def call(layer, fn, *args):
+        nonlocal peak
+        tracemalloc.start()
+        try:
+            return fn(*args)
+        finally:
+            peak = max(peak, tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    for cell in cells:
+        cell.run(call)
+    return peak
 
 
 def main(argv=None):
@@ -57,6 +80,7 @@ def main(argv=None):
     cells = workloads.build(args.workload, ppinterp, args.seed).cells
     run_pass(cells)
     seconds, faults = zip(*(run_pass(cells) for _ in range(args.passes)))
+    max_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(json.dumps({
         "workload": args.workload,
         "seed": args.seed,
@@ -64,7 +88,8 @@ def main(argv=None):
         "best_s": round(min(seconds), 6),
         "median_s": round(statistics.median(seconds), 6),
         "minflt_per_pass": {"median": statistics.median(faults), "min": min(faults), "max": max(faults)},
-        "max_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 2),
+        "max_rss_mib": round(max_rss, 2),
+        "call_traced_peak_mib": round(traced_peak(cells) / 2**20, 3),
     }))
     return 0
 
