@@ -216,10 +216,14 @@ def newton_eval(piece: IntervalInterpolant, mesh, x):
 
     Nested multiplication over the insertion order: the result is
     c_0 + (x - x_e0)(c_1 + (x - x_e1)(c_2 + ...)), computed by ``horner``
-    with every point in one run.
+    with every point in one run.  The mesh is checked as ``as_mesh1d``
+    checks it, and the points must be real and finite, so no input is cut
+    to its real part or gives a silent NaN.
     """
-    xs = np.asarray(mesh, dtype=float)
-    xv = np.asarray(x, dtype=float)
+    xs = as_mesh1d(mesh)
+    xv = _as_float(x, "output points")
+    if np.count_nonzero(np.isfinite(xv)) < xv.size:
+        raise ValueError("output points must be finite")
     p = horner(
         np.array([piece.coefficients], dtype=float),
         xs[[piece.insertion_order]],

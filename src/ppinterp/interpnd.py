@@ -89,6 +89,22 @@ def tensor_sweep(meshes, v, outs, sweep) -> np.ndarray:
     memory of a sweep's work arrays on large grids.  A block that fits in
     one chunk is swept in one call and its result used as returned; larger
     ones are copied chunk by chunk into one output block.
+
+    The 1D guarantees carry over to the grid, sweep by sweep.  Let a point
+    lie in cell [x_i, x_i+1] x [y_j, y_j+1] of a 2D grid.  The x sweep keeps
+    a DBI value at (x_out, y_k) between the two data values of its interval
+    in row k, so for k = j and j+1 it lies in the hull of the cell's corner
+    values in that row; the y sweep keeps the result between those two
+    intermediate values, hence in the hull of the cell's four corner
+    values.  Each further axis adds its factor of two, so in 3D a DBI output
+    lies in the hull of the 2^3 corner values of its cell.  On nonnegative
+    data, PPI with eps0, eps1 <= 1 keeps every sweep nonnegative, so the
+    result is nonnegative; and each sweep stays at most (1 + max(eps0,
+    eps1)) times the larger of its interval's two values, so the result is
+    at most (1 + max(eps0, eps1))^dim times the largest corner value.  A node of
+    every axis is reproduced bit for bit by each sweep, so grid nodes return
+    the data.  ``tests/test_interpnd.py::TestTensorProductGuarantees``
+    checks all four on seeded 2D/3D families.
     """
     ms = [as_mesh1d(m) for m in meshes]
     q = as_values(v, tuple(m.size for m in ms))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bounds import boundary_sigmas, classify_interval, interval_bounds, scaling_factors, where
 from .config import DBI, InterpConfig
-from .divdiff import DividedDifferenceTable, IntervalInterpolant, next_order
+from .divdiff import DividedDifferenceTable, IntervalInterpolant, as_mesh1d, next_order
 
 __all__ = [
     "lambda_bar_step",
@@ -131,6 +131,11 @@ class Stencils(NamedTuple):
     m_r: np.ndarray
 
 
+# A block settles its flat lanes before growth only when they are at least
+# this share of its lanes: settling compacts every lane array once, which
+# costs more than it saves on a block with a handful of flat lanes.
+SETTLE_SHARE = 0.25
+
 # Start of the left and right candidate windows, relative to the current
 # window's start l: the left candidate adds point l-1, the right one r+1.
 _SIDES = np.array([[-1], [0]])
@@ -152,7 +157,13 @@ def grow_stencils(x, values, intervals, config: InterpConfig) -> Stencils:
     points, or the mesh ends on both sides.  A degenerate lane is normalized
     by the first expanded window's scaled difference (w) instead of the
     slope; if that window is flat too, or not admissible, the lane falls back
-    to the linear piece.
+    to the linear piece.  A lane whose forced window is flat (w == 0) can
+    only end that way.  When such flat lanes are at least ``SETTLE_SHARE``
+    of the block's lanes, they are settled before classification: their
+    rows keep the linear piece the record starts from, and the bounds, the
+    scaling factors and every step run on the other lanes alone.  Fewer
+    flat lanes go through the first step, which takes neither of their
+    candidates.
 
     At step s every growing window spans s+1 intervals, so the two
     candidates of every lane are windows of s+2 intervals, both in order
@@ -185,28 +196,24 @@ def grow_stencils(x, values, intervals, config: InterpConfig) -> Stencils:
     # Flat offset of every lane's window start in a slab (row i of its line)
     pos = ((intervals * lines)[:, None] + np.arange(lines)).ravel()
     u_i, u_ip1, slope = values[intervals].ravel(), values[intervals + 1].ravel(), cur.take(pos)
-    u_min = u_max = None
-    if config.im != DBI:  # DBI's scaling factors ignore the bounds
-        sp, _, sn = boundary_sigmas(cur[:-1], intervals)
-        cls = classify_interval(sp.ravel(), slope, sn.ravel())
-        u_min, u_max = interval_bounds(u_i, u_ip1, cls, config.eps0, config.eps1)
-        del sp, _, sn, cls
     degenerate = (u_i == u_ip1) | (slope == 0.0)
     ndeg = np.count_nonzero(degenerate)
     i = intervals.repeat(lines)
     # order[j] and coeffs[j] hold insertion j of every lane; the result is
-    # their transpose.
+    # their transpose.  Until a step writes them, they hold the linear piece.
     order = i[None].repeat(top + 1, 0)
     order[1] += 1
     xi, xi1 = x[i], x[order[1]]
     h = xi1 - xi
     coeffs = np.zeros(order.shape)
     coeffs[0], coeffs[1] = u_i, slope
-    denom, lp, w = slope, np.ones(i.size), 1.0  # lp: the product of window lengths
+    lanes = i.size
+    live = slice(None)  # selects the lanes that may grow: all of them
+    denom, lp, w, dg = slope, np.ones(lanes), 1.0, degenerate  # lp: the product of window lengths
     first = True  # the candidates each lane's first step may take
 
     span = xb[2:] - xb[:-2]  # order 2's window spans, read by step 0
-    cur, nxt = next_order(cur, span, nxt), cur
+    cur, nxt = next_order(cur, span, nxt), cur  # ``nxt`` keeps order 1 for the bounds
 
     if top >= 2 and ndeg:
         # Equal endpoint values: the slope normalization is unusable.  Force
@@ -216,32 +223,60 @@ def grow_stencils(x, values, intervals, config: InterpConfig) -> Stencils:
         g = degenerate.nonzero()[0]
         dd2 = cur.take(pos[g] + sides)
         left = (abs(dd2[0]) < abs(dd2[1])) | np.isnan(dd2[1])
-        l1 = i[g] - left
-        wg = np.where(left, dd2[0], dd2[1]) * h[g] * span.take(l1)
-        flat = wg == 0.0  # flat lanes fall back to the linear piece
+        wg = np.where(left, dd2[0], dd2[1]) * h[g] * span.take(i[g] - left)
+        flat = wg == 0.0  # a flat lane can only end as the linear piece
+        nflat = int(np.count_nonzero(flat))  # a Python int compares fast with a float
+        if nflat and nflat < SETTLE_SHARE * lanes:
+            # too few flat lanes to settle: their first step takes neither
+            # side, and any nonzero w will do for them
+            left, right, wg = left & ~flat, ~(left | flat), wg + flat
+        else:
+            if nflat:
+                # Settle the flat lanes: their rows of order and coeffs
+                # already hold the linear piece, and the finish writes the
+                # rest of their record.  Every later lane array holds only
+                # the other lanes.
+                grows = np.ones(lanes, dtype=bool)
+                grows[g[flat]] = False
+                live = grows.nonzero()[0]
+                pos, i, slope, dg = pos[live], i[live], slope[live], degenerate[live]
+                u_i, u_ip1, xi, xi1, h = u_i[live], u_ip1[live], xi[live], xi1[live], h[live]
+                lp = np.ones(live.size)
+                keep = ~flat
+                g = (g - flat.cumsum())[keep]  # renumbered among the growing lanes
+                left, wg = left[keep], wg[keep]
+            right = ~left
         first = np.ones((2, i.size), dtype=bool)
-        first[0, g], first[1, g] = left & ~flat, ~(left | flat)
+        first[0, g], first[1, g] = left, right
         denom = w = slope.copy()  # w is read only on degenerate lanes
-        denom[g] = wg + flat  # any nonzero w will do for a flat lane
+        denom[g] = wg
         lp[g] = h[g]
+    u_min = u_max = None
+    if config.im != DBI:  # DBI's scaling factors ignore the bounds
+        sp, _, sn = boundary_sigmas(nxt[:-1], intervals)
+        cls = classify_interval(sp.ravel()[live], slope, sn.ravel()[live])
+        u_min, u_max = interval_bounds(u_i, u_ip1, cls, config.eps0, config.eps1)
+        del sp, _, sn, cls
     m_l, m_r = scaling_factors(u_i, u_ip1, u_min, u_max, config.im, w)  # DBI gives scalars
     del u_i, u_ip1, u_min, u_max  # coeffs[0] keeps u_i
 
     # The lanes still growing (row numbers) and their state; the first step
-    # takes every lane, and m_l, m_r and degenerate are read by it alone.
-    # ``pick`` indexes the flattened (2, lanes) candidates: lane k's left
-    # candidate is k, its right one k + lanes.
-    lane, ig, dn, l = np.arange(i.size), i, denom, i
+    # takes every lane not settled, and m_l, m_r and degenerate are read by
+    # it alone.  ``pick`` indexes the flattened (2, lanes) candidates: lane
+    # k's left candidate is k, its right one k + lanes.
+    ig, dn, l = i, denom, i
     lam, prev, t = 1.0, None, None
-    near, far = lane, lane + lane.size
+    near = np.arange(i.size)  # the lanes' numbers among themselves
+    lane = near if i.size == lanes else live  # and their rows
+    far = near + i.size
     reach = np.zeros((top, 2, 1), dtype=np.intp)  # candidate points: window start + (0, s+2)
     reach[:, 1, 0] = np.arange(2, top + 2)
-    for s in range(top - 1):
+    for s in range(top - 1 if i.size else 0):
         cand = l + _SIDES  # the candidates' window starts
         off = pos + sides
         dd = cur.take(off)  # NaN past either mesh end
         length = span.take(cand, mode="clip")
-        lam2, bm, bp = lambda_bar_step(dd, length, h, t, lam, prev, lp, dn, m_l, m_r, degenerate)
+        lam2, bm, bp = lambda_bar_step(dd, length, h, t, lam, prev, lp, dn, m_l, m_r, dg)
         ok = bm <= lam2
         ok &= lam2 <= bp
         if prev is None:
@@ -279,13 +314,17 @@ def grow_stencils(x, values, intervals, config: InterpConfig) -> Stencils:
         span = xb[s + 3 :] - xb[: n - s - 3]  # order s+3's, read by step s+1
         cur, nxt = next_order(cur, span, nxt), cur
 
-    degree = (order[2:] != i).sum(0) + 1  # padding repeats i
+    degree = (order[2:] != order[0]).sum(0) + 1  # padding repeats i
     if ndeg:  # a degenerate lane left at degree 1 records the linear piece
+        if i.size < lanes:  # settled: the growing lanes' fields go to their rows
+            rows = np.empty((3, lanes))  # a settled row is rewritten below
+            rows[0, live], rows[1, live], rows[2, live] = denom, m_l, m_r
+            denom, m_l, m_r = rows
         linear = degenerate & (degree == 1)
-        degenerate, denom = degenerate & ~linear, np.where(linear, slope, denom)
+        degenerate, denom = degenerate & ~linear, np.where(linear, coeffs[1], denom)
         m_l, m_r = np.where(linear, 0.0, m_l), np.where(linear, 1.0, m_r)
     elif config.im == DBI:  # one factor per lane in the record
-        m_l, m_r = np.full(i.size, m_l), np.full(i.size, m_r)
+        m_l, m_r = np.full(lanes, m_l), np.full(lanes, m_r)
     return Stencils(order.T, coeffs.T, degree, degenerate, denom, m_l, m_r)
 
 
@@ -325,7 +364,8 @@ def replay_stencils(x, table, st: Stencils):
 
 def replay_chain(piece: IntervalInterpolant, table: DividedDifferenceTable, mesh):
     """Recompute (lambda_bar_j, B-_j, B+_j) along one accepted stencil:
-    ``replay_stencils`` on a one-lane record of ``piece``.
+    ``replay_stencils`` on a one-lane record of ``piece``, on the mesh as
+    ``as_mesh1d`` checks it.
 
     Returns one (j, lambda_bar, b_minus, b_plus) tuple of floats per
     expansion; every accepted step must satisfy B- <= lambda_bar <= B+.
@@ -333,5 +373,5 @@ def replay_chain(piece: IntervalInterpolant, table: DividedDifferenceTable, mesh
     fields = (piece.insertion_order, piece.coefficients, piece.degree,
               piece.normalization == "degenerate", piece.denom, piece.m_l, piece.m_r)
     one = Stencils(*(np.array([f]) for f in fields))
-    out = replay_stencils(np.asarray(mesh, dtype=float), table.entries.T[..., None], one)
+    out = replay_stencils(as_mesh1d(mesh), table.entries.T[..., None], one)
     return [(j, *step) for j, step in enumerate(out[..., 0].T.tolist(), 1)]

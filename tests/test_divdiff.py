@@ -5,6 +5,7 @@ from ppinterp.divdiff import (
     IntervalInterpolant, as_mesh1d, build_table, divided_differences, horner, newton_eval,
     next_order,
 )
+from ppinterp.stencil import replay_chain
 
 from helpers import brute_dd, leading_dd_lagrange, make_piece, monomial_coefficients, random_mesh
 
@@ -258,6 +259,36 @@ class TestNewtonEval:
             assert (coeffs[:, -1] == 0.0).any()  # rows padded past their degree
             assert [a.tobytes() for a in args] == before
             assert not any(np.shares_memory(res, a) for a in args)
+
+    # The one-interval API takes its input under the entry points' rule and
+    # wording: a complex point or mesh is not cut to its real part, and a
+    # NaN or infinite one raises instead of giving a silent NaN.
+    BAD_INPUTS = [
+        (None, np.array([0.5 + 2j]), "^output points must be real, got dtype complex128$"),
+        (None, 0.5 + 2j, "^output points must be real, got dtype complex128$"),
+        (None, np.nan, "^output points must be finite$"),
+        (None, [0.5, np.inf], "^output points must be finite$"),
+        ([0.0, np.nan, 2.0], 0.5, "^mesh coordinates must be finite$"),
+        ([0.0, 1.0 + 0j, 2.0], 0.5, "^mesh coordinates must be real, got dtype complex128$"),
+        ([0.0, 2.0, 1.0], 0.5, "^mesh coordinates must be strictly increasing$"),
+    ]
+
+    @pytest.mark.parametrize("mesh, points, message", BAD_INPUTS)
+    def test_rejects_what_the_entry_points_reject(self, mesh, points, message):
+        x = np.array([0.0, 1.0, 2.0])
+        piece = make_piece(x, x**2, 0, [0, 1, 2])
+        with pytest.raises(ValueError, match=message):
+            newton_eval(piece, x if mesh is None else mesh, points)
+
+    @pytest.mark.parametrize("mesh, message", [
+        ([0.0, 1.0 + 0j, 2.0], "^mesh coordinates must be real, got dtype complex128$"),
+        ([0.0, 1.0, np.nan], "^mesh coordinates must be finite$"),
+    ])
+    def test_replay_chain_rejects_the_same_meshes(self, mesh, message):
+        x = np.array([0.0, 1.0, 2.0])
+        piece = make_piece(x, x**2, 0, [0, 1, 2])
+        with pytest.raises(ValueError, match=message):
+            replay_chain(piece, build_table(x, x**2, 2), mesh)
 
     def test_reproduces_node_values(self):
         rng = np.random.default_rng(13)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ppinterp import interpnd
+from ppinterp import interpnd, stencil
 from ppinterp.config import DBI, PPI, InterpConfig
 from ppinterp.divdiff import (
     IntervalInterpolant, build_table, divided_differences, horner, newton_eval,
@@ -21,7 +21,7 @@ from ppinterp.stencil import (
 from ppinterp.testfunctions import TEST_FUNCTIONS
 
 import oracle
-from helpers import random_grid_case, random_mesh
+from helpers import random_grid_case, random_mesh, signed_zeros
 from oracle import IntervalBounds, build_stencil
 
 
@@ -525,6 +525,72 @@ def test_both_finish_paths_give_the_same_record():
                         for u in block.T]
                 assert lane_records(x, block, cfg) == want
     assert len(layouts) == 1
+
+
+def settle_block(rng, n, lines):
+    """Values that make flat lanes (zero runs and constant stretches, with
+    signed zeros), staircase lanes (equal endpoint values between a lower
+    and a higher neighbour: degenerate, not flat, and their forced step
+    fails under DBI) and ordinary ones, ``lines`` columns of ``n`` points."""
+    block = np.empty((n, lines))
+    for c in range(lines):
+        kind = rng.integers(3)
+        u = rng.uniform(0.5, 5.0, n)
+        if kind == 0:  # zero runs and plateaus
+            u[rng.random(n) < 0.5] = 0.0
+            u[1::3] = u[: n - 1 : 3]
+        elif kind == 1:  # a staircase: pairs of equal values, rising
+            u = np.repeat(np.arange((n + 1) // 2, dtype=float), 2)[:n] + 1.0
+        else:  # mostly one constant, with a bump
+            u[:] = 2.0
+            u[rng.integers(n)] = 3.0
+        block[:, c] = signed_zeros(rng, u, 0.2)
+    return block
+
+
+def stencil_bits(st):
+    """Every field of a record, floats as their bit patterns."""
+    return [f.view(np.int64) if f.dtype == float else f for f in st]
+
+
+def test_settled_flat_lanes_give_the_same_record(monkeypatch):
+    # grow_stencils settles a block's flat lanes (degenerate lanes whose
+    # forced first window is flat too) before growth only when they are at
+    # least SETTLE_SHARE of its lanes.  With the gate forced open (0: any
+    # flat lane settles) and shut (inf: none does), every field of every
+    # record must be the same bit for bit, and equal the default gate's:
+    # d = 1-8, DBI and PPI, st = 1-3, on one-line and four-line blocks with
+    # signed zeros.  The staircases keep degenerate lanes that are not flat
+    # in the settled blocks and fail their forced step, so the rewrite to
+    # the linear piece after the loop still runs there.  About 1 s on a
+    # 2-vCPU x86-64 guest.
+    rng = np.random.default_rng(22)
+    settled = staircase = 0
+    for trial in range(16):
+        n = int(rng.integers(3, 14))
+        x = random_mesh(rng, n)
+        block = settle_block(rng, n, 1 if trial % 2 else 4)
+        lo, hi = block[:-1].ravel(), block[1:].ravel()  # lane k * lines + c
+        equal = lo == hi
+        nb_l = np.vstack([block[:1] * np.nan, block[:-2]]).ravel()
+        nb_r = np.vstack([block[2:], block[:1] * np.nan]).ravel()
+        flat = equal & ((nb_l == lo) | (nb_r == lo))
+        for d in range(1, 9):
+            for im in (DBI, PPI):
+                for st in (1, 2, 3):
+                    cfg = InterpConfig(d=d, im=im, st=st)
+                    records = []
+                    for share in (0.0, np.inf, 0.25):
+                        monkeypatch.setattr(stencil, "SETTLE_SHARE", share)
+                        records.append(grow_stencils(x, block, np.arange(n - 1), cfg))
+                    want = stencil_bits(records[1])
+                    for got in records[0], records[2]:
+                        assert all(a.dtype == b.dtype and np.array_equal(a, b)
+                                   for a, b in zip(stencil_bits(got), want))
+                    if min(d, n - 1) >= 2:
+                        settled += np.count_nonzero(flat)
+                        staircase += np.count_nonzero(equal & ~flat & (records[0].degree == 1))
+    assert settled > 1_000 and staircase > 100
 
 
 def test_padded_records_evaluate_like_trimmed_pieces():
