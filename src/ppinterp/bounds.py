@@ -54,12 +54,21 @@ def boundary_sigmas(slopes, i):
     """Slopes (sigma_{i-1}, sigma_i, sigma_{i+1}) around interval ``i``.
 
     ``slopes`` holds the order-1 divided differences of the n-1 intervals
-    (along axis 0; further axes are lines).  Missing neighbors at the mesh
-    boundary are assumed to carry the same sign as the interval's own slope,
-    so the nearest available slope is copied.
+    (along axis 0; further axes are lines).  The neighbors come from
+    ``_neighbour_slopes``, whose rule covers the mesh boundary.
     """
     s = np.asarray(slopes, dtype=float)
-    return s.take(np.subtract(i, 1), 0, mode="clip"), s[i], s.take(np.add(i, 1), 0, mode="clip")
+    prev, nxt = _neighbour_slopes(s, i)
+    return prev, s[i], nxt
+
+
+def _neighbour_slopes(s, i):
+    """Slopes (sigma_{i-1}, sigma_{i+1}) around interval ``i`` of the array
+    ``s`` laid out as ``boundary_sigmas`` takes it.  Missing neighbors at
+    the mesh boundary are assumed to carry the same sign as the interval's
+    own slope, so the nearest available slope is copied.  The engine, which
+    holds sigma_i already, calls this alone."""
+    return s.take(np.subtract(i, 1), 0, mode="clip"), s.take(np.add(i, 1), 0, mode="clip")
 
 
 def classify_interval(sigma_prev, sigma_cur, sigma_next):

@@ -194,7 +194,9 @@ def horner(coeffs, nodes, runs, points):
     change sign only on a row of all-zero coefficients; the engine makes
     those at degree 1 alone, where it does not.)  Column-major ``coeffs``
     and ``nodes`` (the layout ``grow_stencils`` returns) make each column
-    one contiguous row to expand.
+    one contiguous row to expand, and a ``Stencils`` record's ``nodes``,
+    padded past each degree with the interval's left node, are read as
+    they are, with no gather from the mesh.
     """
     groups = runs.size
     shape = (coeffs.shape[1], groups, coeffs.shape[0] // groups)

@@ -43,7 +43,7 @@ def interpolate_lines(x, lines, pts, edge, runs, config: InterpConfig) -> np.nda
     total = hits.cumsum()
     node = np.arange(total[-1]) + (past - total).repeat(hits)
     st = grow_stencils(x, lines, intervals, config)
-    res = horner(st.coeffs, x[st.order], runs[intervals], pts)
+    res = horner(st.coeffs, st.nodes, runs[intervals], pts)
     # A node's value is returned as given.  Horner gives it as c_0 + 0 * p,
     # which turns a -0.0 into +0.0, and x[-1] lies in the last interval,
     # whose records start at x[-2], so it would come out rounded.
@@ -52,12 +52,16 @@ def interpolate_lines(x, lines, pts, edge, runs, config: InterpConfig) -> np.nda
 
 
 def interval_interpolants(x, v, config: InterpConfig) -> list[IntervalInterpolant]:
-    """Build the interpolant of every interval (mainly for inspection/tests)."""
+    """Build the interpolant of every interval (mainly for inspection/tests).
+
+    Each piece's insertion order is recovered from the engine's recorded
+    nodes by one search of the mesh."""
     xm = as_mesh1d(x)
     st = grow_stencils(xm, as_values(v, xm.shape)[:, None], np.arange(xm.size - 1), config)
+    orders = xm.searchsorted(st.nodes)  # the nodes are mesh values
     pieces = []
     for k, deg in enumerate(st.degree.tolist()):
-        order = st.order[k, : deg + 1].tolist()
+        order = orders[k, : deg + 1].tolist()
         pieces.append(
             IntervalInterpolant(
                 interval_index=order[0],

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import boundary_sigmas, classify_interval, interval_bounds, scaling_factors, where
+from .bounds import _neighbour_slopes, classify_interval, interval_bounds, scaling_factors, where
 from .config import DBI, InterpConfig
 from .divdiff import DividedDifferenceTable, IntervalInterpolant, as_mesh1d, next_order
 
@@ -113,16 +113,19 @@ def select_direction(st: int, dd, lam, i, window, interval, points):
 class Stencils(NamedTuple):
     """The grown stencils of many lanes, one row per lane.
 
-    ``order`` and ``coeffs`` hold the insertion order and the Newton
-    coefficients, column-major: the engine writes insertion j of every lane
-    at once.  Past ``degree`` every row is padded, ``order`` with the
-    interval's left node and ``coeffs`` with +0; ``horner`` relies on that
-    padding to evaluate every column with no mask.  ``degenerate``,
+    ``nodes`` and ``coeffs`` hold the abscissae of the inserted mesh
+    points, in insertion order, and the Newton coefficients, column-major:
+    the engine writes insertion j of every lane at once.  Past ``degree``
+    every row is padded, ``nodes`` with the interval's left node x_i and
+    ``coeffs`` with +0; ``horner`` relies on that padding to evaluate every
+    column with no mask.  Every entry of ``nodes`` is a mesh value, so
+    ``x.searchsorted(nodes)`` gives the insertion indices exactly (the mesh
+    increases strictly, and a -0.0 node is found as itself).  ``degenerate``,
     ``denom``, ``m_l`` and ``m_r`` record the normalization and scaling
     factors the growth used.
     """
 
-    order: np.ndarray
+    nodes: np.ndarray
     coeffs: np.ndarray
     degree: np.ndarray
     degenerate: np.ndarray
@@ -178,7 +181,9 @@ def grow_stencils(x, values, intervals, config: InterpConfig) -> Stencils:
     slab's NaN tail, and a left candidate at l = 0 wraps to the slab's last
     row, which is never written.  The candidates' lengths and points are
     read with ``take(mode="clip")``: past a mesh end that gives finite
-    stand-ins, which the failed test masks off.
+    stand-ins, which the failed test masks off.  The record holds the
+    abscissa of each inserted point, the one the next step's position
+    ``t`` is computed from, so no index is gathered for it.
     The lanes still growing are compacted only in a step where some lane
     stops.  A degenerate lane left at degree 1 is recorded as the linear
     piece (slope normalization, factors (0, 1)); that rewrite runs only in
@@ -199,13 +204,13 @@ def grow_stencils(x, values, intervals, config: InterpConfig) -> Stencils:
     degenerate = (u_i == u_ip1) | (slope == 0.0)
     ndeg = np.count_nonzero(degenerate)
     i = intervals.repeat(lines)
-    # order[j] and coeffs[j] hold insertion j of every lane; the result is
+    # nodes[j] and coeffs[j] hold insertion j of every lane; the result is
     # their transpose.  Until a step writes them, they hold the linear piece.
-    order = i[None].repeat(top + 1, 0)
-    order[1] += 1
-    xi, xi1 = x[i], x[order[1]]
+    xi, xi1 = x[i], x[i + 1]
+    nodes = xi[None].repeat(top + 1, 0)
+    nodes[1] = xi1
     h = xi1 - xi
-    coeffs = np.zeros(order.shape)
+    coeffs = np.zeros(nodes.shape)
     coeffs[0], coeffs[1] = u_i, slope
     lanes = i.size
     live = slice(None)  # selects the lanes that may grow: all of them
@@ -232,7 +237,7 @@ def grow_stencils(x, values, intervals, config: InterpConfig) -> Stencils:
             left, right, wg = left & ~flat, ~(left | flat), wg + flat
         else:
             if nflat:
-                # Settle the flat lanes: their rows of order and coeffs
+                # Settle the flat lanes: their rows of nodes and coeffs
                 # already hold the linear piece, and the finish writes the
                 # rest of their record.  Every later lane array holds only
                 # the other lanes.
@@ -253,10 +258,10 @@ def grow_stencils(x, values, intervals, config: InterpConfig) -> Stencils:
         lp[g] = h[g]
     u_min = u_max = None
     if config.im != DBI:  # DBI's scaling factors ignore the bounds
-        sp, _, sn = boundary_sigmas(nxt[:-1], intervals)
+        sp, sn = _neighbour_slopes(nxt[:-1], intervals)
         cls = classify_interval(sp.ravel()[live], slope, sn.ravel()[live])
         u_min, u_max = interval_bounds(u_i, u_ip1, cls, config.eps0, config.eps1)
-        del sp, _, sn, cls
+        del sp, sn, cls
     m_l, m_r = scaling_factors(u_i, u_ip1, u_min, u_max, config.im, w)  # DBI gives scalars
     del u_i, u_ip1, u_min, u_max  # coeffs[0] keeps u_i
 
@@ -281,8 +286,7 @@ def grow_stencils(x, values, intervals, config: InterpConfig) -> Stencils:
         ok &= lam2 <= bp
         if prev is None:
             ok &= first
-        point = cand + reach[s]
-        xp = x.take(point, mode="clip")
+        xp = x.take(cand + reach[s], mode="clip")
         ok_l, ok_r = ok[0], ok[1]
         # left where only it is admissible, or both are and the policy says
         # so: (sel >= ok_r) is sel | ~ok_r on booleans
@@ -301,20 +305,21 @@ def grow_stencils(x, values, intervals, config: InterpConfig) -> Stencils:
             near = np.arange(keep.size)
             far = near + keep.size
 
-        order[s + 2][lane] = point.take(pick)
+        xk = xp.take(pick)  # the inserted points, which the next t reads too
+        nodes[s + 2][lane] = xk
         coeffs[s + 2][lane] = dd.take(pick)
         if s == top - 2:
             break
         l, pos = cand.take(pick), off.take(pick)
         lam, prev = lam2.take(pick), (bm.take(pick), bp.take(pick))
         lp = lp * length.take(pick)
-        t = (xp.take(pick) - xi) / h
-        # Free this step's (2, lanes) arrays before the next step builds its own.
-        del cand, off, ok, dd, length, lam2, bm, bp, point, xp
+        t = (xk - xi) / h
+        # Free this step's arrays before the next step builds its own.
+        del cand, off, ok, dd, length, lam2, bm, bp, xp, xk
         span = xb[s + 3 :] - xb[: n - s - 3]  # order s+3's, read by step s+1
         cur, nxt = next_order(cur, span, nxt), cur
 
-    degree = (order[2:] != order[0]).sum(0) + 1  # padding repeats i
+    degree = (nodes[2:] != nodes[0]).sum(0) + 1  # padding repeats x_i
     if ndeg:  # a degenerate lane left at degree 1 records the linear piece
         if i.size < lanes:  # settled: the growing lanes' fields go to their rows
             rows = np.empty((3, lanes))  # a settled row is rewritten below
@@ -325,7 +330,7 @@ def grow_stencils(x, values, intervals, config: InterpConfig) -> Stencils:
         m_l, m_r = np.where(linear, 0.0, m_l), np.where(linear, 1.0, m_r)
     elif config.im == DBI:  # one factor per lane in the record
         m_l, m_r = np.full(lanes, m_l), np.full(lanes, m_r)
-    return Stencils(order.T, coeffs.T, degree, degenerate, denom, m_l, m_r)
+    return Stencils(nodes.T, coeffs.T, degree, degenerate, denom, m_l, m_r)
 
 
 def replay_stencils(x, table, st: Stencils):
@@ -336,13 +341,14 @@ def replay_stencils(x, table, st: Stencils):
     ``table`` is the column-major ``(width, n, lines)`` block
     ``divided_differences`` builds from the values the stencils were grown
     on, and lane k reads line k % lines.  The windows, length products and
-    previous bounds are rebuilt from the recorded insertion order,
-    normalization and scaling factors alone.  The padding repeats the
-    interval's left node, so a padded step leaves the window unchanged.
+    previous bounds are rebuilt from the recorded nodes, normalization and
+    scaling factors alone; one search of the mesh turns the nodes into
+    insertion indices.  The padding repeats the interval's left node, so a
+    padded step leaves the window unchanged.
     Returns a ``(3, width - 2, lanes)`` array, lambda_bar, B- and B+ of
     step j at ``[:, j - 1]``, with NaN past each lane's degree.
     """
-    order = st.order.T  # order[j]: insertion j of every lane
+    order = x.searchsorted(st.nodes.T)  # order[j]: insertion j of every lane
     i, l, r = order[0], order[0], order[1]
     line = np.arange(i.size) % table.shape[2]
     h = x[i + 1] - x[i]
@@ -364,14 +370,16 @@ def replay_stencils(x, table, st: Stencils):
 
 def replay_chain(piece: IntervalInterpolant, table: DividedDifferenceTable, mesh):
     """Recompute (lambda_bar_j, B-_j, B+_j) along one accepted stencil:
-    ``replay_stencils`` on a one-lane record of ``piece``, on the mesh as
-    ``as_mesh1d`` checks it.
+    ``replay_stencils`` on a one-lane record of ``piece``, whose nodes are
+    the mesh values at its insertion order, on the mesh as ``as_mesh1d``
+    checks it.
 
     Returns one (j, lambda_bar, b_minus, b_plus) tuple of floats per
     expansion; every accepted step must satisfy B- <= lambda_bar <= B+.
     """
-    fields = (piece.insertion_order, piece.coefficients, piece.degree,
+    x = as_mesh1d(mesh)
+    fields = (x.take(piece.insertion_order), piece.coefficients, piece.degree,
               piece.normalization == "degenerate", piece.denom, piece.m_l, piece.m_r)
     one = Stencils(*(np.array([f]) for f in fields))
-    out = replay_stencils(as_mesh1d(mesh), table.entries.T[..., None], one)
+    out = replay_stencils(x, table.entries.T[..., None], one)
     return [(j, *step) for j, step in enumerate(out[..., 0].T.tolist(), 1)]

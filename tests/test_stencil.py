@@ -439,11 +439,12 @@ def edge_patterns(n):
 
 def assert_zero_padded(st):
     """The record contract ``horner`` relies on: past its degree, every
-    lane's coefficients are +0 (bit pattern 0) and its order repeats the
+    lane's coefficients are +0 (bit pattern 0) and its nodes repeat the
     interval's left node."""
     past = np.arange(st.coeffs.shape[1]) > st.degree[:, None]
     assert (st.coeffs.view(np.int64)[past] == 0).all()
-    assert (st.order == np.where(past, st.order[:, :1], st.order)).all()
+    bits = st.nodes.view(np.int64)
+    assert (bits == np.where(past, bits[:, :1], bits)).all()
 
 
 def lane_records(x, block, cfg):
@@ -454,8 +455,9 @@ def lane_records(x, block, cfg):
     assert_zero_padded(st)
     lines = block.shape[1]
     records = [[] for _ in range(lines)]
+    orders = x.searchsorted(st.nodes)
     for k, deg in enumerate(st.degree.tolist()):
-        order = st.order[k, : deg + 1].tolist()
+        order = orders[k, : deg + 1].tolist()
         records[k % lines].append((
             order[0], (min(order), max(order)), tuple(order),
             [c.hex() for c in st.coeffs[k, : deg + 1].tolist()],
@@ -517,7 +519,7 @@ def test_both_finish_paths_give_the_same_record():
             for block in (rising[:, None], plateau[:, None], np.stack([rising, plateau], 1)):
                 st = grow_stencils(x, block, np.arange(8), cfg)
                 lanes = 8 * block.shape[1]
-                assert st.order.shape == st.coeffs.shape == (lanes, d + 1)
+                assert st.nodes.shape == st.coeffs.shape == (lanes, d + 1)
                 assert all(f.shape == (lanes,) for f in st[2:])
                 assert st.degree.dtype == np.intp
                 layouts.add(tuple((type(f), f.dtype) for f in st))
@@ -618,7 +620,7 @@ def test_padded_records_evaluate_like_trimmed_pieces():
         # run of 9 points per interval
         t = np.linspace(0.0, 1.0, 9)
         pts = x[:-1, None] + (x[1:] - x[:-1])[:, None] * t
-        got = horner(st.coeffs, x[st.order], np.full(n - 1, 9), pts.ravel())
+        got = horner(st.coeffs, st.nodes, np.full(n - 1, 9), pts.ravel())
         got = got.reshape(n - 1, 9, block.shape[1])
         for col in range(block.shape[1]):
             for k, piece in enumerate(interval_interpolants(x, block[:, col], cfg)):
@@ -627,6 +629,41 @@ def test_padded_records_evaluate_like_trimmed_pieces():
         lanes += st.degree.size
         short += np.count_nonzero(st.degree < st.coeffs.shape[1] - 1)
     assert lanes > 2_000 and short > 1_000
+
+
+def test_recorded_nodes_are_mesh_values_with_signed_zeros():
+    # The record holds node abscissae, and its readers recover the
+    # insertion indices with one search of the mesh.  On random blocks whose
+    # meshes hold a node at -0.0 or +0.0, every recorded node must be the
+    # mesh value at its searched index bit for bit, the first two the
+    # interval's ends, and the padding the left node's abscissa.
+    rng = np.random.default_rng(2424)
+    zeros = padded = 0
+    for trial in range(60):
+        n = int(rng.integers(3, 14))
+        x = random_mesh(rng, n)
+        k = int(rng.integers(n))
+        x = x - x[k]  # node k becomes +0.0
+        x[k] = (0.0, -0.0)[trial % 2]
+        block = signed_zeros(rng, np.stack([
+            rng.uniform(0.0, 5.0, n), plateau_values(rng, n), np.full(n, 2.0),
+        ], axis=1), 0.3)
+        cfg = InterpConfig(
+            d=int(rng.integers(1, 10)), im=(DBI, PPI)[trial // 2 % 2], st=trial % 3 + 1,
+        )
+        intervals = np.arange(n - 1)
+        st = grow_stencils(x, block, intervals, cfg)
+        bits = st.nodes.view(np.int64)
+        idx = x.searchsorted(st.nodes)
+        assert (x[idx].view(np.int64) == bits).all()
+        lanes = intervals.repeat(block.shape[1])
+        assert (idx[:, 0] == lanes).all() and (idx[:, 1] == lanes + 1).all()
+        past = np.arange(st.nodes.shape[1]) > st.degree[:, None]
+        left = x[lanes].view(np.int64)
+        assert (bits[past] == np.broadcast_to(left[:, None], past.shape)[past]).all()
+        zeros += np.count_nonzero(st.nodes == 0.0)
+        padded += np.count_nonzero(past)
+    assert zeros > 300 and padded > 1_000
 
 
 # Every piece that interval_interpolants builds for the inputs below, hashed

@@ -15,6 +15,14 @@ that differ, the median over rounds of B's round time over A's, the rounds
 in which B took less time, and each side's sum of per-cell minimum times
 with their ratio.  It gates nothing: a ratio read in one process on a
 shared host needs an A/A control beside it.
+
+Both sides share one process and one heap, so a change whose cost or gain
+is page faults reads differently here than in ``perfbench/run.py``, which
+runs one side per process: a change to the 2D/3D engine has read 1.03x
+here and 0.96x-0.97x in the runner.  2D/3D pass times and fault counts
+compare only between checkouts whose paths have the same length, run by
+the same driver, one side per process (``tools/pass_faults.py``); use this
+tool for the bit-for-bit check and for 1D cells.
 """
 
 from __future__ import annotations

@@ -6,16 +6,23 @@ each pass makes and trace the memory of its largest call.
 Run it from anywhere in a source checkout: it imports ppinterp from the
 checkout's ``src/`` and the workload's cells from ``perfbench/workloads.py``,
 as ``perfbench/run.py`` does.  After one untimed warm-up pass it runs the
-passes back to back and prints one JSON line: the best and the median pass
-time, the minor page faults per pass (``getrusage``'s ``ru_minflt``; the
-median, with the smallest and largest) and the process's max RSS.  One more
-untimed pass, after the max RSS is read, traces every public call with
-``tracemalloc`` and adds the largest traced peak of any one call: the
-working set of the workload's biggest call, output included.
+passes back to back and prints one JSON line: the ``src`` directory it
+imported ppinterp from, the best and the median pass time, the minor page
+faults per pass (``getrusage``'s ``ru_minflt``; the median, with the
+smallest and largest) and the process's max RSS.  One more untimed pass,
+after the max RSS is read, traces every public call with ``tracemalloc``
+and adds the largest traced peak of any one call: the working set of the
+workload's biggest call, output included.
 
 The faults show how much memory the allocator hands back to the system
 between passes and then takes again: a change that moves them can move a
-2D/3D workload's ``wall_s`` without changing the work it does.
+2D/3D workload's ``wall_s`` without changing the work it does.  They also
+move with what is not the code: the same code has read from 4 to 140
+faults per ``field2d`` pass as only the checkout's path and the script
+that started the process changed.  So 2D/3D pass times and fault counts
+compare only between checkouts whose paths have the same length, run by
+the same driver, one side per process; the printed ``src`` shows which
+checkout a line measured.
 """
 
 from __future__ import annotations
@@ -82,6 +89,7 @@ def main(argv=None):
     seconds, faults = zip(*(run_pass(cells) for _ in range(args.passes)))
     max_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(json.dumps({
+        "src": os.path.dirname(os.path.dirname(os.path.abspath(ppinterp.__file__))),
         "workload": args.workload,
         "seed": args.seed,
         "passes": args.passes,
