@@ -8,6 +8,7 @@ import enum
 import numpy as np
 
 from .config import DBI
+from .divdiff import _as_float
 
 __all__ = [
     "ExtremumClass",
@@ -57,7 +58,7 @@ def boundary_sigmas(slopes, i):
     (along axis 0; further axes are lines).  The neighbors come from
     ``_neighbour_slopes``, whose rule covers the mesh boundary.
     """
-    s = np.asarray(slopes, dtype=float)
+    s = _as_float(slopes, "slopes")
     prev, nxt = _neighbour_slopes(s, i)
     return prev, s[i], nxt
 

@@ -5,8 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import METHODS, ExperimentSpec, format_rows, run_experiments, table_sweep
-from .testfunctions import TEST_FUNCTIONS
+from .harness import METHODS, TEST_FUNCTIONS, ExperimentSpec, format_rows, run_experiments, table_sweep
 
 
 def _add_common(parser):

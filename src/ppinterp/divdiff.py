@@ -213,6 +213,14 @@ def horner(coeffs, nodes, runs, points):
     return p
 
 
+def _piece_nodes(piece: IntervalInterpolant, x: np.ndarray) -> np.ndarray:
+    """The abscissae of ``piece``'s insertion order on the validated mesh
+    ``x``; a window that reaches past either end of the mesh raises."""
+    if piece.window[0] < 0 or piece.window[1] >= x.size:
+        raise ValueError(f"piece window {piece.window} does not fit a mesh of {x.size} points")
+    return x.take(piece.insertion_order)
+
+
 def newton_eval(piece: IntervalInterpolant, mesh, x):
     """Evaluate the Newton-form interpolant at ``x`` (scalar or array).
 
@@ -220,7 +228,8 @@ def newton_eval(piece: IntervalInterpolant, mesh, x):
     c_0 + (x - x_e0)(c_1 + (x - x_e1)(c_2 + ...)), computed by ``horner``
     with every point in one run.  The mesh is checked as ``as_mesh1d``
     checks it, and the points must be real and finite, so no input is cut
-    to its real part or gives a silent NaN.
+    to its real part or gives a silent NaN.  A piece whose window does not
+    fit the mesh raises.
     """
     xs = as_mesh1d(mesh)
     xv = _as_float(x, "output points")
@@ -228,7 +237,7 @@ def newton_eval(piece: IntervalInterpolant, mesh, x):
         raise ValueError("output points must be finite")
     p = horner(
         np.array([piece.coefficients], dtype=float),
-        xs[[piece.insertion_order]],
+        _piece_nodes(piece, xs)[None],
         np.array([xv.size]),
         xv.reshape(-1),
     )

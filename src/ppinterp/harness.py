@@ -1,19 +1,28 @@
-"""Experiment harness: error sweeps over the analytic test functions and
-mesh-to-mesh round-trip mapping studies, emitted as CSV."""
+"""Experiment layer: the analytic test functions (f1-f3 in 1D, f4-f6 in
+2D), the error norms and mesh refinement they are measured with, the error
+sweeps behind the published tables and the mesh-to-mesh round-trip studies,
+emitted as CSV.
+
+The CLI is its front end.  The interpolation core imports nothing from
+here, so ``import ppinterp`` does not load it.  The norms take their arrays
+through the core's validators, so complex, NaN or infinite input raises
+``ValueError`` instead of giving a wrong number."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .config import DBI, PPI, InterpConfig, _is_integer
-from .diagnostics import l2_error_continuum, l2_error_grid, refine_mesh
+from .divdiff import as_mesh1d, as_values
 from .interpnd import adaptive_interpolation_1d, adaptive_interpolation_2d
 from .pchip import pchip_1d, pchip_2d
-from .testfunctions import TEST_FUNCTIONS
 
 __all__ = [
+    "TestFunction", "TEST_FUNCTIONS",  # the analytic test functions
+    "l2_error_continuum", "l2_error_grid", "refine_mesh",  # norms and meshes
     "DENSE_1D",
     "DENSE_2D",
     "ExperimentSpec",
@@ -25,6 +34,112 @@ __all__ = [
     "format_rows",
     "CSV_HEADER",
 ]
+
+
+def _f1(x):
+    return 0.1 / (0.1 + 25.0 * x**2)
+
+
+def _f2(x):
+    return 1.0 / (1.0 + np.exp(-200.0 * x))
+
+
+def _f3(x):
+    x = np.asarray(x, dtype=float)
+    left = 1.0 + (2.0 * np.exp(2.0 * np.pi * x) - 1.0 - np.exp(np.pi)) / (np.exp(np.pi) - 1.0)
+    right = 1.0 - np.sin(2.0 * np.pi * x / 3.0 + np.pi / 3.0)
+    return np.where(x < -0.5, left, right)
+
+
+def _f4(x, y):
+    return 0.1 / (0.1 + 25.0 * (x**2 + y**2))
+
+
+def _f5(x, y):
+    return 1.0 / (1.0 + np.exp(-np.sqrt(2.0) * 100.0 * (x + y)))
+
+
+def _f6(x, y):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    diag = y - x
+    r2 = (x - 1.5) ** 2 + (y - 0.5) ** 2
+    # First matching branch wins.
+    return np.select(
+        [(diag >= 0.0) & (diag <= 0.5), diag >= 0.5, r2 <= 1.0 / 16.0],
+        [2.0 * diag, np.ones_like(diag), np.cos(4.0 * np.pi * np.sqrt(r2))],
+        default=0.0,
+    )
+
+
+@dataclass(frozen=True)
+class TestFunction:
+    """One analytic test case: callable plus its dimensionality and domain."""
+
+    name: str
+    ndim: int
+    domain: tuple[tuple[float, float], ...]
+    func: Callable
+
+    def sample(self, *meshes):
+        """Evaluate on tensor-product meshes (1 mesh per dimension)."""
+        if len(meshes) != self.ndim:
+            raise ValueError(f"{self.name} needs {self.ndim} mesh(es), got {len(meshes)}")
+        return self.func(*np.meshgrid(*meshes, indexing="ij"))
+
+
+TEST_FUNCTIONS: dict[str, TestFunction] = {
+    "f1": TestFunction("f1", 1, ((-1.0, 1.0),), _f1),
+    "f2": TestFunction("f2", 1, ((-0.2, 0.2),), _f2),
+    "f3": TestFunction("f3", 1, ((-1.0, 1.0),), _f3),
+    "f4": TestFunction("f4", 2, ((-1.0, 1.0), (-1.0, 1.0)), _f4),
+    "f5": TestFunction("f5", 2, ((-0.2, 0.2), (-0.2, 0.2)), _f5),
+    "f6": TestFunction("f6", 2, ((0.0, 2.0), (0.0, 2.0)), _f6),
+}
+
+
+def l2_error_continuum(approx_values, exact_values, *meshes) -> float:
+    """Trapezoidal-rule approximation of the continuous L2 difference norm.
+
+    ``meshes`` are the dense sampling grids of the axes the two value arrays
+    live on (one per axis); the rule is applied per axis, last axis first.
+    """
+    grids = [as_mesh1d(m) for m in meshes]
+    shape = tuple(g.size for g in grids)
+    sq = (as_values(approx_values, shape) - as_values(exact_values, shape)) ** 2
+    for g in reversed(grids):
+        sq = np.trapezoid(sq, g, axis=-1)
+    return float(np.sqrt(sq))
+
+
+def l2_error_grid(a, b) -> float:
+    """Root-mean-square difference over grid points.
+
+    The mean (rather than plain sum) keeps values comparable across grid
+    resolutions.
+    """
+    av, bv = (as_values(v, np.shape(v)) for v in (a, b))
+    if av.shape != bv.shape:
+        raise ValueError(f"length mismatch: {av.shape} vs {bv.shape}")
+    return float(np.sqrt(np.mean((av - bv) ** 2)))
+
+
+def refine_mesh(mesh, k: int) -> np.ndarray:
+    """Insert ``k`` equally spaced interior points in every interval.
+
+    Original points are preserved exactly; N points become N + k(N-1).
+    """
+    x = as_mesh1d(mesh)
+    if not _is_integer(k) or k < 0:
+        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
+    n = x.size
+    out = np.empty(n + k * (n - 1))
+    out[:: k + 1] = x
+    delta = np.diff(x)
+    for m in range(1, k + 1):
+        out[m :: k + 1] = x[:-1] + delta * (m / (k + 1))
+    return out
+
 
 # Dense uniform sampling used for the continuum error norms.
 DENSE_1D = 10_000

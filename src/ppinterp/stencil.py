@@ -21,7 +21,7 @@ import numpy as np
 
 from .bounds import _neighbour_slopes, classify_interval, interval_bounds, scaling_factors, where
 from .config import DBI, InterpConfig
-from .divdiff import DividedDifferenceTable, IntervalInterpolant, as_mesh1d, next_order
+from .divdiff import DividedDifferenceTable, IntervalInterpolant, _piece_nodes, as_mesh1d, next_order
 
 __all__ = [
     "lambda_bar_step",
@@ -376,10 +376,15 @@ def replay_chain(piece: IntervalInterpolant, table: DividedDifferenceTable, mesh
 
     Returns one (j, lambda_bar, b_minus, b_plus) tuple of floats per
     expansion; every accepted step must satisfy B- <= lambda_bar <= B+.
+    The piece's window must fit the mesh, and the table must hold one row
+    per mesh point and an order above the piece's degree.
     """
     x = as_mesh1d(mesh)
-    fields = (x.take(piece.insertion_order), piece.coefficients, piece.degree,
+    fields = (_piece_nodes(piece, x), piece.coefficients, piece.degree,
               piece.normalization == "degenerate", piece.denom, piece.m_l, piece.m_r)
+    shape = table.entries.shape  # (mesh points, orders)
+    if shape[0] != x.size or shape[1] <= piece.degree:
+        raise ValueError(f"table of shape {shape} does not fit {x.size} mesh points and degree {piece.degree}")
     one = Stencils(*(np.array([f]) for f in fields))
     out = replay_stencils(x, table.entries.T[..., None], one)
     return [(j, *step) for j, step in enumerate(out[..., 0].T.tolist(), 1)]

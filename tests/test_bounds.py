@@ -162,6 +162,12 @@ class TestBoundarySigmas:
     def test_single_interval(self):
         assert boundary_sigmas([4.0], 0) == (4.0, 4.0, 4.0)
 
+    @pytest.mark.parametrize("slopes", [[1.0 + 2j, 3.0, 4.0], np.array([1.0 + 2j, 3.0, 4.0])])
+    def test_complex_slopes_rejected(self, slopes):
+        # converting them would keep only the real parts
+        with pytest.raises(ValueError, match="^slopes must be real, got dtype complex128$"):
+            boundary_sigmas(slopes, 1)
+
 
 def bits(values):
     """Each value's float64 bit pattern (tells -0.0 from 0.0)."""

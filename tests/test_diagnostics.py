@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ppinterp.diagnostics import l2_error_continuum, l2_error_grid, refine_mesh
+from ppinterp.harness import l2_error_continuum, l2_error_grid, refine_mesh
 
 
 class TestContinuumNorm:
@@ -59,6 +59,35 @@ class TestGridNorm:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             l2_error_grid([1.0], [1.0, 2.0])
+
+
+class TestNormInputs:
+    """The norms take their arrays through the core's validators, so a
+    complex, NaN or infinite value raises instead of giving a number."""
+
+    BAD = [
+        (np.array([1.0 + 5j, 2.0, 3.0]), "^values must be real, got dtype complex128$"),
+        ([np.nan, 2.0, 3.0], "^values must be finite$"),
+        ([1.0, np.inf, 3.0], "^values must be finite$"),
+        ([1.0, 2.0, -np.inf], "^values must be finite$"),
+    ]
+
+    @pytest.mark.parametrize("bad, message", BAD)
+    def test_grid_norm_rejects(self, bad, message):
+        for a, b in ((bad, [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], bad)):
+            with pytest.raises(ValueError, match=message):
+                l2_error_grid(a, b)
+
+    @pytest.mark.parametrize("bad, message", BAD)
+    def test_continuum_norm_rejects(self, bad, message):
+        for a, b in ((bad, [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], bad)):
+            with pytest.raises(ValueError, match=message):
+                l2_error_continuum(a, b, [0.0, 1.0, 2.0])
+
+    def test_integer_values_read_as_floats(self):
+        assert l2_error_grid([3, 4], [0, 0]) == l2_error_grid([3.0, 4.0], [0.0, 0.0])
+        want = l2_error_continuum([3.0, 4.0], [0.0, 0.0], [0.0, 1.0])
+        assert l2_error_continuum([3, 4], [0, 0], [0, 1]) == want
 
 
 class TestRefineMesh:

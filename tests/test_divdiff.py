@@ -290,6 +290,42 @@ class TestNewtonEval:
         with pytest.raises(ValueError, match=message):
             replay_chain(piece, build_table(x, x**2, 2), mesh)
 
+    # A piece read with a mesh or a table it does not fit raises a
+    # ValueError that names the mismatch, not numpy's IndexError from
+    # inside the evaluation or the replay.
+    @staticmethod
+    def degree_six():
+        x = np.linspace(0.0, 1.0, 9)
+        u = np.abs(np.sin(7.0 * x))
+        return x, u, make_piece(x, u, 0, range(7))
+
+    def test_window_past_the_mesh(self):
+        x, u, piece = self.degree_six()
+        message = r"^piece window \(0, 6\) does not fit a mesh of 5 points$"
+        with pytest.raises(ValueError, match=message):
+            newton_eval(piece, x[:5], 0.5)
+        with pytest.raises(ValueError, match=message):
+            replay_chain(piece, build_table(x[:5], u[:5], 6), x[:5])
+
+    def test_window_before_the_mesh(self):
+        x = np.array([0.0, 1.0, 2.0])
+        piece = IntervalInterpolant(-1, (-1, 0), (-1, 0), (1.0, 1.0))
+        message = r"^piece window \(-1, 0\) does not fit a mesh of 3 points$"
+        with pytest.raises(ValueError, match=message):
+            newton_eval(piece, x, 0.5)
+
+    def test_table_of_another_mesh(self):
+        x, u, piece = self.degree_six()
+        message = r"^table of shape \(8, 7\) does not fit 9 mesh points and degree 6$"
+        with pytest.raises(ValueError, match=message):
+            replay_chain(piece, build_table(x[:8], u[:8], 6), x)
+
+    def test_table_below_the_degree(self):
+        x, u, piece = self.degree_six()
+        message = r"^table of shape \(9, 3\) does not fit 9 mesh points and degree 6$"
+        with pytest.raises(ValueError, match=message):
+            replay_chain(piece, build_table(x, u, 2), x)
+
     def test_reproduces_node_values(self):
         rng = np.random.default_rng(13)
         x = random_mesh(rng, 7)

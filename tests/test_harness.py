@@ -4,18 +4,18 @@ import pytest
 from ppinterp import adaptive_interpolation_1d, PPI
 from ppinterp import cli, harness
 from ppinterp.cli import main
-from ppinterp.diagnostics import l2_error_grid
 from ppinterp.harness import (
     CSV_HEADER,
+    TEST_FUNCTIONS,
     ExperimentSpec,
     approximation_error,
     format_rows,
+    l2_error_grid,
     roundtrip_error,
     roundtrip_meshes,
     run_experiments,
     table_sweep,
 )
-from ppinterp.testfunctions import TEST_FUNCTIONS
 
 
 class TestFunctions:

@@ -1,5 +1,6 @@
 """Cold start on numpy alone: no call of the package, PCHIP included, ever
-imports SciPy."""
+imports SciPy, and ``import ppinterp`` loads the interpolation core alone,
+not the experiment layer (``harness``) or its CLI."""
 
 import os
 import subprocess
@@ -11,12 +12,14 @@ SCRIPT = """
 import contextlib, io, sys
 import numpy as np
 import ppinterp
-from ppinterp import PPI, DBI, cli
+from ppinterp import PPI, DBI
 
 def check(after):
     loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
     assert not loaded, f"{after} loaded {loaded}"
 
+layer = sorted(name for name in sys.modules if name in ("ppinterp.harness", "ppinterp.cli"))
+assert not layer, f"import ppinterp loaded the experiment layer {layer}"
 check("import ppinterp")
 x = np.linspace(0.0, 1.0, 9)
 u = np.abs(np.sin(7.0 * x))
@@ -31,6 +34,7 @@ ppinterp.pchip_1d(x, u, xo)
 check("pchip_1d")
 ppinterp.pchip_2d(x, x, np.outer(u, u), xo, xo)
 check("pchip_2d")
+from ppinterp import cli
 with contextlib.redirect_stdout(io.StringIO()):
     for method, degree in (("ppi", "8"), ("pchip", "3")):
         assert cli.main(["approx", "--fn", "f1", "--n", "17", "--method", method, "--degree", degree]) == 0

@@ -20,8 +20,8 @@ from ppinterp import (
     pchip_2d,
 )
 from ppinterp import interp1d, interpnd, stencil
+from ppinterp.harness import TEST_FUNCTIONS
 from ppinterp.pchip import _pchip
-from ppinterp.testfunctions import TEST_FUNCTIONS
 
 from helpers import (
     mixed_points, random_grid_case, random_mesh, reorderings, signed_equal, signed_zeros,

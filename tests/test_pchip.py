@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from ppinterp import pchip_1d, pchip_2d
-from ppinterp.diagnostics import l2_error_continuum
+from ppinterp.harness import TEST_FUNCTIONS, l2_error_continuum
 from ppinterp.pchip import _end_slope
-from ppinterp.testfunctions import TEST_FUNCTIONS
 
 from helpers import random_mesh
 

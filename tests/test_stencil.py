@@ -9,6 +9,7 @@ from ppinterp.config import DBI, PPI, InterpConfig
 from ppinterp.divdiff import (
     IntervalInterpolant, build_table, divided_differences, horner, newton_eval,
 )
+from ppinterp.harness import TEST_FUNCTIONS
 from ppinterp.interp1d import interpolate_lines, interval_interpolants
 from ppinterp.stencil import (
     b_bounds_step,
@@ -18,7 +19,6 @@ from ppinterp.stencil import (
     replay_stencils,
     select_direction,
 )
-from ppinterp.testfunctions import TEST_FUNCTIONS
 
 import oracle
 from helpers import random_grid_case, random_mesh, signed_zeros
