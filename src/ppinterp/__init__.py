@@ -9,10 +9,9 @@ its module."""
 from .bounds import boundary_sigmas, classify_interval, interval_bounds
 from .config import DBI, PPI, InterpConfig
 from .divdiff import build_table, newton_eval
-from .interp1d import interval_interpolants
 from .interpnd import adaptive_interpolation_1d, adaptive_interpolation_2d, adaptive_interpolation_3d
 from .pchip import pchip_1d, pchip_2d
-from .stencil import replay_chain
+from .stencil import interval_interpolants, replay_chain
 
 __version__ = "0.1.0"
 

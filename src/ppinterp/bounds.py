@@ -7,7 +7,7 @@ import enum
 
 import numpy as np
 
-from .config import DBI
+from .config import DBI, _is_integer
 from .divdiff import _as_float
 
 __all__ = [
@@ -36,29 +36,27 @@ class ExtremumClass(enum.IntEnum):
     AMBIGUOUS = 3
 
 
-# Every function below works elementwise: scalar arguments describe one
-# interval, arrays describe many at once with the same arithmetic.  Python's
-# min/max are spelled where(b < a, b, a) so that signed zeros come out as in
-# scalar code.
-
-
-def where(cond, a, b):
-    """``np.where(cond, a, b)`` for an array ``cond``; any other ``cond``
-    (one interval, as the test oracle passes it: a bool or an integer flag)
-    picks its branch directly and keeps scalar arithmetic in Python floats."""
-    if isinstance(cond, np.ndarray):
-        return np.where(cond, a, b)
-    return a if cond else b
+# Every function below works elementwise, on one path: scalar arguments
+# describe one interval, arrays describe many at once, and both go through
+# the same numpy arithmetic, so one interval of Python floats comes back as
+# numpy float64: scalars, or 0-d arrays where np.where gives the result.
+# Python's min/max are spelled np.where(b < a, b, a) so that signed zeros
+# come out as Python's min/max give them.
 
 
 def boundary_sigmas(slopes, i):
     """Slopes (sigma_{i-1}, sigma_i, sigma_{i+1}) around interval ``i``.
 
     ``slopes`` holds the order-1 divided differences of the n-1 intervals
-    (along axis 0; further axes are lines).  The neighbors come from
+    (along axis 0; further axes are lines), which must be finite; ``i`` must
+    be an integer in [0, n-2].  The neighbors come from
     ``_neighbour_slopes``, whose rule covers the mesh boundary.
     """
     s = _as_float(slopes, "slopes")
+    if not (_is_integer(i) and 0 <= i < len(s)):
+        raise ValueError(f"interval index must be an integer in [0, {len(s) - 1}], got {i!r}")
+    if np.count_nonzero(np.isfinite(s)) < s.size:
+        raise ValueError("slopes must be finite")
     prev, nxt = _neighbour_slopes(s, i)
     return prev, s[i], nxt
 
@@ -87,12 +85,12 @@ def classify_interval(sigma_prev, sigma_cur, sigma_next):
     sign_prev = np.sign(sigma_prev)
     outer = sign_prev * np.sign(sigma_next) < 0.0
     inner = sign_prev * np.sign(sigma_cur) < 0.0
-    cls = where(
+    cls = np.where(
         outer,
-        where(sign_prev < 0.0, ExtremumClass.LOCAL_MAX.value, ExtremumClass.LOCAL_MIN.value),
-        where(inner, ExtremumClass.AMBIGUOUS.value, ExtremumClass.NONE.value),
+        np.where(sign_prev < 0.0, ExtremumClass.LOCAL_MAX.value, ExtremumClass.LOCAL_MIN.value),
+        np.where(inner, ExtremumClass.AMBIGUOUS.value, ExtremumClass.NONE.value),
     )
-    return ExtremumClass(cls) if isinstance(outer, np.bool_) else cls
+    return ExtremumClass(int(cls)) if isinstance(outer, np.bool_) else cls
 
 
 def interval_bounds(u_i, u_ip1, cls, eps0: float, eps1: float):
@@ -103,10 +101,10 @@ def interval_bounds(u_i, u_ip1, cls, eps0: float, eps1: float):
     upper side for LOCAL_MIN, both for AMBIGUOUS), eps0 elsewhere.  With
     eps0 = eps1 = 0 the bounds collapse to the data values.
     """
-    lo = where(u_ip1 < u_i, u_ip1, u_i)
-    hi = where(u_ip1 > u_i, u_ip1, u_i)
-    eps_lo = where(cls & ExtremumClass.LOCAL_MAX.value, eps1, eps0)
-    eps_hi = where(cls & ExtremumClass.LOCAL_MIN.value, eps1, eps0)
+    lo = np.where(u_ip1 < u_i, u_ip1, u_i)
+    hi = np.where(u_ip1 > u_i, u_ip1, u_i)
+    eps_lo = np.where(cls & ExtremumClass.LOCAL_MAX.value, eps1, eps0)
+    eps_hi = np.where(cls & ExtremumClass.LOCAL_MIN.value, eps1, eps0)
     return lo - eps_lo * abs(lo), hi + eps_hi * abs(hi)
 
 
@@ -132,10 +130,10 @@ def scaling_factors(u_i, u_ip1, u_min, u_max, method: int, degenerate_w=None):
     if np.count_nonzero(equal):
         if degenerate_w is None:
             raise ValueError("equal endpoint values require degenerate_w")
-        den, floor = where(equal, degenerate_w, den), where(equal, 0.0, 1.0)
+        den, floor = np.where(equal, degenerate_w, den), np.where(equal, 0.0, 1.0)
     if np.count_nonzero(den == 0.0):
         raise ValueError("flat data: expanded window has zero divided difference")
     rising = den > 0.0
-    a = (where(rising, u_min, u_max) - u_i) / den
-    b = (where(rising, u_max, u_min) - u_i) / den
-    return where(a < 0.0, a, 0.0), where(b > floor, b, floor)
+    a = (np.where(rising, u_min, u_max) - u_i) / den
+    b = (np.where(rising, u_max, u_min) - u_i) / den
+    return np.where(a < 0.0, a, 0.0), np.where(b > floor, b, floor)

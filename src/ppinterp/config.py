@@ -26,8 +26,8 @@ def _is_integer(value) -> bool:
 @dataclass(frozen=True)
 class InterpConfig:
     """Knobs for the adaptive interpolation drivers, and the one home of their
-    defaults and valid values: the harness and the CLI read both from here,
-    for DBI, PPI and PCHIP experiments alike.
+    defaults and valid values: the entry points' signatures, the harness and
+    the CLI read both from here, for DBI, PPI and PCHIP experiments alike.
 
     d      target polynomial degree per interval (stencil of up to d+1 points)
     im     interpolation method, DBI (1) or PPI (2)

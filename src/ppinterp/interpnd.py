@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import InterpConfig
 from .divdiff import _as_float, as_mesh1d, as_values
-from .interp1d import interpolate_lines
+from .stencil import interpolate_lines
 
 __all__ = [
     "adaptive_interpolation_1d",
@@ -125,21 +125,24 @@ def tensor_sweep(meshes, v, outs, sweep) -> np.ndarray:
     return q
 
 
-def adaptive_interpolation_1d(x, v, xout, d, im, st=3, eps0=0.01, eps1=1.0):
+def adaptive_interpolation_1d(x, v, xout, d, im,
+                              st=InterpConfig.st, eps0=InterpConfig.eps0, eps1=InterpConfig.eps1):
     """Adaptive data-bounded (im=1) or positivity-preserving (im=2)
     interpolation of (x, v) onto ``xout`` with target degree ``d``."""
     cfg = InterpConfig(d=d, im=im, st=st, eps0=eps0, eps1=eps1)
     return tensor_sweep((x,), v, (xout,), partial(interpolate_lines, config=cfg))
 
 
-def adaptive_interpolation_2d(x, y, v, xout, yout, d, im, st=3, eps0=0.01, eps1=1.0):
+def adaptive_interpolation_2d(x, y, v, xout, yout, d, im,
+                              st=InterpConfig.st, eps0=InterpConfig.eps0, eps1=InterpConfig.eps1):
     """Tensor-product adaptive interpolation of grid values v[i, j] given at
     (x_i, y_j) onto the grid xout x yout (x sweep first, then y)."""
     cfg = InterpConfig(d=d, im=im, st=st, eps0=eps0, eps1=eps1)
     return tensor_sweep((x, y), v, (xout, yout), partial(interpolate_lines, config=cfg))
 
 
-def adaptive_interpolation_3d(x, y, z, v, xout, yout, zout, d, im, st=3, eps0=0.01, eps1=1.0):
+def adaptive_interpolation_3d(x, y, z, v, xout, yout, zout, d, im,
+                              st=InterpConfig.st, eps0=InterpConfig.eps0, eps1=InterpConfig.eps1):
     """Tensor-product adaptive interpolation of v[i, j, k] given at
     (x_i, y_j, z_k) onto xout x yout x zout (x, then y, then z sweeps)."""
     cfg = InterpConfig(d=d, im=im, st=st, eps0=eps0, eps1=eps1)

@@ -1,4 +1,5 @@
-"""Adaptive stencil construction, for many intervals at once.
+"""Adaptive stencil construction, for many intervals at once, and every
+reader of its record but ``divdiff.horner``.
 
 Each interval's stencil starts from its two endpoints and grows one mesh
 point at a time.  A candidate point is admissible when the ratio of scaled
@@ -8,10 +9,14 @@ picks the side.
 
 The engine works on lanes: one lane is one interval of one line of values,
 and every lane of a block takes expansion step j together.  The step
-functions are written elementwise, so one interval (the test oracle's) and
-an array of lanes run the same code.  ``grow_stencils`` grows a block's
-lanes, ``replay_stencils`` re-checks them in the same lockstep, and
-``replay_chain`` is its one-lane case."""
+functions are written elementwise on one path of numpy arithmetic, so one
+interval (the test oracle's) and an array of lanes run the same code.
+``grow_stencils`` grows a block's lanes into a ``Stencils`` record.
+``interpolate_lines``, the 1D routine every entry point sweeps along each
+axis, evaluates the record at the output points; ``interval_interpolants``
+turns it into pieces; ``replay_stencils`` re-checks it in the same lockstep,
+and ``replay_chain`` is its one-lane case, a piece turned back into a
+record."""
 
 from __future__ import annotations
 
@@ -19,9 +24,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import _neighbour_slopes, classify_interval, interval_bounds, scaling_factors, where
+from .bounds import _neighbour_slopes, classify_interval, interval_bounds, scaling_factors
 from .config import DBI, InterpConfig
-from .divdiff import DividedDifferenceTable, IntervalInterpolant, _piece_nodes, as_mesh1d, next_order
+from .divdiff import DividedDifferenceTable, IntervalInterpolant, _piece_nodes, as_mesh1d, as_values
+from .divdiff import horner, next_order
 
 __all__ = [
     "lambda_bar_step",
@@ -29,6 +35,8 @@ __all__ = [
     "select_direction",
     "Stencils",
     "grow_stencils",
+    "interpolate_lines",
+    "interval_interpolants",
     "replay_stencils",
     "replay_chain",
 ]
@@ -74,12 +82,12 @@ def b_bounds_step(prev, lambda_bar_prev, d_j, t_j, m_l, m_r, degenerate_base=Fal
     if prev is None:
         bm, bp = -4.0 * (m_r - 1.0) - 1.0, -4.0 * m_l + 1.0
         if np.count_nonzero(degenerate_base):
-            bm, bp = where(degenerate_base, -4.0 * m_r, bm), where(degenerate_base, -4.0 * m_l, bp)
+            bm, bp = np.where(degenerate_base, -4.0 * m_r, bm), np.where(degenerate_base, -4.0 * m_l, bp)
         return bm * d_j, bp * d_j
     bm, bp = prev
     left = t_j <= 0.0
     f = d_j / (left - t_j)  # 1 - t on the left, -t on the right
-    return (where(left, bm, bp) - lambda_bar_prev) * f, (where(left, bp, bm) - lambda_bar_prev) * f
+    return (np.where(left, bm, bp) - lambda_bar_prev) * f, (np.where(left, bp, bm) - lambda_bar_prev) * f
 
 
 def select_direction(st: int, dd, lam, i, window, interval, points):
@@ -331,6 +339,68 @@ def grow_stencils(x, values, intervals, config: InterpConfig) -> Stencils:
     elif config.im == DBI:  # one factor per lane in the record
         m_l, m_r = np.full(lanes, m_l), np.full(lanes, m_r)
     return Stencils(nodes.T, coeffs.T, degree, degenerate, denom, m_l, m_r)
+
+
+def interpolate_lines(x, lines, pts, edge, runs, config: InterpConfig) -> np.ndarray:
+    """Interpolate every column of the ``(n, m)`` block ``lines``, values on
+    mesh ``x``, to the points ``pts``; returns the ``(pts.size, m)`` block.
+
+    The inputs must already be validated, by ``as_mesh1d`` and
+    ``as_values``, and the points validated and located by
+    ``interpnd.locate``, which gives the sorted ``pts``, ``edge =
+    pts.searchsorted(x)`` and the ``runs`` of points per interval.  Each
+    output point belongs to the half-open interval [x_i, x_{i+1}) that
+    contains it (the last interval is closed on the right), and a point
+    equal to a mesh node returns the line's value there, so every node,
+    x[-1] and signed zeros included, is reproduced bit for bit.
+
+    Only the intervals with a nonempty run grow a stencil, and ``horner``
+    evaluates each one's polynomials on its run.  ``edge`` serves only the
+    search for the points that equal a node.
+    """
+    if not pts.size:
+        return np.empty((0, lines.shape[1]))
+    intervals = runs.nonzero()[0]
+    # The points equal to node i are the sorted positions edge[i] up to
+    # past[i]; numbered in order, node point j of node i sits at
+    # j + past[i] - total[i].
+    past = pts.searchsorted(x, side="right")
+    hits = past - edge
+    total = hits.cumsum()
+    node = np.arange(total[-1]) + (past - total).repeat(hits)
+    st = grow_stencils(x, lines, intervals, config)
+    res = horner(st.coeffs, st.nodes, runs[intervals], pts)
+    # A node's value is returned as given.  Horner gives it as c_0 + 0 * p,
+    # which turns a -0.0 into +0.0, and x[-1] lies in the last interval,
+    # whose records start at x[-2], so it would come out rounded.
+    res[node] = lines.repeat(hits, 0)
+    return res
+
+
+def interval_interpolants(x, v, config: InterpConfig) -> list[IntervalInterpolant]:
+    """Build the interpolant of every interval (mainly for inspection/tests).
+
+    Each piece's insertion order is recovered from the engine's recorded
+    nodes by one search of the mesh."""
+    xm = as_mesh1d(x)
+    st = grow_stencils(xm, as_values(v, xm.shape)[:, None], np.arange(xm.size - 1), config)
+    orders = xm.searchsorted(st.nodes)  # the nodes are mesh values
+    pieces = []
+    for k, deg in enumerate(st.degree.tolist()):
+        order = orders[k, : deg + 1].tolist()
+        pieces.append(
+            IntervalInterpolant(
+                interval_index=order[0],
+                window=(min(order), max(order)),
+                insertion_order=tuple(order),
+                coefficients=tuple(st.coeffs[k, : deg + 1].tolist()),
+                normalization="degenerate" if st.degenerate[k] else "standard",
+                denom=float(st.denom[k]),
+                m_l=float(st.m_l[k]),
+                m_r=float(st.m_r[k]),
+            )
+        )
+    return pieces
 
 
 def replay_stencils(x, table, st: Stencils):

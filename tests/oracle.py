@@ -3,7 +3,10 @@
 This is the per-interval loop the lockstep engine (``stencil.grow_stencils``)
 replaced.  It calls the same step functions one lane at a time, so comparing
 the two checks the engine's lane bookkeeping: masks, the forced degenerate
-step, the linear fallback and the padded records."""
+step, the linear fallback and the padded records.  Those functions have one
+path of numpy arithmetic, so on one interval they return numpy values; a
+piece's fields are converted to Python floats where it is built, as the
+engine's ``stencil.interval_interpolants`` converts them."""
 
 from __future__ import annotations
 
@@ -134,9 +137,9 @@ def build_stencil(
         insertion_order=tuple(order),
         coefficients=tuple(coeffs),
         normalization="degenerate" if degenerate else "standard",
-        denom=denom,
-        m_l=m_l,
-        m_r=m_r,
+        denom=float(denom),
+        m_l=float(m_l),
+        m_r=float(m_r),
     )
 
 

@@ -11,6 +11,7 @@ from ppinterp.bounds import (
     scaling_factors,
 )
 from ppinterp.config import DBI, PPI
+from ppinterp.stencil import lambda_bar_step
 
 
 class TestClassifyInterval:
@@ -162,6 +163,28 @@ class TestBoundarySigmas:
     def test_single_interval(self):
         assert boundary_sigmas([4.0], 0) == (4.0, 4.0, 4.0)
 
+    @pytest.mark.parametrize(
+        "slopes, i, message",
+        [
+            # sigma_i would wrap to the last slope while the neighbours clip
+            ([1.0, 2.0, 3.0], -1, r"^interval index must be an integer in \[0, 2\], got -1$"),
+            ([1.0, 2.0, 3.0], 3, r"^interval index must be an integer in \[0, 2\], got 3$"),
+            ([1.0, 2.0, 3.0], 1.5, r"^interval index must be an integer in \[0, 2\], got 1.5$"),
+            # a bool would index as a mask
+            ([1.0, 2.0, 3.0], True, r"^interval index must be an integer in \[0, 2\], got True$"),
+            ([1.0, np.nan, 3.0], 0, "^slopes must be finite$"),
+            ([1.0, 2.0, np.inf], 1, "^slopes must be finite$"),
+            ([-np.inf, 2.0, 3.0], 2, "^slopes must be finite$"),
+        ],
+        ids=["negative", "past-end", "float", "bool", "nan", "inf", "-inf"],
+    )
+    def test_invalid_input_rejected(self, slopes, i, message):
+        with pytest.raises(ValueError, match=message):
+            boundary_sigmas(slopes, i)
+
+    def test_numpy_integer_index(self):
+        assert boundary_sigmas(np.array([1.0, 2.0, 3.0]), np.int64(2)) == (2.0, 3.0, 3.0)
+
     @pytest.mark.parametrize("slopes", [[1.0 + 2j, 3.0, 4.0], np.array([1.0 + 2j, 3.0, 4.0])])
     def test_complex_slopes_rejected(self, slopes):
         # converting them would keep only the real parts
@@ -175,9 +198,10 @@ def bits(values):
 
 
 class TestArrayPathMatchesScalar:
-    """Every function has a scalar path (one interval, as the oracle calls
-    it) and an array path (the engine's and the replay's); element for
-    element they give the same result, bit for bit."""
+    """Every function runs one path of numpy arithmetic, for one interval
+    (as the oracle calls it) and for arrays of lanes (as the engine and the
+    replay call it); element for element, an array call gives the
+    one-interval calls' results bit for bit."""
 
     SLOPES = (-1.5, -1e-200, -0.0, 0.0, 1e-200, 2.0)
     VALUES = (-2.5, -0.0, 0.0, 1e-300, 0.75, 3.0)
@@ -222,3 +246,61 @@ class TestArrayPathMatchesScalar:
             assert bits(m_r) == bits([s[1] for s in scalar])
             # DBI pins the factors to scalars whatever the lanes
             assert scaling_factors(u_i, u_ip1, u_min, u_max, DBI, w) == (0.0, 1.0)
+
+    def check_lambda_bar_step(self, dd, length, h, t, lam, prev, lp, denom, m_l, m_r, dg):
+        """The engine's call, the left and right candidates of every lane as
+        ``(2, lanes)`` arrays against per-lane state, against one call per
+        candidate on Python floats."""
+        got = lambda_bar_step(dd, length, h, t, lam, prev, lp, denom, m_l, m_r, dg)
+        lanes = h.size
+
+        def lane(a):  # per-lane values; a scalar is shared by every lane
+            return a.tolist() if isinstance(a, np.ndarray) else [a] * lanes
+
+        state = zip(*map(lane, (h, t, lam, lp, denom, m_l, m_r, dg)),
+                    *map(lane, prev or (None, None)))
+        one = [[] for _ in range(2)]
+        for k, (h_k, t_k, lam_k, lp_k, dn_k, ml_k, mr_k, dg_k, bm_k, bp_k) in enumerate(state):
+            prev_k = None if prev is None else (bm_k, bp_k)
+            for side in range(2):
+                one[side].append(lambda_bar_step(
+                    dd[side, k].item(), length[side, k].item(), h_k, t_k, lam_k, prev_k,
+                    lp_k, dn_k, ml_k, mr_k, dg_k,
+                ))
+        for field in range(3):  # lambda_bar, B-, B+
+            assert np.shape(got[field]) == (2, lanes)
+            assert bits(got[field]) == [bits([s[field] for s in side]) for side in one]
+
+    def test_lambda_bar_step_first(self):
+        # the first step seeds (B-, B+) from (m_l, m_r): the standard seed,
+        # the degenerate one, and a block that mixes them
+        rng = np.random.default_rng(26)
+        grid = itertools.product((-2.0, -0.0, 0.0), (0.0, 1.0, 2.5), (False, True))
+        m_l, m_r, dg = (np.array(col) for col in zip(*grid))
+        lanes = m_l.size
+        h = rng.uniform(0.1, 2.0, lanes)
+        dd = np.where(rng.random((2, lanes)) < 0.2, -0.0, rng.normal(size=(2, lanes)))
+        length = h + rng.uniform(0.1, 2.0, (2, lanes))
+        lp = np.where(dg, h, 1.0)
+        denom = rng.choice([-3.0, -1e-3, 0.5, 7.0], lanes)
+        for seeds in (dg, np.zeros(lanes, dtype=bool), np.ones(lanes, dtype=bool)):
+            self.check_lambda_bar_step(dd, length, h, None, 1.0, None, lp, denom, m_l, m_r, seeds)
+        # DBI's factors are scalars shared by every lane
+        self.check_lambda_bar_step(dd, length, h, None, 1.0, None, lp, denom, 0.0, 1.0, dg)
+
+    def test_lambda_bar_step_later(self):
+        # later steps propagate (B-, B+), swapping them where the point added
+        # one step earlier lies right of the interval (t > 0); the previous
+        # bounds and lambda_bar hold signed zeros
+        rng = np.random.default_rng(27)
+        grid = itertools.product((-1.5, -0.0, 0.0, 0.25, 1.0, 2.0), self.VALUES, self.VALUES, self.VALUES)
+        t, bm, bp, lam = (np.array(col) for col in zip(*grid))
+        lanes = t.size
+        h = rng.uniform(0.1, 2.0, lanes)
+        dd = np.where(rng.random((2, lanes)) < 0.2, 0.0, rng.normal(size=(2, lanes)))
+        dd[:, ::7] *= -0.0  # signed zeros among the divided differences too
+        length = h * rng.uniform(2.0, 4.0, (2, lanes))
+        lp = h * rng.uniform(1.0, 3.0, lanes)
+        denom = rng.choice([-3.0, -1e-3, 0.5, 7.0], lanes)
+        dg = rng.random(lanes) < 0.3
+        self.check_lambda_bar_step(dd, length, h, t, lam, (bm, bp), lp, denom, -0.5, 1.5, dg)

@@ -236,7 +236,7 @@ class TestNewtonEval:
         # horner accumulates in place: on the padded multi-line records of a
         # 2D sweep it leaves every input as it was, and its result shares no
         # memory with any of them
-        from ppinterp import adaptive_interpolation_2d, interp1d
+        from ppinterp import adaptive_interpolation_2d, stencil
 
         calls = []
 
@@ -246,7 +246,7 @@ class TestNewtonEval:
             calls.append((args, before, res))
             return res
 
-        monkeypatch.setattr(interp1d, "horner", recorded)
+        monkeypatch.setattr(stencil, "horner", recorded)
         rng = np.random.default_rng(19)
         x, y = random_mesh(rng, 12), random_mesh(rng, 10)
         v = rng.uniform(0.0, 2.0, (12, 10))

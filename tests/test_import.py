@@ -1,8 +1,11 @@
 """Cold start on numpy alone: no call of the package, PCHIP included, ever
 imports SciPy, and ``import ppinterp`` loads the interpolation core alone,
-not the experiment layer (``harness``) or its CLI."""
+not the experiment layer (``harness``) or its CLI.  Every exported name
+resolves."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -54,3 +57,16 @@ def test_scipy_never_loads():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+def test_every_exported_name_resolves():
+    # a name left in an __all__ after its code moved to another module fails
+    modules = [ppinterp] + [
+        importlib.import_module(f"ppinterp.{info.name}") for info in pkgutil.iter_modules(ppinterp.__path__)
+    ]
+    assert len(modules) > 2
+    for module in modules:
+        names = getattr(module, "__all__", ())
+        assert len(set(names)) == len(names), module.__name__
+        missing = [name for name in names if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ names {missing}"

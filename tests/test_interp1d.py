@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ppinterp import DBI, PPI, InterpConfig, adaptive_interpolation_1d, interval_interpolants
-from ppinterp.interp1d import interpolate_lines
 from ppinterp.interpnd import locate
+from ppinterp.stencil import interpolate_lines
 
 from helpers import mixed_points, random_mesh, reorderings, signed_equal, signed_zeros
 

@@ -2,7 +2,7 @@ import inspect
 import re
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from functools import partial
 
 import numpy as np
@@ -19,7 +19,7 @@ from ppinterp import (
     pchip_1d,
     pchip_2d,
 )
-from ppinterp import interp1d, interpnd, stencil
+from ppinterp import interpnd, stencil
 from ppinterp.harness import TEST_FUNCTIONS
 from ppinterp.pchip import _pchip
 
@@ -254,7 +254,7 @@ class TestSweepContract:
         v = signed_zeros(rng, rng.uniform(0.0, 1.0, (5, 6)))
         xo, yo = mixed_points(rng, x, 2), mixed_points(rng, y, 2)
         perm = rng.permutation(yo.size)
-        for method in (partial(interp1d.interpolate_lines, config=InterpConfig(d=5, im=PPI)), _pchip):
+        for method in (partial(stencil.interpolate_lines, config=InterpConfig(d=5, im=PPI)), _pchip):
             calls = []
 
             def sweep(mesh, lines, points, edge, runs):
@@ -321,7 +321,7 @@ def sweep_blocks(meshes, v, outs, cfg):
     blocks = []
 
     def sweep(mesh, lines, points, edge, runs):
-        out = interp1d.interpolate_lines(mesh, lines, points, edge, runs, cfg)
+        out = stencil.interpolate_lines(mesh, lines, points, edge, runs, cfg)
         blocks.append((lines, out))
         return out
 
@@ -651,6 +651,18 @@ class TestValidateOnce:
 
 
 class TestPublicDefaults:
+    def test_signature_defaults_are_config_field_defaults(self):
+        # every InterpConfig field is a parameter of each entry point, with
+        # the field's default, and required where the field has none
+        want = {
+            f.name: inspect.Parameter.empty if f.default is MISSING else f.default
+            for f in fields(InterpConfig)
+        }
+        assert want["d"] is want["im"] is inspect.Parameter.empty
+        for fn in (adaptive_interpolation_1d, adaptive_interpolation_2d, adaptive_interpolation_3d):
+            params = inspect.signature(fn).parameters
+            assert {name: params[name].default for name in want} == want, fn.__name__
+
     def test_wrapper_defaults_match_config(self):
         # the wrappers spell the paper's defaults out; InterpConfig is their home
         want = {name: getattr(InterpConfig, name) for name in ("st", "eps0", "eps1")}

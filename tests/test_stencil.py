@@ -10,10 +10,11 @@ from ppinterp.divdiff import (
     IntervalInterpolant, build_table, divided_differences, horner, newton_eval,
 )
 from ppinterp.harness import TEST_FUNCTIONS
-from ppinterp.interp1d import interpolate_lines, interval_interpolants
 from ppinterp.stencil import (
     b_bounds_step,
     grow_stencils,
+    interpolate_lines,
+    interval_interpolants,
     lambda_bar_step,
     replay_chain,
     replay_stencils,
