@@ -55,10 +55,15 @@ class InterpConfig:
             raise ValueError(f"im must be {DBI} (DBI) or {PPI} (PPI), got {self.im!r}")
         if not _is_integer(self.st) or self.st not in (1, 2, 3):
             raise ValueError(f"st must be 1, 2 or 3, got {self.st!r}")
-        for eps in (self.eps0, self.eps1):
-            real = isinstance(eps, numbers.Real) and not isinstance(eps, bool)
-            if not (real and 0.0 <= eps < math.inf):
-                raise ValueError(
-                    f"eps0 and eps1 must be finite and nonnegative real numbers, "
-                    f"got {self.eps0!r}, {self.eps1!r}"
-                )
+        _check_eps(self.eps0, self.eps1)
+
+
+def _check_eps(eps0, eps1):
+    """Raise ``ValueError`` unless eps0 and eps1 are finite, nonnegative real
+    numbers (bools not)."""
+    for eps in (eps0, eps1):
+        real = isinstance(eps, numbers.Real) and not isinstance(eps, bool)
+        if not (real and 0.0 <= eps < math.inf):
+            raise ValueError(
+                f"eps0 and eps1 must be finite and nonnegative real numbers, got {eps0!r}, {eps1!r}"
+            )

@@ -7,10 +7,21 @@ divided differences (lambda_bar) stays inside recursively tightened bounds
 (B-, B+); when both neighbors are admissible a user-selectable policy (st)
 picks the side.
 
+Growth reads an admissibility model built here too: each interval's
+extremum class (``classify_interval``), its value bounds (u_min, u_max)
+(``interval_bounds``) and the scaling factors (m_l, m_r) that translate
+them into the seed of the bounds (``scaling_factors``).
+
 The engine works on lanes: one lane is one interval of one line of values,
-and every lane of a block takes expansion step j together.  The step
-functions are written elementwise on one path of numpy arithmetic, so one
-interval (the test oracle's) and an array of lanes run the same code.
+and every lane of a block takes expansion step j together.  The model and
+the step functions are written elementwise on one path of numpy
+arithmetic, so one interval (the test oracle's) and an array of lanes run
+the same code: scalar arguments describe one interval, arrays many, and
+one interval of Python floats comes back as numpy float64 scalars (a
+class as an ``ExtremumClass``, DBI's constant factors as Python floats).
+Python's min/max are spelled np.where(b < a, b, a) so that signed zeros
+come out as Python's min/max give them.  The exported model functions
+check their arguments; the engine calls their unchecked cores.
 ``grow_stencils`` grows a block's lanes into a ``Stencils`` record.
 ``interpolate_lines``, the 1D routine every entry point sweeps along each
 axis, evaluates the record at the output points; ``interval_interpolants``
@@ -20,16 +31,21 @@ record."""
 
 from __future__ import annotations
 
+import enum
 from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import _neighbour_slopes, classify_interval, interval_bounds, scaling_factors
-from .config import DBI, InterpConfig
-from .divdiff import DividedDifferenceTable, IntervalInterpolant, _piece_nodes, as_mesh1d, as_values
-from .divdiff import horner, next_order
+from .config import DBI, InterpConfig, _check_eps, _is_integer
+from .divdiff import DividedDifferenceTable, IntervalInterpolant, _as_float, _piece_nodes, as_mesh1d
+from .divdiff import as_values, horner, next_order
 
 __all__ = [
+    "ExtremumClass",
+    "boundary_sigmas",
+    "classify_interval",
+    "interval_bounds",
+    "scaling_factors",
     "lambda_bar_step",
     "b_bounds_step",
     "select_direction",
@@ -40,6 +56,145 @@ __all__ = [
     "replay_stencils",
     "replay_chain",
 ]
+
+
+class ExtremumClass(enum.IntEnum):
+    """Hidden-extremum classification of an interval from neighboring slopes.
+
+    The tags name the slope pattern: LOCAL_MAX is the opposite-sign pattern
+    entered on a falling slope (the lower bound gets relaxed), LOCAL_MIN the
+    one entered on a rising slope (the upper bound gets relaxed), AMBIGUOUS
+    relaxes both sides.  The values are bit flags: bit LOCAL_MAX relaxes the
+    lower bound and bit LOCAL_MIN the upper one.  Arrays of intervals carry
+    their class as these plain integers.
+    """
+
+    NONE = 0
+    LOCAL_MAX = 1
+    LOCAL_MIN = 2
+    AMBIGUOUS = 3
+
+
+def _finite(data, what: str) -> np.ndarray:
+    """``data`` as ``_as_float`` gives it, which must be finite."""
+    a = _as_float(data, what)
+    if np.count_nonzero(np.isfinite(a)) < a.size:
+        raise ValueError(f"{what} must be finite")
+    return a
+
+
+def boundary_sigmas(slopes, i):
+    """Slopes (sigma_{i-1}, sigma_i, sigma_{i+1}) around interval ``i``.
+
+    ``slopes`` holds the order-1 divided differences of the n-1 intervals
+    (along axis 0; further axes are lines), which must be finite; ``i`` must
+    be an integer in [0, n-2].  The neighbors come from
+    ``_neighbour_slopes``, whose rule covers the mesh boundary.
+    """
+    s = _finite(slopes, "slopes")
+    if not (_is_integer(i) and 0 <= i < len(s)):
+        raise ValueError(f"interval index must be an integer in [0, {len(s) - 1}], got {i!r}")
+    prev, nxt = _neighbour_slopes(s, i)
+    return prev, s[i], nxt
+
+
+def _neighbour_slopes(s, i):
+    """Slopes (sigma_{i-1}, sigma_{i+1}) around interval ``i`` of the array
+    ``s`` laid out as ``boundary_sigmas`` takes it.  Missing neighbors at
+    the mesh boundary are assumed to carry the same sign as the interval's
+    own slope, so the nearest available slope is copied.  The engine, which
+    holds sigma_i already, calls this alone."""
+    return s.take(np.subtract(i, 1), 0, mode="clip"), s.take(np.add(i, 1), 0, mode="clip")
+
+
+def classify_interval(sigma_prev, sigma_cur, sigma_next):
+    """Classify interval i from the slopes of itself and its two neighbors.
+
+    Only the signs matter.  Opposite-sign outer slopes flag an extremum whose
+    type follows the sign of sigma_prev; same-sign outer slopes with an
+    opposite-sign inner slope leave the extremum type ambiguous.  Scalar
+    slopes give an ``ExtremumClass``, arrays an integer array of its values.
+
+    The slopes must be real and finite; ``_classify_interval`` is the
+    unchecked core the engine calls.
+
+    The signs are multiplied, not the slopes: their product underflows to
+    zero for slopes below about 1e-162 and overflows above about 1e154,
+    which would make the class depend on the data's scale.
+    """
+    return _classify_interval(*(_finite(s, "slopes") for s in (sigma_prev, sigma_cur, sigma_next)))
+
+
+def _classify_interval(sigma_prev, sigma_cur, sigma_next):
+    sign_prev = np.sign(sigma_prev)
+    outer = sign_prev * np.sign(sigma_next) < 0.0
+    inner = sign_prev * np.sign(sigma_cur) < 0.0
+    cls = np.where(
+        outer,
+        np.where(sign_prev < 0.0, ExtremumClass.LOCAL_MAX.value, ExtremumClass.LOCAL_MIN.value),
+        np.where(inner, ExtremumClass.AMBIGUOUS.value, ExtremumClass.NONE.value),
+    )
+    return ExtremumClass(int(cls)) if isinstance(outer, np.bool_) else cls
+
+
+def interval_bounds(u_i, u_ip1, cls, eps0: float, eps1: float):
+    """Interval value bounds (u_min, u_max).
+
+    Starting from the endpoint values, each side is pushed out by eps*|value|:
+    eps1 on the side an extremum may poke through (lower side for LOCAL_MAX,
+    upper side for LOCAL_MIN, both for AMBIGUOUS), eps0 elsewhere.  With
+    eps0 = eps1 = 0 the bounds collapse to the data values.
+
+    The values must be real and finite, ``cls`` an integer (or integer
+    array) in [0, 3], bools and floats not, and eps0, eps1 as
+    ``InterpConfig`` takes them; ``_interval_bounds`` is the unchecked core
+    the engine calls.
+    """
+    c = np.asarray(cls)
+    if c.dtype.kind not in "iu" or np.count_nonzero((c < 0) | (c > 3)):
+        raise ValueError(f"extremum class must be an integer in [0, 3], got {cls!r}")
+    _check_eps(eps0, eps1)
+    return _interval_bounds(_finite(u_i, "values"), _finite(u_ip1, "values"), c, eps0, eps1)
+
+
+def _interval_bounds(u_i, u_ip1, cls, eps0, eps1):
+    lo = np.where(u_ip1 < u_i, u_ip1, u_i)
+    hi = np.where(u_ip1 > u_i, u_ip1, u_i)
+    eps_lo = np.where(cls & ExtremumClass.LOCAL_MAX.value, eps1, eps0)
+    eps_hi = np.where(cls & ExtremumClass.LOCAL_MIN.value, eps1, eps0)
+    return lo - eps_lo * abs(lo), hi + eps_hi * abs(hi)
+
+
+def scaling_factors(u_i, u_ip1, u_min, u_max, method: int, degenerate_w=None):
+    """Factors (m_l, m_r) bounding the normalized interpolant shape.
+
+    DBI pins them to (0, 1).  Any other ``method`` is PPI (``InterpConfig``
+    admits only the two), and they widen with (u_min, u_max),
+    normalized by the endpoint jump: m_l <= 0 and m_r >= 1, since the shape
+    is pinned to 0 and 1 at the interval endpoints.
+
+    With equal endpoint values the shape is normalized by ``degenerate_w``
+    instead and vanishes at both endpoints, so nothing forces it to reach 1:
+    the floors are m_l <= 0 <= m_r, which keeps the enclosure exactly
+    [u_min, u_max].  ``degenerate_w`` is read only where the endpoint values
+    are equal.
+    """
+    if method == DBI:
+        return 0.0, 1.0
+
+    equal = u_ip1 == u_i
+    den, floor = u_ip1 - u_i, 1.0
+    if np.count_nonzero(equal):
+        if degenerate_w is None:
+            raise ValueError("equal endpoint values require degenerate_w")
+        den, floor = np.where(equal, degenerate_w, den), np.where(equal, 0.0, 1.0)
+    if np.count_nonzero(den == 0.0):
+        raise ValueError("flat data: expanded window has zero divided difference")
+    rising = den > 0.0
+    a = (np.where(rising, u_min, u_max) - u_i) / den
+    b = (np.where(rising, u_max, u_min) - u_i) / den
+    # [()] gives one interval's factors as scalars, not 0-d arrays
+    return np.where(a < 0.0, a, 0.0)[()], np.where(b > floor, b, floor)[()]
 
 
 def lambda_bar_step(
@@ -267,8 +422,8 @@ def grow_stencils(x, values, intervals, config: InterpConfig) -> Stencils:
     u_min = u_max = None
     if config.im != DBI:  # DBI's scaling factors ignore the bounds
         sp, sn = _neighbour_slopes(nxt[:-1], intervals)
-        cls = classify_interval(sp.ravel()[live], slope, sn.ravel()[live])
-        u_min, u_max = interval_bounds(u_i, u_ip1, cls, config.eps0, config.eps1)
+        cls = _classify_interval(sp.ravel()[live], slope, sn.ravel()[live])
+        u_min, u_max = _interval_bounds(u_i, u_ip1, cls, config.eps0, config.eps1)
         del sp, sn, cls
     m_l, m_r = scaling_factors(u_i, u_ip1, u_min, u_max, config.im, w)  # DBI gives scalars
     del u_i, u_ip1, u_min, u_max  # coeffs[0] keeps u_i

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ppinterp.bounds import boundary_sigmas, classify_interval, interval_bounds, scaling_factors
+from ppinterp.stencil import boundary_sigmas, classify_interval, interval_bounds, scaling_factors
 from ppinterp.config import InterpConfig
 from ppinterp.divdiff import DividedDifferenceTable, IntervalInterpolant, build_table
 from ppinterp.stencil import lambda_bar_step, select_direction

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ppinterp.bounds import (
+from ppinterp.stencil import (
     ExtremumClass,
     boundary_sigmas,
     classify_interval,
@@ -304,3 +304,60 @@ class TestArrayPathMatchesScalar:
         denom = rng.choice([-3.0, -1e-3, 0.5, 7.0], lanes)
         dg = rng.random(lanes) < 0.3
         self.check_lambda_bar_step(dd, length, h, t, lam, (bm, bp), lp, denom, -0.5, 1.5, dg)
+
+
+NAN, INF = np.nan, np.inf
+CLASS_ERROR = r"^extremum class must be an integer in \[0, 3\], got "
+EPS_ERROR = "^eps0 and eps1 must be finite and nonnegative real numbers, got "
+
+
+@pytest.mark.parametrize(
+    "fn, args, message",
+    [
+        (interval_bounds, (1.0, NAN, 0, 0.01, 1.0), "^values must be finite$"),
+        (interval_bounds, (INF, 1.0, 0, 0.01, 1.0), "^values must be finite$"),
+        (interval_bounds, (np.ones(2), np.array([2.0, -INF]), 0, 0.01, 1.0), "^values must be finite$"),
+        (interval_bounds, (1.0 + 2j, 1.0, 0, 0.01, 1.0), "^values must be real, got dtype complex128$"),
+        (interval_bounds, (1.0, 2.0, 0, -1, 1.0), EPS_ERROR + "-1, 1.0$"),
+        (interval_bounds, (1.0, 2.0, 0, 0.01, NAN), EPS_ERROR + "0.01, nan$"),
+        (interval_bounds, (1.0, 2.0, 0, True, 1.0), EPS_ERROR + "True, 1.0$"),
+        (interval_bounds, (1.0, 2.0, 7, 0.01, 1.0), CLASS_ERROR + "7$"),
+        (interval_bounds, (1.0, 2.0, -1, 0.01, 1.0), CLASS_ERROR + "-1$"),
+        (interval_bounds, (1.0, 2.0, True, 0.01, 1.0), CLASS_ERROR + "True$"),
+        (interval_bounds, (1.0, 2.0, 1.0, 0.01, 1.0), CLASS_ERROR + r"1\.0$"),
+        (interval_bounds, (np.ones(2), np.ones(2), np.array([0, 4]), 0.01, 1.0), CLASS_ERROR),
+        (classify_interval, (NAN, 1.0, 2.0), "^slopes must be finite$"),
+        (classify_interval, (1.0, INF, 2.0), "^slopes must be finite$"),
+        (classify_interval, (1.0, 2.0, np.array([1.0, NAN])), "^slopes must be finite$"),
+        (classify_interval, (1j, 1.0, 2.0), "^slopes must be real, got dtype complex128$"),
+    ],
+    ids=[
+        "bounds-nan", "bounds-inf", "bounds-array-inf", "bounds-complex", "eps0-negative",
+        "eps1-nan", "eps0-bool", "class-7", "class-negative", "class-bool", "class-float",
+        "class-array-4", "classify-nan", "classify-inf", "classify-array-nan", "classify-complex",
+    ],
+)
+def test_exported_model_rejects_invalid_input(fn, args, message):
+    # the engine calls the unchecked cores; the exported names check
+    with pytest.raises(ValueError, match=message):
+        fn(*args)
+
+
+def test_class_accepts_integers_of_any_kind():
+    expected = (0.0, 2.02)
+    for cls in (ExtremumClass.LOCAL_MAX, 1, np.int8(1), np.uint64(1)):
+        assert interval_bounds(1.0, 2.0, cls, 0.01, 1.0) == expected
+    lo, hi = interval_bounds(np.ones(2), np.full(2, 2.0), np.array([1, 2], dtype=np.uint8), 0.01, 1.0)
+    assert lo.tolist() == [0.0, 0.99] and hi.tolist() == [2.02, 4.0]
+
+
+@pytest.mark.parametrize("args", [(1.0, 2.0, 0.99, 2.02, PPI), (1.0, 1.0, 0.99, 1.02, PPI, 0.5)],
+                         ids=["standard", "equal-endpoints"])
+def test_scaling_factors_of_one_interval_are_scalars(args):
+    # as interval_bounds and boundary_sigmas give them, not 0-d arrays
+    factors = scaling_factors(*args)
+    assert [type(m) for m in factors] == [np.float64, np.float64]
+    assert [m.hex() for m in factors] == [float(m).hex() for m in factors]
+    many = scaling_factors(*(np.full(3, a) for a in args[:4]), PPI, *args[5:])
+    assert [m.shape for m in many] == [(3,), (3,)]
+    assert bits(many) == [bits([m] * 3) for m in factors]

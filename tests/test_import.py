@@ -4,6 +4,7 @@ not the experiment layer (``harness``) or its CLI.  Every exported name
 resolves."""
 
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -70,3 +71,24 @@ def test_every_exported_name_resolves():
         assert len(set(names)) == len(names), module.__name__
         missing = [name for name in names if not hasattr(module, name)]
         assert not missing, f"{module.__name__}.__all__ names {missing}"
+
+
+MODULE_MAP = """
+import sys
+import ppinterp
+print(" ".join(sorted(name for name in sys.modules if name.startswith("ppinterp."))))
+"""
+
+
+def test_module_map():
+    # the admissibility model (classes, bounds, scaling factors) lives in
+    # stencil, beside the engine that reads it; no alias module remains
+    assert importlib.util.find_spec("ppinterp.bounds") is None
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ppinterp.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULE_MAP], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert loaded == [f"ppinterp.{m}" for m in ("config", "divdiff", "interpnd", "pchip", "stencil")]
