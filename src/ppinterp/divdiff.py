@@ -37,6 +37,22 @@ def _as_float(data, what: str) -> np.ndarray:
     return a
 
 
+def _finite(data, what: str) -> np.ndarray:
+    """``data`` as ``_as_float`` gives it, which must be finite."""
+    a = _as_float(data, what)
+    if np.count_nonzero(np.isfinite(a)) < a.size:
+        raise ValueError(f"{what} must be finite")
+    return a
+
+
+def _check_range(pts: np.ndarray, mesh: np.ndarray):
+    """Raise ``ValueError`` naming the first of the finite ``pts`` that lies
+    outside [mesh[0], mesh[-1]]; there is no extrapolation."""
+    bad = pts[(pts < mesh[0]) | (pts > mesh[-1])]
+    if bad.size:
+        raise ValueError(f"output point {float(bad[0])} outside the mesh range [{mesh[0]}, {mesh[-1]}]")
+
+
 def as_mesh1d(points) -> np.ndarray:
     """Validate and return a 1D mesh as a float array.
 
@@ -227,14 +243,14 @@ def newton_eval(piece: IntervalInterpolant, mesh, x):
     Nested multiplication over the insertion order: the result is
     c_0 + (x - x_e0)(c_1 + (x - x_e1)(c_2 + ...)), computed by ``horner``
     with every point in one run.  The mesh is checked as ``as_mesh1d``
-    checks it, and the points must be real and finite, so no input is cut
-    to its real part or gives a silent NaN.  A piece whose window does not
-    fit the mesh raises.
+    checks it, and the points must be real, finite and in [mesh[0],
+    mesh[-1]], as the entry points take them, so no input is cut to its
+    real part, gives a silent NaN or is extrapolated.  A piece whose window
+    does not fit the mesh raises.
     """
     xs = as_mesh1d(mesh)
-    xv = _as_float(x, "output points")
-    if np.count_nonzero(np.isfinite(xv)) < xv.size:
-        raise ValueError("output points must be finite")
+    xv = _finite(x, "output points")
+    _check_range(xv, xs)
     p = horner(
         np.array([piece.coefficients], dtype=float),
         _piece_nodes(piece, xs)[None],

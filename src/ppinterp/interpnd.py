@@ -13,7 +13,7 @@ from functools import partial
 import numpy as np
 
 from .config import InterpConfig
-from .divdiff import _as_float, as_mesh1d, as_values
+from .divdiff import _as_float, _check_range, _finite, as_mesh1d, as_values
 from .stencil import interpolate_lines
 
 __all__ = [
@@ -33,16 +33,22 @@ CHUNK_PAIRS = 1 << 16
 
 def locate(mesh: np.ndarray, points):
     """Validate the output points of one axis for the validated ``mesh`` and
-    locate them; returns ``(pts, edge, runs, dest)``.
+    locate them; returns ``(pts, runs, node, hits, dest)``.  Every search of
+    the output points is made here, once per axis.
 
     The points must be a 1D sequence of real, finite values in [mesh[0],
     mesh[-1]], in any order.  ``pts`` holds them as floats in non-decreasing
     order; ``dest`` is None if they came so, and otherwise the ``argsort``
     that sorted them, so that ``out[dest] = result`` restores the caller's
-    order.  ``edge = pts.searchsorted(mesh)``: ``edge[i]`` is the first
-    point >= x[i].  ``runs[i]`` counts the points of interval i, ``x[i] <=
-    p < x[i+1]``, which are ``pts[edge[i]:edge[i] + runs[i]]``; the last
-    interval also takes the points at x[-1].
+    order.  Two reverse searches of the mesh into the points locate them:
+    ``edge = pts.searchsorted(mesh)`` gives the first point >= x[i], and
+    ``side="right"`` the first point > x[i].  ``runs[i]`` counts the points
+    of interval i, ``x[i] <= p < x[i+1]``, which are
+    ``pts[edge[i]:edge[i] + runs[i]]``; the last interval also takes the
+    points at x[-1].
+    ``hits[i]`` counts the points equal to x[i], and ``node`` holds their
+    positions in ``pts``, node by node, so ``pts[node]`` is
+    ``mesh.repeat(hits)``.
 
     One ``>=`` pass tests order and finiteness together: a NaN fails every
     comparison, so it sends the points to the sort, which puts it last,
@@ -57,14 +63,18 @@ def locate(mesh: np.ndarray, points):
         dest = pts.argsort()
         p = pts[dest]
     if p.size and not (p[0] >= mesh[0] and p[-1] <= mesh[-1]):
-        if np.count_nonzero(np.isfinite(pts)) < pts.size:
-            raise ValueError("output points must be finite")
-        bad = float(pts[(pts < mesh[0]) | (pts > mesh[-1])][0])
-        raise ValueError(f"output point {bad} outside the mesh range [{mesh[0]}, {mesh[-1]}]")
+        _check_range(_finite(pts, "output points"), mesh)  # raises
     edge = p.searchsorted(mesh)
     runs = edge[1:] - edge[:-1]
     runs[-1] = p.size - edge[-2]
-    return p, edge, runs, dest
+    # The points equal to node i are the sorted positions edge[i] up to
+    # past[i]; numbered in order, node point j of node i sits at
+    # j + past[i] - total[i].
+    past = p.searchsorted(mesh, side="right")
+    hits = past - edge
+    total = hits.cumsum()
+    node = np.arange(total[-1]) + (past - total).repeat(hits)
+    return p, runs, node, hits, dest
 
 
 def tensor_sweep(meshes, v, outs, sweep) -> np.ndarray:
@@ -73,16 +83,19 @@ def tensor_sweep(meshes, v, outs, sweep) -> np.ndarray:
     first.
 
     Every mesh, the values and every output axis are validated before any
-    sweep runs, and each output axis is located once, by ``locate``.
-    ``sweep(mesh, lines, points, edge, runs)`` receives the lines along one
-    axis as the columns of a ``(mesh.size, m)`` block, with the axis's
-    sorted ``points``, ``edge`` and ``runs`` as ``locate`` returns them, and
-    returns the lines' ``(points.size, m)`` values at ``points``.  The block
-    is the grid with that axis swapped to the front; every line is
-    interpolated on its own, so the order and grouping of the columns do
-    not matter.  Every call for an axis receives the same ``points``,
-    ``edge`` and ``runs``, and the results of sorted points are scattered
-    back to the caller's order.
+    sweep runs, and each output axis is located once, by ``locate``.  If
+    any output axis is empty, the empty result of the output shape is
+    returned then, and no sweep runs, so a sweep always receives points.
+    ``sweep(mesh, lines, points, runs, node, hits)`` receives the lines
+    along one axis as the columns of a ``(mesh.size, m)`` block, with the
+    axis's sorted ``points``, ``runs``, ``node`` and ``hits`` as ``locate``
+    returns them, and returns the lines' ``(points.size, m)`` values at
+    ``points``.  The block is the grid with that axis swapped to the front;
+    every line is interpolated on its own, so the order and grouping of the
+    columns do not matter.  Every call for an axis receives the same
+    ``points``, ``runs``, ``node`` and ``hits``, so a sweep searches
+    nothing, and the results of sorted points are scattered back to the
+    caller's order.
 
     The columns go to ``sweep`` a chunk at a time, each chunk holding at
     most ``CHUNK_PAIRS`` (line, point) pairs, or one line, which caps the
@@ -109,16 +122,19 @@ def tensor_sweep(meshes, v, outs, sweep) -> np.ndarray:
     ms = [as_mesh1d(m) for m in meshes]
     q = as_values(v, tuple(m.size for m in ms))
     located = [locate(m, o) for m, o in zip(ms, outs)]
-    for k, (mesh, (p, edge, runs, dest)) in enumerate(zip(ms, located)):
+    for loc in located:
+        if not loc[0].size:
+            return np.empty([pts.size for pts, *_ in located])
+    for k, (mesh, (p, runs, node, hits, dest)) in enumerate(zip(ms, located)):
         front = q.swapaxes(0, k)
         lines = front.reshape(mesh.size, -1)
         step = max(1, CHUNK_PAIRS // max(mesh.size, p.size))
         if step >= lines.shape[1]:
-            block = sweep(mesh, lines, p, edge, runs)
+            block = sweep(mesh, lines, p, runs, node, hits)
         else:
             block = np.empty((p.size, lines.shape[1]))
             for c in range(0, lines.shape[1], step):
-                block[:, c : c + step] = sweep(mesh, lines[:, c : c + step], p, edge, runs)
+                block[:, c : c + step] = sweep(mesh, lines[:, c : c + step], p, runs, node, hits)
         if dest is not None:
             block[dest] = block.copy()
         q = block.reshape(p.shape + front.shape[1:]).swapaxes(0, k)

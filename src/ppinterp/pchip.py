@@ -29,12 +29,12 @@ def _end_slope(h0, h1, m0, m1):
     return np.where(np.sign(d) == s0, np.where(cap, 3.0 * m0, d), 0.0)
 
 
-def _pchip(mesh, lines, points, edge, runs):
+def _pchip(mesh, lines, points, runs, node, hits):
     """PCHIP of the columns of the ``(n, m)`` block ``lines`` on ``mesh``,
     evaluated at ``points``; equals SciPy's
     ``PchipInterpolator(mesh, lines, axis=0)(points)`` bit for bit.  The
     points come located by ``interpnd.locate``: non-decreasing, with
-    ``runs[i]`` points in interval i; ``edge`` is not read.
+    ``runs[i]`` points in interval i; ``node`` and ``hits`` are not read.
 
     The harmonic mean is formed only where both secants are nonzero and
     share a sign: elsewhere the slope is +0 and the secants are replaced by 1

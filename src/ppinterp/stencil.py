@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DBI, InterpConfig, _check_eps, _is_integer
-from .divdiff import DividedDifferenceTable, IntervalInterpolant, _as_float, _piece_nodes, as_mesh1d
+from .divdiff import DividedDifferenceTable, IntervalInterpolant, _finite, _piece_nodes, as_mesh1d
 from .divdiff import as_values, horner, next_order
 
 __all__ = [
@@ -73,14 +73,6 @@ class ExtremumClass(enum.IntEnum):
     LOCAL_MAX = 1
     LOCAL_MIN = 2
     AMBIGUOUS = 3
-
-
-def _finite(data, what: str) -> np.ndarray:
-    """``data`` as ``_as_float`` gives it, which must be finite."""
-    a = _as_float(data, what)
-    if np.count_nonzero(np.isfinite(a)) < a.size:
-        raise ValueError(f"{what} must be finite")
-    return a
 
 
 def boundary_sigmas(slopes, i):
@@ -496,33 +488,24 @@ def grow_stencils(x, values, intervals, config: InterpConfig) -> Stencils:
     return Stencils(nodes.T, coeffs.T, degree, degenerate, denom, m_l, m_r)
 
 
-def interpolate_lines(x, lines, pts, edge, runs, config: InterpConfig) -> np.ndarray:
+def interpolate_lines(x, lines, pts, runs, node, hits, config: InterpConfig) -> np.ndarray:
     """Interpolate every column of the ``(n, m)`` block ``lines``, values on
     mesh ``x``, to the points ``pts``; returns the ``(pts.size, m)`` block.
 
     The inputs must already be validated, by ``as_mesh1d`` and
     ``as_values``, and the points validated and located by
-    ``interpnd.locate``, which gives the sorted ``pts``, ``edge =
-    pts.searchsorted(x)`` and the ``runs`` of points per interval.  Each
-    output point belongs to the half-open interval [x_i, x_{i+1}) that
-    contains it (the last interval is closed on the right), and a point
-    equal to a mesh node returns the line's value there, so every node,
-    x[-1] and signed zeros included, is reproduced bit for bit.
+    ``interpnd.locate``, which gives the sorted ``pts`` (at least one), the
+    ``runs`` of points per interval, and the ``hits`` points equal to each
+    node at the positions ``node``.  Each output point belongs to the
+    half-open interval [x_i, x_{i+1}) that contains it (the last interval
+    is closed on the right), and a point equal to a mesh node returns the
+    line's value there, so every node, x[-1] and signed zeros included, is
+    reproduced bit for bit.  Nothing is searched here.
 
     Only the intervals with a nonempty run grow a stencil, and ``horner``
-    evaluates each one's polynomials on its run.  ``edge`` serves only the
-    search for the points that equal a node.
+    evaluates each one's polynomials on its run.
     """
-    if not pts.size:
-        return np.empty((0, lines.shape[1]))
     intervals = runs.nonzero()[0]
-    # The points equal to node i are the sorted positions edge[i] up to
-    # past[i]; numbered in order, node point j of node i sits at
-    # j + past[i] - total[i].
-    past = pts.searchsorted(x, side="right")
-    hits = past - edge
-    total = hits.cumsum()
-    node = np.arange(total[-1]) + (past - total).repeat(hits)
     st = grow_stencils(x, lines, intervals, config)
     res = horner(st.coeffs, st.nodes, runs[intervals], pts)
     # A node's value is returned as given.  Horner gives it as c_0 + 0 * p,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -325,6 +327,19 @@ class TestNewtonEval:
         message = r"^table of shape \(9, 3\) does not fit 9 mesh points and degree 6$"
         with pytest.raises(ValueError, match=message):
             replay_chain(piece, build_table(x, u, 2), x)
+
+    def test_rejects_points_outside_the_mesh(self):
+        # the entry points' range rule and wording: no extrapolation, and
+        # an outside point is named in the caller's order
+        x = np.linspace(0.0, 1.0, 5)
+        piece = make_piece(x, np.abs(np.sin(7.0 * x)), 1, [1, 2, 0, 3, 4])
+        above = np.nextafter(1.0, 2.0)
+        for points, bad in ((5.0, 5.0), ([0.5, -0.25, 2.0], -0.25), ([1.0, above], above)):
+            message = rf"^output point {re.escape(str(bad))} outside the mesh range \[0.0, 1.0\]$"
+            with pytest.raises(ValueError, match=message):
+                newton_eval(piece, x, points)
+        # the mesh's end points are inside
+        assert newton_eval(piece, x, [0.0, 1.0]).shape == (2,)
 
     def test_reproduces_node_values(self):
         rng = np.random.default_rng(13)

@@ -277,7 +277,7 @@ class TestConfigDriver:
         u = np.sin(x * 5) + 1.5
         xout = np.linspace(0, 1, 37)
         cfg = InterpConfig(d=4, im=PPI, st=2, eps0=0.1, eps1=0.5)
-        via_cfg = interpolate_lines(x, u[:, None], *locate(x, xout)[:3], cfg)[:, 0]
+        via_cfg = interpolate_lines(x, u[:, None], *locate(x, xout)[:4], cfg)[:, 0]
         via_args = adaptive_interpolation_1d(x, u, xout, 4, PPI, 2, 0.1, 0.5)
         assert np.array_equal(via_cfg, via_args)
 

@@ -257,24 +257,41 @@ class TestSweepContract:
         for method in (partial(stencil.interpolate_lines, config=InterpConfig(d=5, im=PPI)), _pchip):
             calls = []
 
-            def sweep(mesh, lines, points, edge, runs):
-                calls.append((mesh, points, edge, runs))
-                return method(mesh, lines, points, edge, runs)
+            def sweep(mesh, lines, points, runs, node, hits):
+                calls.append((mesh, points, runs, node, hits))
+                return method(mesh, lines, points, runs, node, hits)
 
             got = interpnd.tensor_sweep((x, y), v, (xo, yo[perm]), sweep)
             assert signed_equal(got, interpnd.tensor_sweep((x, y), v, (xo, yo), method)[:, perm])
             for mesh in (x, y):
                 axis = [c for c in calls if c[0].size == mesh.size]
-                points, edge, runs = axis[0][1:]
+                points, runs, node, hits = axis[0][1:]
                 assert len(axis) > 1
-                assert all(c[1] is points and c[2] is edge and c[3] is runs for c in axis)
+                assert all(c[1] is points and c[2] is runs and c[3] is node and c[4] is hits for c in axis)
                 assert np.all(points[1:] >= points[:-1])
-                assert np.array_equal(edge, points.searchsorted(mesh))
+                assert np.array_equal(hits, points.searchsorted(mesh, "right") - points.searchsorted(mesh))
+                assert np.array_equal(points[node], mesh.repeat(hits))
                 # the points of each interval x[i] <= p < x[i+1], the last
                 # one taking the points at x[-1] (two or more of them here)
                 owner = np.minimum(mesh.searchsorted(points, side="right") - 1, mesh.size - 2)
                 assert np.count_nonzero(points == mesh[-1]) >= 2
                 assert np.array_equal(runs, np.bincount(owner, minlength=mesh.size - 1))
+
+    def test_no_sweep_on_an_empty_axis(self):
+        # an empty output axis ends the call after validation, before any
+        # sweep, so a sweep never receives zero points
+        x = np.linspace(0.0, 1.0, 4)
+        v = np.ones((4, 4, 4))
+
+        def sweep(*args):
+            raise AssertionError("a sweep ran")
+
+        for empty in range(1, 8):
+            outs = [[] if empty >> k & 1 else x for k in range(3)]
+            got = interpnd.tensor_sweep((x, x, x), v, outs, sweep)
+            assert got.shape == tuple(len(o) for o in outs) and got.dtype == float
+        with pytest.raises(ValueError, match="^output point 2.0 outside"):
+            interpnd.tensor_sweep((x, x, x), v, ([], x, [2.0]), sweep)
 
 
 class TestChunkMemory:
@@ -320,8 +337,8 @@ def sweep_blocks(meshes, v, outs, cfg):
     received and the block it returned."""
     blocks = []
 
-    def sweep(mesh, lines, points, edge, runs):
-        out = stencil.interpolate_lines(mesh, lines, points, edge, runs, cfg)
+    def sweep(mesh, lines, points, runs, node, hits):
+        out = stencil.interpolate_lines(mesh, lines, points, runs, node, hits, cfg)
         blocks.append((lines, out))
         return out
 

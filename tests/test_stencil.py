@@ -235,7 +235,7 @@ class TestBuildStencil:
         u = rng.uniform(0, 3, (10, 5))
         u[:, 3] = u[:, 1]
         xout = np.sort(rng.uniform(x[0], x[-1], 40))
-        located = interpnd.locate(x, xout)[:3]
+        located = interpnd.locate(x, xout)[:4]
         cfg = InterpConfig(d=6, im=PPI)
         block = interpolate_lines(x, u, *located, cfg)
         for k in range(5):
@@ -354,9 +354,9 @@ def test_replay_stencils_every_lane_of_a_sweep(monkeypatch, pairs):
         cfg = replace(cfg, im=(DBI, PPI)[trial // 2 % 2], st=trial % 3 + 1)
         blocks = []
 
-        def sweep(mesh, lines, points, edge, runs):
+        def sweep(mesh, lines, points, runs, node, hits):
             blocks.append((mesh, lines))
-            return interpolate_lines(mesh, lines, points, edge, runs, cfg)
+            return interpolate_lines(mesh, lines, points, runs, node, hits, cfg)
 
         interpnd.tensor_sweep(meshes, v, outs, sweep)
         assert {b[0].size for b in blocks} == {m.size for m in meshes}
