@@ -219,30 +219,35 @@ def roundtrip_meshes(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray]:
     return mesh_a, mesh_r
 
 
-def roundtrip_error(spec: ExperimentSpec) -> float:
+def _roundtrip(spec: ExperimentSpec) -> tuple[int, float]:
     """Map function values advection -> reaction -> advection; returns the
-    grid-point L2 error against the original values."""
+    advection mesh size and the grid-point L2 error against the original
+    values."""
     tf = TEST_FUNCTIONS[spec.fn]
     mesh_a, mesh_r = roundtrip_meshes(spec)
     u = tf.func(mesh_a)
     on_r = _interp(spec, [mesh_a], u, [mesh_r])
     back = _interp(spec, [mesh_r], on_r, [mesh_a])
-    return l2_error_grid(back, u)
+    return mesh_a.size, l2_error_grid(back, u)
+
+
+def roundtrip_error(spec: ExperimentSpec) -> float:
+    """The round trip's grid-point L2 error (see ``_roundtrip``)."""
+    return _roundtrip(spec)[1]
 
 
 def run_experiments(specs) -> list[tuple]:
     """Run every spec; returns (N, method, degree, st, eps0, eps1, l2) rows.
 
-    For round-trip rows N is the advection mesh size after refinement, the
-    size ``refine_mesh`` gives, so the meshes are built once, by the round
-    trip itself.
+    For round-trip rows N is the advection mesh size after refinement.
     """
     rows = []
     for spec in specs:
         if spec.kind == "roundtrip":
-            n_row, err = spec.n + spec.refine * (spec.n - 1), roundtrip_error(spec)
+            n_row, err = _roundtrip(spec)
         else:
-            n_row, err = spec.n, approximation_error(spec)
+            err = approximation_error(spec)
+            n_row = spec.n
         rows.append((n_row, spec.method, spec.degree, spec.st, spec.eps0, spec.eps1, err))
     return rows
 
