@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from .harness import METHODS, TEST_FUNCTIONS, ExperimentSpec, format_rows, run_experiments, table_sweep
 
@@ -54,15 +55,14 @@ def _specs_from_args(args) -> list[ExperimentSpec]:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        text = format_rows(run_experiments(_specs_from_args(args)))
-    except ValueError as err:  # bad parameters; any other error is a bug and keeps its traceback
+        specs = _specs_from_args(args)
+        # --out is opened once the parameters pass and before the sweep runs,
+        # so an unwritable path fails at once
+        with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as fh:
+            fh.write(format_rows(run_experiments(specs)))
+    except (ValueError, OSError) as err:  # bad parameters or --out; any other error is a bug
         print(f"error: {err}", file=sys.stderr)
         return 1
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

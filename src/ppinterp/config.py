@@ -62,7 +62,7 @@ def _check_eps(eps0, eps1):
     """Raise ``ValueError`` unless eps0 and eps1 are finite, nonnegative real
     numbers (bools not)."""
     for eps in (eps0, eps1):
-        real = isinstance(eps, numbers.Real) and not isinstance(eps, bool)
+        real = type(eps) is float or isinstance(eps, numbers.Real) and not isinstance(eps, bool)
         if not (real and 0.0 <= eps < math.inf):
             raise ValueError(
                 f"eps0 and eps1 must be finite and nonnegative real numbers, got {eps0!r}, {eps1!r}"

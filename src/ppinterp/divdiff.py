@@ -162,7 +162,9 @@ class IntervalInterpolant:
 
     ``normalization`` / ``denom`` / ``m_l`` / ``m_r`` record how the stencil
     growth was normalized and bounded, so an accepted stencil can be replayed
-    and re-checked after the fact.
+    and re-checked after the fact.  The coefficients, ``m_l`` and ``m_r``
+    must be real and finite; ``denom`` may be left NaN for a piece that is
+    only evaluated, and ``replay_chain`` checks it.
     """
 
     interval_index: int
@@ -189,6 +191,7 @@ class IntervalInterpolant:
             raise ValueError("insertion order must start with (i, i+1)")
         if sorted(self.insertion_order) != list(range(l, r + 1)):
             raise ValueError("insertion order must be a permutation of the window")
+        _finite((*self.coefficients, self.m_l, self.m_r), "piece coefficients, m_l and m_r")
 
 
 def horner(coeffs, nodes, runs, points):

@@ -120,7 +120,7 @@ def tensor_sweep(meshes, v, outs, sweep) -> np.ndarray:
     checks all four on seeded 2D/3D families.
     """
     ms = [as_mesh1d(m) for m in meshes]
-    q = as_values(v, tuple(m.size for m in ms))
+    q = as_values(v, tuple([m.size for m in ms]))  # a list builds faster than a generator
     located = [locate(m, o) for m, o in zip(ms, outs)]
     for loc in located:
         if not loc[0].size:

@@ -121,11 +121,8 @@ def _classify_interval(sigma_prev, sigma_cur, sigma_next):
     sign_prev = np.sign(sigma_prev)
     outer = sign_prev * np.sign(sigma_next) < 0.0
     inner = sign_prev * np.sign(sigma_cur) < 0.0
-    cls = np.where(
-        outer,
-        np.where(sign_prev < 0.0, ExtremumClass.LOCAL_MAX.value, ExtremumClass.LOCAL_MIN.value),
-        np.where(inner, ExtremumClass.AMBIGUOUS.value, ExtremumClass.NONE.value),
-    )
+    # LOCAL_MAX (1) or LOCAL_MIN (2) by the entry sign; else AMBIGUOUS (3) or NONE (0)
+    cls = np.where(outer, 2 - (sign_prev < 0.0), 3 * inner)
     return ExtremumClass(int(cls)) if isinstance(outer, np.bool_) else cls
 
 
@@ -152,9 +149,9 @@ def interval_bounds(u_i, u_ip1, cls, eps0: float, eps1: float):
 def _interval_bounds(u_i, u_ip1, cls, eps0, eps1):
     lo = np.where(u_ip1 < u_i, u_ip1, u_i)
     hi = np.where(u_ip1 > u_i, u_ip1, u_i)
-    eps_lo = np.where(cls & ExtremumClass.LOCAL_MAX.value, eps1, eps0)
-    eps_hi = np.where(cls & ExtremumClass.LOCAL_MIN.value, eps1, eps0)
-    return lo - eps_lo * abs(lo), hi + eps_hi * abs(hi)
+    # row 0 takes eps1 on bit LOCAL_MAX of classes 0-3, row 1 on bit LOCAL_MIN
+    eps = np.where([[False, True, False, True], [False, False, True, True]], eps1, eps0).take(cls, 1)
+    return lo - eps[0] * abs(lo), hi + eps[1] * abs(hi)
 
 
 def scaling_factors(u_i, u_ip1, u_min, u_max, method: int, degenerate_w=None):
@@ -169,19 +166,20 @@ def scaling_factors(u_i, u_ip1, u_min, u_max, method: int, degenerate_w=None):
     instead and vanishes at both endpoints, so nothing forces it to reach 1:
     the floors are m_l <= 0 <= m_r, which keeps the enclosure exactly
     [u_min, u_max].  ``degenerate_w`` is read only where the endpoint values
-    are equal.
+    are equal.  The endpoint values must be finite: equal ones are found as
+    a zero difference, and a zero denominator can only come from w.
     """
     if method == DBI:
         return 0.0, 1.0
 
-    equal = u_ip1 == u_i
     den, floor = u_ip1 - u_i, 1.0
+    equal = den == 0.0  # finite values differ by zero only where they are equal
     if np.count_nonzero(equal):
         if degenerate_w is None:
             raise ValueError("equal endpoint values require degenerate_w")
         den, floor = np.where(equal, degenerate_w, den), np.where(equal, 0.0, 1.0)
-    if np.count_nonzero(den == 0.0):
-        raise ValueError("flat data: expanded window has zero divided difference")
+        if np.count_nonzero(den == 0.0):  # only w can be zero
+            raise ValueError("flat data: expanded window has zero divided difference")
     rising = den > 0.0
     a = (np.where(rising, u_min, u_max) - u_i) / den
     b = (np.where(rising, u_max, u_min) - u_i) / den
@@ -347,21 +345,24 @@ def grow_stencils(x, values, intervals, config: InterpConfig) -> Stencils:
     n, lines = values.shape
     top = min(config.d, n - 1)
     xb = x[:, None]  # window spans broadcast against the lines
-    # order 1 in ``cur``; the slabs' last rows stay NaN
-    cur, nxt = np.full((2, n, lines), np.nan)
+    # order 1 in ``cur``; the slabs' last rows are never written and stay NaN
+    slabs = np.empty((2, n, lines))
+    slabs[:, -1] = np.nan
+    cur, nxt = slabs[0], slabs[1]
     next_order(values, xb[1:] - xb[:-1], cur)
     # from a lane's offset to its two candidates: the window start one row
     # left or the same
     sides = _SIDES * lines
     # Flat offset of every lane's window start in a slab (row i of its line)
-    pos = ((intervals * lines)[:, None] + np.arange(lines)).ravel()
-    u_i, u_ip1, slope = values[intervals].ravel(), values[intervals + 1].ravel(), cur.take(pos)
-    degenerate = (u_i == u_ip1) | (slope == 0.0)
+    pos = np.arange(n * lines).reshape(n, lines).take(intervals, 0).ravel()
+    u = values.ravel()  # at a lane's offset its u_i, one row (lines) on its u_{i+1}
+    u_i, u_ip1, slope = u.take(pos), u.take(pos + lines), cur.take(pos)
+    degenerate = slope == 0.0  # equal endpoint values give a slope of +-0 too
     ndeg = np.count_nonzero(degenerate)
     i = intervals.repeat(lines)
     # nodes[j] and coeffs[j] hold insertion j of every lane; the result is
     # their transpose.  Until a step writes them, they hold the linear piece.
-    xi, xi1 = x[i], x[i + 1]
+    xi, xi1 = x.take(i), x[1:].take(i)
     nodes = xi[None].repeat(top + 1, 0)
     nodes[1] = xi1
     h = xi1 - xi
@@ -369,7 +370,8 @@ def grow_stencils(x, values, intervals, config: InterpConfig) -> Stencils:
     coeffs[0], coeffs[1] = u_i, slope
     lanes = i.size
     live = slice(None)  # selects the lanes that may grow: all of them
-    denom, lp, w, dg = slope, np.ones(lanes), 1.0, degenerate  # lp: the product of window lengths
+    denom, lp, w, dg = slope, np.empty(lanes), 1.0, degenerate  # lp: the product of window lengths
+    lp.fill(1.0)  # empty and fill take a third of the time of np.ones
     first = True  # the candidates each lane's first step may take
 
     span = xb[2:] - xb[:-2]  # order 2's window spans, read by step 0
@@ -426,9 +428,9 @@ def grow_stencils(x, values, intervals, config: InterpConfig) -> Stencils:
     # k's left candidate is k, its right one k + lanes.
     ig, dn, l = i, denom, i
     lam, prev, t = 1.0, None, None
-    near = np.arange(i.size)  # the lanes' numbers among themselves
+    both = np.arange(2 * i.size).reshape(2, -1)  # one arange for near and far
+    near, far = both[0], both[1]  # the lanes' numbers among themselves, plus i.size
     lane = near if i.size == lanes else live  # and their rows
-    far = near + i.size
     reach = np.zeros((top, 2, 1), dtype=np.intp)  # candidate points: window start + (0, s+2)
     reach[:, 1, 0] = np.arange(2, top + 2)
     for s in range(top - 1 if i.size else 0):
@@ -474,14 +476,15 @@ def grow_stencils(x, values, intervals, config: InterpConfig) -> Stencils:
         span = xb[s + 3 :] - xb[: n - s - 3]  # order s+3's, read by step s+1
         cur, nxt = next_order(cur, span, nxt), cur
 
-    degree = (nodes[2:] != nodes[0]).sum(0) + 1  # padding repeats x_i
+    degree = (nodes != nodes[0]).sum(0)  # nodes[1] is x_{i+1}; padding repeats x_i
     if ndeg:  # a degenerate lane left at degree 1 records the linear piece
         if i.size < lanes:  # settled: the growing lanes' fields go to their rows
             rows = np.empty((3, lanes))  # a settled row is rewritten below
             rows[0, live], rows[1, live], rows[2, live] = denom, m_l, m_r
             denom, m_l, m_r = rows
         linear = degenerate & (degree == 1)
-        degenerate, denom = degenerate & ~linear, np.where(linear, coeffs[1], denom)
+        # linear lanes are degenerate ones, so ^ clears them
+        degenerate, denom = degenerate ^ linear, np.where(linear, coeffs[1], denom)
         m_l, m_r = np.where(linear, 0.0, m_l), np.where(linear, 1.0, m_r)
     elif config.im == DBI:  # one factor per lane in the record
         m_l, m_r = np.full(lanes, m_l), np.full(lanes, m_r)
@@ -584,8 +587,9 @@ def replay_chain(piece: IntervalInterpolant, table: DividedDifferenceTable, mesh
 
     Returns one (j, lambda_bar, b_minus, b_plus) tuple of floats per
     expansion; every accepted step must satisfy B- <= lambda_bar <= B+.
-    The piece's window must fit the mesh, and the table must hold one row
-    per mesh point and an order above the piece's degree.
+    The piece's window must fit the mesh, the table must hold one row per
+    mesh point and an order above the piece's degree, and the piece's
+    ``denom`` must be real and finite, since every step divides by it.
     """
     x = as_mesh1d(mesh)
     fields = (_piece_nodes(piece, x), piece.coefficients, piece.degree,
@@ -593,6 +597,7 @@ def replay_chain(piece: IntervalInterpolant, table: DividedDifferenceTable, mesh
     shape = table.entries.shape  # (mesh points, orders)
     if shape[0] != x.size or shape[1] <= piece.degree:
         raise ValueError(f"table of shape {shape} does not fit {x.size} mesh points and degree {piece.degree}")
+    _finite(piece.denom, "piece denom")
     one = Stencils(*(np.array([f]) for f in fields))
     out = replay_stencils(x, table.entries.T[..., None], one)
     return [(j, *step) for j, step in enumerate(out[..., 0].T.tolist(), 1)]

@@ -44,6 +44,33 @@ class TestClassifyInterval:
         assert np.array_equal(classify_interval(*(sigs * scales[:, None]).T), base)
 
 
+    # Each sign of a slope, at the magnitudes where a product of two slopes
+    # underflows to zero or overflows to infinity, and zero of either sign.
+    VALUES_OF_SIGN = {-1: (-1e300, -1.0, -1e-300), 0: (-0.0, 0.0), 1: (1e-300, 1.0, 1e300)}
+
+    @staticmethod
+    def rule(s_prev, s_cur, s_next):
+        """The docstring's rule on the slopes' signs: opposite nonzero outer
+        signs flag an extremum typed by the entry sign; otherwise an inner
+        sign opposite the entry one leaves the type ambiguous."""
+        if s_prev * s_next < 0:
+            return ExtremumClass.LOCAL_MAX if s_prev < 0 else ExtremumClass.LOCAL_MIN
+        return ExtremumClass.AMBIGUOUS if s_prev * s_cur < 0 else ExtremumClass.NONE
+
+    def test_every_sign_triple(self):
+        signs, sigmas = [], []
+        for triple in itertools.product((-1, 0, 1), repeat=3):
+            for sig in itertools.product(*(self.VALUES_OF_SIGN[s] for s in triple)):
+                signs.append(triple)
+                sigmas.append(sig)
+        assert len(set(signs)) == 27
+        expected = [self.rule(*triple) for triple in signs]
+        assert [classify_interval(*sig) for sig in sigmas] == expected  # scalar form
+        got = classify_interval(*np.array(sigmas).T)  # array form
+        assert got.dtype.kind == "i"
+        assert got.tolist() == [int(c) for c in expected]
+
+
 class TestIntervalBounds:
     def test_no_extremum(self):
         assert interval_bounds(1.0, 2.0, ExtremumClass.NONE, 0.01, 1.0) == (0.99, 2.02)

@@ -245,6 +245,19 @@ class TestCli:
         assert text.splitlines()[0] == CSV_HEADER
         assert "\r" not in text
 
+    def test_unwritable_out_fails_before_the_sweep(self, tmp_path, capsys, monkeypatch):
+        def sweep(specs):
+            raise RuntimeError("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_experiments", sweep)
+        target = tmp_path / "missing" / "rows.csv"
+        argv = ["approx", "--fn", "f1", "--n", "17", "--method", "dbi", "--degree", "3", "--out", str(target)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(target) in captured.err
+        assert not target.parent.exists()
+
     def test_error_exit_code(self, capsys):
         argv = ["approx", "--fn", "f1", "--n", "1", "--method", "ppi", "--degree", "3"]
         assert main(argv) == 1

@@ -14,6 +14,7 @@ import pytest
 
 import ppinterp
 from ppinterp import DBI, PPI, InterpConfig
+from ppinterp.divdiff import IntervalInterpolant
 
 X = np.linspace(0.0, 1.0, 5)
 U = np.array([0.0, 1.0, 3.0, 2.0, 2.5])
@@ -103,3 +104,30 @@ def test_table_covers_every_exported_callable():
 def test_every_export_rejects_invalid_input(name, args):
     with pytest.raises(ValueError):
         getattr(ppinterp, name)(*args)
+
+
+# Pieces are built by the caller, not by an exported function, so the table
+# above does not reach their numbers: a piece rejects a bad coefficient or
+# scaling factor when it is built, and replay_chain a bad denom.
+@pytest.mark.parametrize("coefficients", [(np.nan, 1.0), (1j, 1.0)], ids=["nan", "complex"])
+def test_piece_coefficients_are_checked(coefficients):
+    with pytest.raises(ValueError):
+        ppinterp.newton_eval(IntervalInterpolant(0, (0, 1), (0, 1), coefficients), [0.0, 1.0], 0.5)
+
+
+@pytest.mark.parametrize("field", ["m_l", "m_r"])
+@pytest.mark.parametrize("label", SPOILERS)
+def test_piece_scaling_factors_are_checked(field, label):
+    with pytest.raises(ValueError):
+        IntervalInterpolant(0, (0, 1), (0, 1), (0.0, 1.0), **{field: SPOILERS[label](0.5)})
+
+
+@pytest.mark.parametrize("denom", [None, *SPOILERS], ids=["default", *SPOILERS])
+def test_replay_chain_checks_the_piece_denom(denom):
+    fields = dict(vars(PIECE))
+    if denom is None:
+        del fields["denom"]  # the NaN default
+    else:
+        fields["denom"] = SPOILERS[denom](fields["denom"])
+    with pytest.raises(ValueError, match="piece denom"):
+        ppinterp.replay_chain(IntervalInterpolant(**fields), TABLE, X)
