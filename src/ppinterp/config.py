@@ -1,4 +1,7 @@
-"""Interpolation configuration shared by the 1D/2D/3D drivers."""
+"""What the API accepts: the method parameters of the 1D/2D/3D drivers
+(``InterpConfig``) and the rules for their arrays (``as_mesh1d``,
+``as_values`` and the float, finite and range checks every entry point
+shares)."""
 
 from __future__ import annotations
 
@@ -7,7 +10,9 @@ import numbers
 import operator
 from dataclasses import dataclass
 
-__all__ = ["DBI", "PPI", "InterpConfig"]
+import numpy as np
+
+__all__ = ["DBI", "PPI", "InterpConfig", "as_mesh1d", "as_values"]
 
 # Method selector values: 1 = data-bounded, 2 = positivity-preserving.
 DBI = 1
@@ -67,3 +72,65 @@ def _check_eps(eps0, eps1):
             raise ValueError(
                 f"eps0 and eps1 must be finite and nonnegative real numbers, got {eps0!r}, {eps1!r}"
             )
+
+
+_FLOAT = np.dtype(float)
+
+
+def _as_float(data, what: str) -> np.ndarray:
+    """``data`` as a float64 array, which passes with one dtype test.
+    Complex data raise: converting them would keep only the real part."""
+    a = np.asarray(data)
+    if a.dtype is not _FLOAT:
+        if a.dtype.kind == "c":
+            raise ValueError(f"{what} must be real, got dtype {a.dtype}")
+        a = a.astype(float)
+    return a
+
+
+def _finite(data, what: str) -> np.ndarray:
+    """``data`` as ``_as_float`` gives it, which must be finite."""
+    a = _as_float(data, what)
+    if np.count_nonzero(np.isfinite(a)) < a.size:
+        raise ValueError(f"{what} must be finite")
+    return a
+
+
+def _check_range(pts: np.ndarray, mesh: np.ndarray):
+    """Raise ``ValueError`` naming the first of the finite ``pts`` that lies
+    outside [mesh[0], mesh[-1]]; there is no extrapolation."""
+    bad = pts[(pts < mesh[0]) | (pts > mesh[-1])]
+    if bad.size:
+        raise ValueError(f"output point {float(bad[0])} outside the mesh range [{mesh[0]}, {mesh[-1]}]")
+
+
+def as_mesh1d(points) -> np.ndarray:
+    """Validate and return a 1D mesh as a float array.
+
+    The mesh must hold at least two real, finite, strictly increasing
+    coordinates.
+    A strictly increasing mesh with finite ends is finite throughout (a NaN
+    fails the increase), so the whole mesh is scanned for finiteness only
+    once that test has failed, and a non-finite mesh is reported as such.
+    """
+    x = _as_float(points, "mesh coordinates")
+    if x.ndim != 1:
+        raise ValueError(f"mesh must be one-dimensional, got shape {x.shape}")
+    if x.size < 2:
+        raise ValueError(f"mesh needs at least 2 points, got {x.size}")
+    if np.count_nonzero(x[1:] > x[:-1]) < x.size - 1 or not math.isfinite(x[0]) or not math.isfinite(x[-1]):
+        if np.count_nonzero(np.isfinite(x)) < x.size:
+            raise ValueError("mesh coordinates must be finite")
+        raise ValueError("mesh coordinates must be strictly increasing")
+    return x
+
+
+def as_values(values, shape: tuple[int, ...]) -> np.ndarray:
+    """Validate and return the values on a mesh (or a grid of meshes) as a
+    float array: they must be real, have ``shape`` and be finite."""
+    u = _as_float(values, "values")
+    if u.shape != shape:
+        raise ValueError(f"values shape {u.shape} does not match mesh shape {shape}")
+    if np.count_nonzero(np.isfinite(u)) < u.size:
+        raise ValueError("values must be finite")
+    return u

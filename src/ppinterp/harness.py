@@ -15,8 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import DBI, PPI, InterpConfig, _is_integer
-from .divdiff import as_mesh1d, as_values
+from .config import DBI, PPI, InterpConfig, _is_integer, as_mesh1d, as_values
 from .interpnd import adaptive_interpolation_1d, adaptive_interpolation_2d
 from .pchip import pchip_1d, pchip_2d
 

@@ -12,8 +12,7 @@ from functools import partial
 
 import numpy as np
 
-from .config import InterpConfig
-from .divdiff import _as_float, _check_range, _finite, as_mesh1d, as_values
+from .config import InterpConfig, _as_float, _check_range, _finite, as_mesh1d, as_values
 from .stencil import interpolate_lines
 
 __all__ = [

@@ -62,7 +62,7 @@ def _pchip(mesh, lines, points, runs, node, hits):
         d[0] = _end_slope(h[0], h[1], m[0], m[1])
         d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
     # each interval's left node and coefficients repeated over its run of
-    # points, as divdiff.horner expands its records
+    # points, as stencil.horner expands its records
     s = (points - mesh[:-1].repeat(runs, 0))[:, None]
     s2 = s * s
     # CubicHermiteSpline's coefficients times the powers of s, summed in

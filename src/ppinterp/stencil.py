@@ -1,5 +1,10 @@
-"""Adaptive stencil construction, for many intervals at once, and every
-reader of its record but ``divdiff.horner``.
+"""The Newton form and the adaptive stencils it is built on, for many
+intervals at once, with every reader of their record.
+
+The Newton form comes first, since everything below reads it: the
+divided-difference recursion (``next_order``) and its tables, the
+per-interval pieces (``IntervalInterpolant``) and nested evaluation
+(``horner``, ``newton_eval``).
 
 Each interval's stencil starts from its two endpoints and grows one mesh
 point at a time.  A candidate point is admissible when the ratio of scaled
@@ -32,22 +37,27 @@ record."""
 from __future__ import annotations
 
 import enum
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .config import DBI, InterpConfig, _check_eps, _is_integer
-from .divdiff import DividedDifferenceTable, IntervalInterpolant, _finite, _piece_nodes, as_mesh1d
-from .divdiff import as_values, horner, next_order
+from .config import DBI, InterpConfig, _check_eps, _check_range, _finite, _is_integer, as_mesh1d, as_values
 
 __all__ = [
+    "DividedDifferenceTable",
+    "build_table",
+    "divided_differences",
+    "next_order",
+    "IntervalInterpolant",
+    "horner",
+    "newton_eval",
     "ExtremumClass",
     "boundary_sigmas",
     "classify_interval",
     "interval_bounds",
     "scaling_factors",
     "lambda_bar_step",
-    "b_bounds_step",
     "select_direction",
     "Stencils",
     "grow_stencils",
@@ -56,6 +66,185 @@ __all__ = [
     "replay_stencils",
     "replay_chain",
 ]
+
+
+@dataclass(frozen=True)
+class DividedDifferenceTable:
+    """Dense table of divided differences over one mesh and one line of values.
+
+    ``entries[i, j]`` holds the order-j divided difference of the values over
+    mesh points i..i+j.  Entries with i + j >= n do not exist and are stored
+    as NaN, so a read past either mesh end gives NaN, never a number.
+    ``entries`` is the transpose of the column-major array
+    ``divided_differences`` builds.
+    """
+
+    entries: np.ndarray
+
+
+def build_table(mesh, values, max_degree: int) -> DividedDifferenceTable:
+    """Build all divided differences of order 0..min(max_degree, n-1) of one
+    line of values, one value per mesh point."""
+    x = as_mesh1d(mesh)
+    u = as_values(values, x.shape)
+    if not _is_integer(max_degree) or max_degree < 1:
+        raise ValueError(f"max_degree must be an integer >= 1, got {max_degree!r}")
+    return DividedDifferenceTable(entries=divided_differences(x, u, max_degree).T)
+
+
+def divided_differences(x: np.ndarray, u: np.ndarray, max_degree: int) -> np.ndarray:
+    """``build_table``'s entries without its checks, for inputs already
+    validated: ``x`` by ``as_mesh1d``, ``u`` by ``as_values`` and
+    ``max_degree`` >= 1.  ``u`` may also be an ``(n, lines)`` block, one line
+    per column; every line shares the recursion.
+
+    The table is column-major: ``t[j, i]`` (``t[j, i, line]`` for a block)
+    is the order-j divided difference over mesh points i..i+j, for j up to
+    ``top`` = min(max_degree, n-1), so each order is one contiguous slab of
+    shape ``u.shape``, built from the one below by ``next_order``.  Entries
+    with i + j >= n are NaN.
+    """
+    n = x.size
+    top = min(max_degree, n - 1)
+    t = np.full((top + 1,) + u.shape, np.nan)
+    t[0] = u
+    xb = x.reshape((n,) + (1,) * (u.ndim - 1))  # broadcasts against the lines
+    for j in range(1, top + 1):
+        next_order(t[j - 1], xb[j:] - xb[: n - j], t[j])
+    return t
+
+
+def next_order(prev: np.ndarray, span: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the divided differences one order above ``prev`` into ``out``
+    and return ``out``: the one place the recursion is written.
+
+    ``prev`` holds order j-1 over the n mesh points (rows, with lines as
+    columns), NaN wherever the order does not exist, and ``span`` the
+    window spans x[i+j] - x[i] of order j, shaped to broadcast against
+    ``out[:n-j]``.  Every row but ``out``'s last is written: the difference
+    of two rows of ``prev`` carries its NaN tail up one order, so rows
+    n-j..n-2 come out NaN without a mask, and only the n-j rows that exist
+    are divided.  ``out``'s last row is never written, so it stays NaN if it
+    was.  The stencil engine keeps two such slabs and builds each order in
+    the step that reads it; a read past either mesh end gives NaN there,
+    which no admissibility test accepts.
+    """
+    np.subtract(prev[1:], prev[:-1], out[:-1])
+    out[: span.shape[0]] /= span
+    return out
+
+
+@dataclass(frozen=True)
+class IntervalInterpolant:
+    """Newton-form interpolant for one mesh interval [x_i, x_{i+1}].
+
+    ``window`` is the inclusive (l, r) mesh-index span of the stencil and
+    ``insertion_order`` records how the stencil grew, starting (i, i+1); the
+    three hold integers (numpy integers included, bools and floats not).
+    ``coefficients[j]`` is the divided difference of the window after j
+    insertions, so evaluation nests the products over ``insertion_order``.
+
+    ``normalization`` / ``denom`` / ``m_l`` / ``m_r`` record how the stencil
+    growth was normalized and bounded, so an accepted stencil can be replayed
+    and re-checked after the fact; ``normalization`` is "standard" or
+    "degenerate", and nothing else.  The coefficients, ``m_l`` and ``m_r``
+    must be real and finite; ``denom`` may be left NaN for a piece that is
+    only evaluated, and ``replay_chain`` checks it.
+    """
+
+    interval_index: int
+    window: tuple[int, int]
+    insertion_order: tuple[int, ...]
+    coefficients: tuple[float, ...]
+    normalization: str = "standard"  # "standard" (slope) or "degenerate" (w)
+    denom: float = field(default=np.nan)
+    m_l: float = 0.0
+    m_r: float = 1.0
+
+    @property
+    def degree(self) -> int:
+        return self.window[1] - self.window[0]
+
+    def __post_init__(self):
+        if self.normalization not in ("standard", "degenerate"):
+            raise ValueError(f"normalization must be 'standard' or 'degenerate', got {self.normalization!r}")
+        if not all(map(_is_integer, (self.interval_index, *self.window, *self.insertion_order))):
+            raise ValueError("interval index, window and insertion order must hold integers")
+        l, r = self.window
+        i = self.interval_index
+        if not (l <= i < i + 1 <= r):
+            raise ValueError(f"window {self.window} does not contain interval {i}")
+        if len(self.insertion_order) != r - l + 1 or len(self.coefficients) != r - l + 1:
+            raise ValueError("insertion order / coefficients must cover the window")
+        if self.insertion_order[0] != i or self.insertion_order[1] != i + 1:
+            raise ValueError("insertion order must start with (i, i+1)")
+        if sorted(self.insertion_order) != list(range(l, r + 1)):
+            raise ValueError("insertion order must be a permutation of the window")
+        _finite((*self.coefficients, self.m_l, self.m_r), "piece coefficients, m_l and m_r")
+
+
+def horner(coeffs, nodes, runs, points):
+    """Evaluate many Newton-form polynomials at once by nested multiplication.
+
+    Row k of ``coeffs`` and ``nodes`` holds the coefficients and node
+    abscissae of polynomial k.  The rows come in ``runs.size`` groups of
+    equal size, in order, and the 1D ``points`` in runs of the lengths
+    ``runs`` holds: every point of run r is evaluated on every polynomial
+    of group r.  ``runs`` holds at least one group.  The result has shape
+    ``(points.size, rows per group)``.  Each column j is expanded to the
+    points by repeating group r's entries ``runs[r]`` times.  Every point
+    runs c_j + (x - x_j) * p over every column, accumulated in place in
+    the expansion of the last column, so the result is a new array and the
+    inputs are only read.  There is no mask, so a row of lower degree must
+    be padded as a ``Stencils`` record is.  Column-major ``coeffs`` and
+    ``nodes`` (the layout ``grow_stencils`` returns) make each column one
+    contiguous row to expand, and a record's ``nodes`` are read as they
+    are, with no gather from the mesh.
+    """
+    groups = runs.size
+    shape = (coeffs.shape[1], groups, coeffs.shape[0] // groups)
+    c, xn = coeffs.T.reshape(shape), nodes.T.reshape(shape)  # [j, group, row]
+    col = points[:, None]
+    # the axis goes by position: numpy's keyword parsing costs more than
+    # the copy itself on small calls
+    p = c[-1].repeat(runs, 0)
+    for j in range(shape[0] - 2, -1, -1):
+        q = xn[j].repeat(runs, 0)
+        np.subtract(col, q, q)
+        p *= q
+        p += c[j].repeat(runs, 0)
+    return p
+
+
+def _piece_nodes(piece: IntervalInterpolant, x: np.ndarray) -> np.ndarray:
+    """The abscissae of ``piece``'s insertion order on the validated mesh
+    ``x``; a window that reaches past either end of the mesh raises."""
+    if piece.window[0] < 0 or piece.window[1] >= x.size:
+        raise ValueError(f"piece window {piece.window} does not fit a mesh of {x.size} points")
+    return x.take(piece.insertion_order)
+
+
+def newton_eval(piece: IntervalInterpolant, mesh, x):
+    """Evaluate the Newton-form interpolant at ``x`` (scalar or array).
+
+    Nested multiplication over the insertion order: the result is
+    c_0 + (x - x_e0)(c_1 + (x - x_e1)(c_2 + ...)), computed by ``horner``
+    with every point in one run.  The mesh is checked as ``as_mesh1d``
+    checks it, and the points must be real, finite and in [mesh[0],
+    mesh[-1]], as the entry points take them, so no input is cut to its
+    real part, gives a silent NaN or is extrapolated.  A piece whose window
+    does not fit the mesh raises.
+    """
+    xs = as_mesh1d(mesh)
+    xv = _finite(x, "output points")
+    _check_range(xv, xs)
+    p = horner(
+        np.array([piece.coefficients], dtype=float),
+        _piece_nodes(piece, xs)[None],
+        np.array([xv.size]),
+        xv.reshape(-1),
+    )
+    return float(p[0, 0]) if xv.ndim == 0 else p.reshape(xv.shape)
 
 
 class ExtremumClass(enum.IntEnum):
@@ -199,40 +388,32 @@ def lambda_bar_step(
     are the values of the current window (``prev`` is None before the first
     expansion), ``length_product`` the product of window lengths accumulated
     so far and ``denom`` the normalization (interval slope, or w when
-    ``degenerate``); ``m_l`` and ``m_r`` are the scaling factors.  The bounds
-    pair the grown window's length with that position (the factor
-    multiplying lambda_j in the nested form).  The engine passes the left and
-    right candidates of every lane as ``(2, lanes)`` arrays against per-lane
-    state, so each per-lane term is computed once for both.
+    ``degenerate``); ``m_l`` and ``m_r`` are the scaling factors.  The engine
+    passes the left and right candidates of every lane as ``(2, lanes)``
+    arrays against per-lane state, so each per-lane term is computed once
+    for both.
+
+    The bounds pair the grown window's length over ``h``, d_j, with the
+    position ``t`` (the factor multiplying lambda_j in the nested form; t <= 0
+    left of the interval, t >= 1 right of it).  The first step seeds the
+    recursion from (m_l, m_r); later steps propagate the previous bounds,
+    swapping sides when that point lies to the right (t > 0).  With equal
+    endpoint values (``degenerate``) the interpolant has no linear term, so
+    the quadratic shape s(s-1)*lambda_1/d_1 alone must fit between m_l and
+    m_r; since s(s-1) spans [-1/4, 0] the seed tightens to (-4*m_r*d_1,
+    -4*m_l*d_1).
     """
     lam = dd / denom * length_product * length
-    bm, bp = b_bounds_step(prev, lambda_bar_prev, length / h, t, m_l, m_r, degenerate)
-    return lam, bm, bp
-
-
-def b_bounds_step(prev, lambda_bar_prev, d_j, t_j, m_l, m_r, degenerate_base=False):
-    """One step of the recursive admissibility bounds on lambda_bar.
-
-    ``d_j`` is the grown window length and ``t_j`` the position of the point
-    added one step earlier, both over the base interval length (t <= 0 left
-    of the interval, t >= 1 right of it).  The first step (``prev`` is None)
-    seeds the recursion from (m_l, m_r); later steps propagate the previous
-    bounds, swapping sides when that point lies to the right (t_j > 0).
-
-    With equal endpoint values the interpolant has no linear term, so the
-    quadratic shape s(s-1)*lambda_1/d_1 alone must fit between m_l and m_r;
-    since s(s-1) spans [-1/4, 0] the seed tightens to (-4*m_r*d_1,
-    -4*m_l*d_1).  ``degenerate_base`` selects that seed.
-    """
+    d_j = length / h
     if prev is None:
         bm, bp = -4.0 * (m_r - 1.0) - 1.0, -4.0 * m_l + 1.0
-        if np.count_nonzero(degenerate_base):
-            bm, bp = np.where(degenerate_base, -4.0 * m_r, bm), np.where(degenerate_base, -4.0 * m_l, bp)
-        return bm * d_j, bp * d_j
+        if np.count_nonzero(degenerate):
+            bm, bp = np.where(degenerate, -4.0 * m_r, bm), np.where(degenerate, -4.0 * m_l, bp)
+        return lam, bm * d_j, bp * d_j
     bm, bp = prev
-    left = t_j <= 0.0
-    f = d_j / (left - t_j)  # 1 - t on the left, -t on the right
-    return (np.where(left, bm, bp) - lambda_bar_prev) * f, (np.where(left, bp, bm) - lambda_bar_prev) * f
+    left = t <= 0.0
+    f = d_j / (left - t)  # 1 - t on the left, -t on the right
+    return lam, (np.where(left, bm, bp) - lambda_bar_prev) * f, (np.where(left, bp, bm) - lambda_bar_prev) * f
 
 
 def select_direction(st: int, dd, lam, i, window, interval, points):
@@ -270,8 +451,12 @@ class Stencils(NamedTuple):
     points, in insertion order, and the Newton coefficients, column-major:
     the engine writes insertion j of every lane at once.  Past ``degree``
     every row is padded, ``nodes`` with the interval's left node x_i and
-    ``coeffs`` with +0; ``horner`` relies on that padding to evaluate every
-    column with no mask.  Every entry of ``nodes`` is a mesh value, so
+    ``coeffs`` with +0, and ``horner`` relies on that padding to evaluate
+    every column with no mask: past the degree its running value p stays
+    +0, and c_deg + (+-0) is c_deg, so a padded row gives the trimmed row's
+    result bit for bit.  (A zero result could change sign only on a row of
+    all-zero coefficients; the engine makes those at degree 1 alone, where
+    it does not.)  Every entry of ``nodes`` is a mesh value, so
     ``x.searchsorted(nodes)`` gives the insertion indices exactly (the mesh
     increases strictly, and a -0.0 node is found as itself).  ``degenerate``,
     ``denom``, ``m_l`` and ``m_r`` record the normalization and scaling

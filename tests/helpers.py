@@ -4,7 +4,7 @@ oracles."""
 import numpy as np
 
 from ppinterp.config import DBI, PPI, InterpConfig
-from ppinterp.divdiff import IntervalInterpolant
+from ppinterp.stencil import IntervalInterpolant
 
 
 def random_mesh(rng, n, lo=-5.0, hi=5.0, min_gap=1e-3):

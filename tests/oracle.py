@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ppinterp.stencil import boundary_sigmas, classify_interval, interval_bounds, scaling_factors
 from ppinterp.config import InterpConfig
-from ppinterp.divdiff import DividedDifferenceTable, IntervalInterpolant, build_table
-from ppinterp.stencil import lambda_bar_step, select_direction
+from ppinterp.stencil import (
+    DividedDifferenceTable, IntervalInterpolant, boundary_sigmas, build_table, classify_interval,
+    interval_bounds, lambda_bar_step, scaling_factors, select_direction,
+)
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,10 @@ import re
 import numpy as np
 import pytest
 
-from ppinterp.divdiff import (
-    IntervalInterpolant, as_mesh1d, build_table, divided_differences, horner, newton_eval,
-    next_order,
+from ppinterp.config import as_mesh1d
+from ppinterp.stencil import (
+    IntervalInterpolant, build_table, divided_differences, horner, newton_eval, next_order, replay_chain,
 )
-from ppinterp.stencil import replay_chain
 
 from helpers import brute_dd, leading_dd_lagrange, make_piece, monomial_coefficients, random_mesh
 

@@ -81,14 +81,17 @@ print(" ".join(sorted(name for name in sys.modules if name.startswith("ppinterp.
 
 
 def test_module_map():
-    # the admissibility model (classes, bounds, scaling factors) lives in
-    # stencil, beside the engine that reads it; no alias module remains
+    # the admissibility model (classes, bounds, scaling factors) and the
+    # Newton form live in stencil, beside the engine that reads them, and
+    # the array rules in config; no alias module remains
     assert importlib.util.find_spec("ppinterp.bounds") is None
+    assert importlib.util.find_spec("ppinterp.divdiff") is None
     src = os.path.dirname(os.path.dirname(os.path.abspath(ppinterp.__file__)))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
         [sys.executable, "-c", MODULE_MAP], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+    # the interpolation core is these four modules, and nothing else loads
     loaded = proc.stdout.split()
-    assert loaded == [f"ppinterp.{m}" for m in ("config", "divdiff", "interpnd", "pchip", "stencil")]
+    assert loaded == [f"ppinterp.{m}" for m in ("config", "interpnd", "pchip", "stencil")]

@@ -14,7 +14,7 @@ import pytest
 
 import ppinterp
 from ppinterp import DBI, PPI, InterpConfig
-from ppinterp.divdiff import IntervalInterpolant
+from ppinterp.stencil import IntervalInterpolant
 
 X = np.linspace(0.0, 1.0, 5)
 U = np.array([0.0, 1.0, 3.0, 2.0, 2.5])
@@ -113,6 +113,24 @@ def test_every_export_rejects_invalid_input(name, args):
 def test_piece_coefficients_are_checked(coefficients):
     with pytest.raises(ValueError):
         ppinterp.newton_eval(IntervalInterpolant(0, (0, 1), (0, 1), coefficients), [0.0, 1.0], 0.5)
+
+
+# A misspelled normalization would be replayed as the standard one, and a
+# float or bool index would pass the window checks by comparing equal to
+# an integer; a string or float window would raise a bare TypeError.
+@pytest.mark.parametrize("fields", [
+    dict(normalization="Degenerate"),
+    dict(normalization=""),
+    dict(interval_index=0.0),
+    dict(insertion_order=(0.0, 1.0)),
+    dict(insertion_order=(False, True)),
+    dict(window=(0, 1.0)),
+    dict(window=("a", "b")),
+], ids=["misspelled", "empty", "float-index", "float-order", "bool-order", "float-window", "str-window"])
+def test_piece_fields_are_checked(fields):
+    valid = dict(interval_index=0, window=(0, 1), insertion_order=(0, 1), coefficients=(0.0, 1.0))
+    with pytest.raises(ValueError, match="normalization|integers"):
+        IntervalInterpolant(**{**valid, **fields})
 
 
 @pytest.mark.parametrize("field", ["m_l", "m_r"])

@@ -6,16 +6,17 @@ import pytest
 
 from ppinterp import interpnd, stencil
 from ppinterp.config import DBI, PPI, InterpConfig
-from ppinterp.divdiff import (
-    IntervalInterpolant, build_table, divided_differences, horner, newton_eval,
-)
 from ppinterp.harness import TEST_FUNCTIONS
 from ppinterp.stencil import (
-    b_bounds_step,
+    IntervalInterpolant,
+    build_table,
+    divided_differences,
     grow_stencils,
+    horner,
     interpolate_lines,
     interval_interpolants,
     lambda_bar_step,
+    newton_eval,
     replay_chain,
     replay_stencils,
     select_direction,
@@ -39,6 +40,13 @@ def base_candidate(table, x, i, e):
     ) + (length,)
 
 
+def step_bounds(prev, lambda_bar_prev, d, t, m_l, m_r):
+    """(B-, B+) of ``lambda_bar_step`` for a grown window of length ``d`` on
+    an interval of length 1, where the window length over the interval's is
+    ``d`` exactly."""
+    return lambda_bar_step(1.0, d, 1.0, t, lambda_bar_prev, prev, 1.0, 1.0, m_l, m_r, False)[1:]
+
+
 class TestGeometryFactors:
     """The bounds step pairs the grown window's length d with the position t
     of the point added one step earlier, both over the base interval length:
@@ -53,7 +61,7 @@ class TestGeometryFactors:
             coefficients=(0.0,) * len(order), denom=1.0, m_l=-0.5, m_r=1.5,
         )
         (_, lam, bm, bp), (_, _, *bounds) = replay_chain(piece, table, x)
-        assert tuple(bounds) == b_bounds_step((bm, bp), lam, d, t, -0.5, 1.5)
+        assert tuple(bounds) == step_bounds((bm, bp), lam, d, t, -0.5, 1.5)
 
     def test_uniform_insert_left(self):
         # last = 1 lies left of [2, 3]: t = -1; window (1, 4): d = 3
@@ -82,7 +90,7 @@ class TestLambdaBar:
         dd, lam, bm, bp, length = base_candidate(table, x, 0, 2)
         assert (dd, length) == (1.0, 2.0)
         assert lam == pytest.approx(2.0)
-        assert (bm, bp) == b_bounds_step(None, 1.0, 2.0, 1.0, 0.0, 1.0)
+        assert (bm, bp) == step_bounds(None, 1.0, 2.0, 1.0, 0.0, 1.0)
 
     def test_recurrence_consistency(self):
         # lambda_bar_{j+1} must equal lambda_{j+1} * lambda_bar_j with the
@@ -112,20 +120,20 @@ class TestLambdaBar:
 
 class TestBBoundsStep:
     def test_first_step_data_bounded(self):
-        assert b_bounds_step(None, 1.0, 2.0, -1.0, 0.0, 1.0) == (-2.0, 2.0)
+        assert step_bounds(None, 1.0, 2.0, -1.0, 0.0, 1.0) == (-2.0, 2.0)
 
     def test_first_step_relaxed(self):
-        bm, bp = b_bounds_step(None, 1.0, 1.0, -1.0, -0.01, 1.02)
+        bm, bp = step_bounds(None, 1.0, 1.0, -1.0, -0.01, 1.02)
         assert bm == pytest.approx(-1.08)
         assert bp == pytest.approx(1.04)
 
     def test_later_step_negative_t(self):
-        bm, bp = b_bounds_step((-1.0, 1.0), 0.5, 2.0, -1.0, 0.0, 1.0)
+        bm, bp = step_bounds((-1.0, 1.0), 0.5, 2.0, -1.0, 0.0, 1.0)
         assert bm == pytest.approx(-1.5)
         assert bp == pytest.approx(0.5)
 
     def test_later_step_positive_t_swaps_sides(self):
-        bm, bp = b_bounds_step((-1.0, 1.0), 0.5, 2.0, 2.0, 0.0, 1.0)
+        bm, bp = step_bounds((-1.0, 1.0), 0.5, 2.0, 2.0, 0.0, 1.0)
         # factor d/(-t) = -1: bounds flip around -lambda_prev
         assert bm == pytest.approx(-0.5)
         assert bp == pytest.approx(1.5)
