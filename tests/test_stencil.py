@@ -1,30 +1,743 @@
+"""Tests of ``ppinterp.stencil``, in the order the module defines its code:
+the Newton form (divided-difference tables, pieces, ``horner`` and
+``newton_eval``), the admissibility model (extremum classes, value bounds,
+scaling factors, the lambda_bar/B+- step and the direction policy), the
+engine that grows stencils for blocks of lines, checked against the
+per-interval oracle in ``oracle.py``, and the readers of its record
+(``replay_stencils`` and ``replay_chain``)."""
+
 import hashlib
+import itertools
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ppinterp import interpnd, stencil
+from ppinterp import adaptive_interpolation_2d, interpnd, stencil
 from ppinterp.config import DBI, PPI, InterpConfig
 from ppinterp.harness import TEST_FUNCTIONS
 from ppinterp.stencil import (
+    ExtremumClass,
     IntervalInterpolant,
+    boundary_sigmas,
     build_table,
+    classify_interval,
     divided_differences,
     grow_stencils,
     horner,
     interpolate_lines,
+    interval_bounds,
     interval_interpolants,
     lambda_bar_step,
     newton_eval,
+    next_order,
     replay_chain,
     replay_stencils,
+    scaling_factors,
     select_direction,
 )
 
 import oracle
-from helpers import random_grid_case, random_mesh, signed_zeros
+from helpers import (
+    brute_dd, leading_dd_lagrange, make_piece, monomial_coefficients, random_grid_case, random_mesh,
+    signed_zeros,
+)
 from oracle import IntervalBounds, build_stencil
+
+
+# The Newton form: divided-difference tables, pieces and their evaluation.
+
+
+class TestBuildTable:
+    def test_two_point_slope(self):
+        t = build_table([0.0, 1.0], [3.0, 5.0], 1)
+        assert t.entries[0, 1] == 2.0
+
+    def test_quadratic_leading_coefficient(self):
+        x = np.array([0.0, 1.0, 2.0])
+        t = build_table(x, x**2, 2)
+        assert t.entries[0, 2] == 1.0
+
+    def test_matches_direct_recursion(self):
+        rng = np.random.default_rng(7)
+        x = random_mesh(rng, 5)
+        u = rng.uniform(-4, 4, 5)
+        t = build_table(x, u, 4)
+        for i in range(5):
+            for j in range(5 - i):
+                want = brute_dd(x, u, i, j)
+                got = t.entries[i, j]
+                assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+    def test_recurrence_identity(self):
+        rng = np.random.default_rng(11)
+        x = random_mesh(rng, 9)
+        u = rng.uniform(-2, 2, 9)
+        t = build_table(x, u, 8)
+        for i in range(9):
+            for j in range(1, 9 - i):
+                lhs = t.entries[i, j] * (x[i + j] - x[i])
+                rhs = t.entries[i + 1, j - 1] - t.entries[i, j - 1]
+                assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(t.entries[i, j - 1]))
+
+    def test_zero_order_is_values(self):
+        u = [1.0, -2.0, 7.0]
+        t = build_table([0, 1, 2], u, 2)
+        assert list(t.entries[:, 0]) == u
+
+    def test_order_capped_by_mesh(self):
+        t = build_table([0, 1, 2], [0, 1, 4], 9)
+        assert t.entries.shape == (3, 3)
+
+    def test_invalid_region_is_nan(self):
+        # Every entry with i + j >= n is NaN and every other one finite, for
+        # one line and for an (n, lines) block, with d past n-1 too: the
+        # stencil engine reads a candidate past either mesh end as that NaN.
+        # The block's table is column-major, (order, point, line), and each
+        # line's slab is that line's build_table entries transposed.
+        t = build_table([0, 1, 2], [0, 1, 4], 2)
+        assert np.isnan(t.entries[2, 1]) and np.isnan(t.entries[1, 2])
+        rng = np.random.default_rng(19)
+        for n in range(2, 7):
+            x = random_mesh(rng, n)
+            block = rng.uniform(-2.0, 2.0, (n, 3))
+            block[rng.random(block.shape) < 0.3] = 0.0
+            for d in range(1, n + 3):
+                top = min(d, n - 1)
+                i, j = np.indices((n, top + 1))
+                invalid = i + j >= n
+                cm = divided_differences(x, block, d)
+                assert cm.shape == (top + 1, n, 3)
+                for c in range(3):
+                    entries = build_table(x, block[:, c], d).entries
+                    assert entries.shape == (n, top + 1)
+                    assert np.isnan(entries[invalid]).all()
+                    assert np.isfinite(entries[~invalid]).all()
+                    assert (cm[:, :, c].T.view(np.int64) == entries.view(np.int64)).all()
+
+    def test_two_slabs_give_every_order(self):
+        # The stencil engine keeps two (n, lines) slabs and builds each order
+        # over the older one, whose stale entries must all be overwritten;
+        # every order, NaN tail included, equals the whole table's bit for bit.
+        rng = np.random.default_rng(20)
+        for n in range(2, 9):
+            x = random_mesh(rng, n)
+            block = rng.uniform(-2.0, 2.0, (n, 3))
+            table = divided_differences(x, block, n - 1)
+            xb = x[:, None]
+            cur, nxt = np.full((2, n, 3), np.nan)
+            next_order(block, xb[1:] - xb[:-1], cur)
+            for j in range(1, n):
+                if j > 1:
+                    cur, nxt = next_order(cur, xb[j:] - xb[: n - j], nxt), cur
+                assert (cur.view(np.int64) == table[j].view(np.int64)).all()
+
+    @pytest.mark.parametrize("values", [[1, 2], [[1, 2], [3, 4], [5, 6]]], ids=["short", "block"])
+    def test_length_mismatch(self, values):
+        # one line of values, one per mesh point: an (n, lines) block is refused
+        with pytest.raises(ValueError, match="does not match"):
+            build_table([0, 1, 2], values, 1)
+
+    def test_nonincreasing_mesh(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            build_table([0, 1, 0.5], [1, 2, 3], 1)
+
+    @pytest.mark.parametrize("degree", [0, 2.5, True], ids=["zero", "float", "bool"])
+    def test_bad_degree(self, degree):
+        with pytest.raises(ValueError, match="max_degree"):
+            build_table([0, 1], [1, 2], degree)
+
+    def test_numpy_integer_degree_accepted(self):
+        assert build_table([0, 1, 2], [1, 2, 4], np.int64(2)).entries[0, 2] == 0.5
+
+
+class TestIntervalInterpolant:
+    def test_window_must_contain_interval(self):
+        with pytest.raises(ValueError, match="does not contain"):
+            IntervalInterpolant(3, (0, 2), (0, 1, 2), (1.0, 2.0, 3.0))
+
+    def test_order_must_start_with_interval(self):
+        with pytest.raises(ValueError, match="start with"):
+            IntervalInterpolant(0, (0, 2), (0, 2, 1), (1.0, 2.0, 3.0))
+
+    def test_order_must_cover_window(self):
+        with pytest.raises(ValueError, match="permutation"):
+            IntervalInterpolant(1, (0, 2), (1, 2, 2), (1.0, 2.0, 3.0))
+
+    @pytest.mark.parametrize("order, coeffs", [((0, 1), (1.0, 2.0, 3.0)), ((0, 1, 2), (1.0, 2.0))])
+    def test_order_and_coefficients_sized_to_window(self, order, coeffs):
+        # a window of three points takes three nodes and three coefficients
+        with pytest.raises(ValueError, match="^insertion order / coefficients must cover the window$"):
+            IntervalInterpolant(0, (0, 2), order, coeffs)
+
+
+class TestNewtonEval:
+    def test_linear_piece_at_left_node(self):
+        x = np.array([0.0, 2.0])
+        u = np.array([3.0, 7.0])
+        piece = make_piece(x, u, 0, [0, 1])
+        assert newton_eval(piece, x, 0.0) == 3.0
+
+    def test_quadratic_reproduction(self):
+        x = np.array([0.0, 1.0, 2.0])
+        piece = make_piece(x, x**2, 0, [0, 1, 2])
+        assert newton_eval(piece, x, 0.5) == pytest.approx(0.25, rel=1e-14)
+
+    def test_matches_monomial_expansion(self):
+        rng = np.random.default_rng(3)
+        x = random_mesh(rng, 8)
+        u = rng.uniform(-3, 3, 8)
+        piece = make_piece(x, u, 3, [3, 4, 2, 5, 1, 6])  # degree 5 window
+        coeffs = monomial_coefficients(x, piece)
+        pts = rng.uniform(x[3], x[4], 100)
+        got = newton_eval(piece, x, pts)
+        want = np.polynomial.polynomial.polyval(pts, coeffs)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_insertion_order_does_not_change_polynomial(self):
+        rng = np.random.default_rng(5)
+        x = random_mesh(rng, 6)
+        u = rng.uniform(-1, 1, 6)
+        a = make_piece(x, u, 2, [2, 3, 1, 4, 0, 5])
+        b = make_piece(x, u, 2, [2, 3, 4, 5, 1, 0])
+        pts = np.linspace(x[2], x[3], 37)
+        assert np.allclose(newton_eval(a, x, pts), newton_eval(b, x, pts), rtol=1e-12, atol=1e-13)
+
+    def test_leading_coefficient_permutation_invariance(self):
+        rng = np.random.default_rng(9)
+        x = random_mesh(rng, 7)
+        u = rng.uniform(-2, 2, 7)
+        a = make_piece(x, u, 2, [2, 3, 1, 4, 5, 0, 6])
+        b = make_piece(x, u, 2, [2, 3, 4, 1, 0, 5, 6])
+        lead = leading_dd_lagrange(x, u, 0, 6)
+        assert a.coefficients[-1] == pytest.approx(lead, rel=1e-12)
+        assert b.coefficients[-1] == pytest.approx(lead, rel=1e-12)
+
+    def test_zero_padded_rows_match_trimmed_pieces(self):
+        # horner evaluates every column with no mask: a row padded past its
+        # degree with +0 coefficients (and any node) gives its trimmed
+        # piece's result bit for bit, for data with +0 and -0 zeros and for
+        # points inside and outside the interval
+        rng = np.random.default_rng(17)
+        x = random_mesh(rng, 9)
+        top = 8
+        coeffs, nodes, pts, want = [], [], [], []
+        for k in range(200):
+            u = rng.uniform(-2.0, 2.0, 9)
+            zeros = rng.random(9) < (1.0 if k % 4 == 0 else 0.4)
+            u[zeros] = rng.choice([0.0, -0.0], zeros.sum())
+            i = int(rng.integers(0, 8))
+            order, l, r = [i, i + 1], i, i + 1
+            for _ in range(int(rng.integers(0, 8))):
+                if l > 0 and (r == 8 or rng.random() < 0.5):
+                    l -= 1
+                    order.append(l)
+                elif r < 8:
+                    r += 1
+                    order.append(r)
+            piece = make_piece(x, u, i, order)
+            s = np.concatenate([np.linspace(x[i], x[i + 1], 5), rng.uniform(x[0], x[-1], 3)])
+            coeffs.append(np.pad(piece.coefficients, (0, top + 1 - len(order))))
+            nodes.append(x[np.pad(order, (0, top + 1 - len(order)), constant_values=i)])
+            pts.append(s)
+            want.append(newton_eval(piece, x, s))
+        # one run of 8 points per row
+        got = horner(np.array(coeffs), np.array(nodes), np.full(200, 8), np.ravel(pts))
+        assert (got.reshape(200, 8).view(np.int64) == np.array(want).view(np.int64)).all()
+
+    def test_reads_its_inputs_only(self, monkeypatch):
+        # horner accumulates in place: on the padded multi-line records of a
+        # 2D sweep it leaves every input as it was, and its result shares no
+        # memory with any of them
+        calls = []
+
+        def recorded(*args):
+            before = [a.tobytes() for a in args]
+            res = horner(*args)
+            calls.append((args, before, res))
+            return res
+
+        monkeypatch.setattr(stencil, "horner", recorded)
+        rng = np.random.default_rng(19)
+        x, y = random_mesh(rng, 12), random_mesh(rng, 10)
+        v = rng.uniform(0.0, 2.0, (12, 10))
+        v[rng.random((12, 10)) < 0.3] = 0.0
+        adaptive_interpolation_2d(x, y, v, rng.uniform(x[0], x[-1], 30), rng.uniform(y[0], y[-1], 25), 8, 2)
+        assert len(calls) == 2
+        for args, before, res in calls:
+            coeffs, runs = args[0], args[2]
+            assert coeffs.shape[0] > runs.size  # several lines per interval
+            assert (coeffs[:, -1] == 0.0).any()  # rows padded past their degree
+            assert [a.tobytes() for a in args] == before
+            assert not any(np.shares_memory(res, a) for a in args)
+
+    # The one-interval API takes its input under the entry points' rule and
+    # wording: a complex point or mesh is not cut to its real part, and a
+    # NaN or infinite one raises instead of giving a silent NaN.
+    BAD_INPUTS = [
+        (None, np.array([0.5 + 2j]), "^output points must be real, got dtype complex128$"),
+        (None, 0.5 + 2j, "^output points must be real, got dtype complex128$"),
+        (None, np.nan, "^output points must be finite$"),
+        (None, [0.5, np.inf], "^output points must be finite$"),
+        ([0.0, np.nan, 2.0], 0.5, "^mesh coordinates must be finite$"),
+        ([0.0, 1.0 + 0j, 2.0], 0.5, "^mesh coordinates must be real, got dtype complex128$"),
+        ([0.0, 2.0, 1.0], 0.5, "^mesh coordinates must be strictly increasing$"),
+    ]
+
+    @pytest.mark.parametrize("mesh, points, message", BAD_INPUTS)
+    def test_rejects_what_the_entry_points_reject(self, mesh, points, message):
+        x = np.array([0.0, 1.0, 2.0])
+        piece = make_piece(x, x**2, 0, [0, 1, 2])
+        with pytest.raises(ValueError, match=message):
+            newton_eval(piece, x if mesh is None else mesh, points)
+
+    @pytest.mark.parametrize("mesh, message", [
+        ([0.0, 1.0 + 0j, 2.0], "^mesh coordinates must be real, got dtype complex128$"),
+        ([0.0, 1.0, np.nan], "^mesh coordinates must be finite$"),
+    ])
+    def test_replay_chain_rejects_the_same_meshes(self, mesh, message):
+        x = np.array([0.0, 1.0, 2.0])
+        piece = make_piece(x, x**2, 0, [0, 1, 2])
+        with pytest.raises(ValueError, match=message):
+            replay_chain(piece, build_table(x, x**2, 2), mesh)
+
+    # A piece read with a mesh or a table it does not fit raises a
+    # ValueError that names the mismatch, not numpy's IndexError from
+    # inside the evaluation or the replay.
+    @staticmethod
+    def degree_six():
+        x = np.linspace(0.0, 1.0, 9)
+        u = np.abs(np.sin(7.0 * x))
+        return x, u, make_piece(x, u, 0, range(7))
+
+    def test_window_past_the_mesh(self):
+        x, u, piece = self.degree_six()
+        message = r"^piece window \(0, 6\) does not fit a mesh of 5 points$"
+        with pytest.raises(ValueError, match=message):
+            newton_eval(piece, x[:5], 0.5)
+        with pytest.raises(ValueError, match=message):
+            replay_chain(piece, build_table(x[:5], u[:5], 6), x[:5])
+
+    def test_window_before_the_mesh(self):
+        x = np.array([0.0, 1.0, 2.0])
+        piece = IntervalInterpolant(-1, (-1, 0), (-1, 0), (1.0, 1.0))
+        message = r"^piece window \(-1, 0\) does not fit a mesh of 3 points$"
+        with pytest.raises(ValueError, match=message):
+            newton_eval(piece, x, 0.5)
+
+    def test_table_of_another_mesh(self):
+        x, u, piece = self.degree_six()
+        message = r"^table of shape \(8, 7\) does not fit 9 mesh points and degree 6$"
+        with pytest.raises(ValueError, match=message):
+            replay_chain(piece, build_table(x[:8], u[:8], 6), x)
+
+    def test_table_below_the_degree(self):
+        x, u, piece = self.degree_six()
+        message = r"^table of shape \(9, 3\) does not fit 9 mesh points and degree 6$"
+        with pytest.raises(ValueError, match=message):
+            replay_chain(piece, build_table(x, u, 2), x)
+
+    def test_rejects_points_outside_the_mesh(self):
+        # the entry points' range rule and wording: no extrapolation, and
+        # an outside point is named in the caller's order
+        x = np.linspace(0.0, 1.0, 5)
+        piece = make_piece(x, np.abs(np.sin(7.0 * x)), 1, [1, 2, 0, 3, 4])
+        above = np.nextafter(1.0, 2.0)
+        for points, bad in ((5.0, 5.0), ([0.5, -0.25, 2.0], -0.25), ([1.0, above], above)):
+            message = rf"^output point {re.escape(str(bad))} outside the mesh range \[0.0, 1.0\]$"
+            with pytest.raises(ValueError, match=message):
+                newton_eval(piece, x, points)
+        # the mesh's end points are inside
+        assert newton_eval(piece, x, [0.0, 1.0]).shape == (2,)
+
+    def test_reproduces_node_values(self):
+        rng = np.random.default_rng(13)
+        x = random_mesh(rng, 7)
+        u = rng.uniform(1, 5, 7)
+        piece = make_piece(x, u, 3, [3, 4, 2, 5, 1])
+        for k in piece.insertion_order:
+            assert newton_eval(piece, x, x[k]) == pytest.approx(u[k], rel=1e-12)
+
+
+# The admissibility model: classes, value bounds, scaling factors, the
+# lambda_bar/B+- step and the direction policy.
+
+
+class TestClassifyInterval:
+    def test_opposite_outer_falling_entry(self):
+        assert classify_interval(-2.0, 1.0, 3.0) is ExtremumClass.LOCAL_MAX
+
+    def test_opposite_outer_rising_entry(self):
+        assert classify_interval(2.0, -1.0, -3.0) is ExtremumClass.LOCAL_MIN
+
+    def test_monotone_data(self):
+        assert classify_interval(1.0, 1.0, 1.0) is ExtremumClass.NONE
+
+    def test_ambiguous(self):
+        assert classify_interval(1.0, -1.0, 2.0) is ExtremumClass.AMBIGUOUS
+
+    def test_zero_outer_product_not_extremal(self):
+        # zero slopes count as "same sign" for the outer product
+        assert classify_interval(0.0, 1.0, -1.0) is ExtremumClass.NONE
+        assert classify_interval(-1.0, 1.0, 0.0) is ExtremumClass.AMBIGUOUS
+
+    def test_scale_invariance(self):
+        # scales reach 1e+-300, where products of two slopes would underflow
+        # to zero or overflow to infinity
+        rng = np.random.default_rng(21)
+        sigs = rng.uniform(-1, 1, (200, 3))
+        scales = 10.0 ** rng.uniform(-300, 300, 200)
+        for sig, scale in zip(sigs, scales):
+            assert classify_interval(*sig) is classify_interval(*(sig * scale))
+        base = classify_interval(*sigs.T)
+        assert np.array_equal(classify_interval(*(sigs * scales[:, None]).T), base)
+
+
+    # Each sign of a slope, at the magnitudes where a product of two slopes
+    # underflows to zero or overflows to infinity, and zero of either sign.
+    VALUES_OF_SIGN = {-1: (-1e300, -1.0, -1e-300), 0: (-0.0, 0.0), 1: (1e-300, 1.0, 1e300)}
+
+    @staticmethod
+    def rule(s_prev, s_cur, s_next):
+        """The docstring's rule on the slopes' signs: opposite nonzero outer
+        signs flag an extremum typed by the entry sign; otherwise an inner
+        sign opposite the entry one leaves the type ambiguous."""
+        if s_prev * s_next < 0:
+            return ExtremumClass.LOCAL_MAX if s_prev < 0 else ExtremumClass.LOCAL_MIN
+        return ExtremumClass.AMBIGUOUS if s_prev * s_cur < 0 else ExtremumClass.NONE
+
+    def test_every_sign_triple(self):
+        signs, sigmas = [], []
+        for triple in itertools.product((-1, 0, 1), repeat=3):
+            for sig in itertools.product(*(self.VALUES_OF_SIGN[s] for s in triple)):
+                signs.append(triple)
+                sigmas.append(sig)
+        assert len(set(signs)) == 27
+        expected = [self.rule(*triple) for triple in signs]
+        assert [classify_interval(*sig) for sig in sigmas] == expected  # scalar form
+        got = classify_interval(*np.array(sigmas).T)  # array form
+        assert got.dtype.kind == "i"
+        assert got.tolist() == [int(c) for c in expected]
+
+
+class TestIntervalBounds:
+    def test_no_extremum(self):
+        assert interval_bounds(1.0, 2.0, ExtremumClass.NONE, 0.01, 1.0) == (0.99, 2.02)
+
+    def test_relaxes_lower_side_only(self):
+        # opposite-sign outer slopes entered falling: the dip may undershoot,
+        # so the lower bound opens with eps1 while the upper keeps eps0
+        assert interval_bounds(1.0, 2.0, ExtremumClass.LOCAL_MAX, 0.01, 1.0) == (0.0, 2.02)
+
+    def test_relaxes_upper_side_only(self):
+        assert interval_bounds(1.0, 2.0, ExtremumClass.LOCAL_MIN, 0.01, 1.0) == (0.99, 4.0)
+
+    def test_ambiguous_relaxes_both(self):
+        assert interval_bounds(1.0, 2.0, ExtremumClass.AMBIGUOUS, 0.01, 1.0) == (0.0, 4.0)
+
+    def test_zero_eps_collapses_to_data(self):
+        for cls in ExtremumClass:
+            assert interval_bounds(-1.5, 2.5, cls, 0.0, 0.0) == (-1.5, 2.5)
+
+    def test_negative_values(self):
+        u_min, u_max = interval_bounds(-2.0, -1.0, ExtremumClass.NONE, 0.01, 1.0)
+        assert u_min == pytest.approx(-2.02)
+        assert u_max == pytest.approx(-0.99)
+
+    def test_lower_bound_stays_positive_for_positive_data(self):
+        rng = np.random.default_rng(33)
+        for _ in range(100):
+            a, b = rng.uniform(0, 10, 2)
+            eps0, eps1 = rng.uniform(0, 1, 2)
+            cls = rng.choice(list(ExtremumClass))
+            u_min, u_max = interval_bounds(a, b, cls, eps0, eps1)
+            assert u_min >= 0.0
+            assert u_min <= min(a, b) and u_max >= max(a, b)
+
+
+class TestScalingFactors:
+    def test_dbi_is_pinned(self):
+        assert scaling_factors(1.0, 2.0, -10.0, 10.0, DBI) == (0.0, 1.0)
+        assert scaling_factors(5.0, 5.0, 0.0, 10.0, DBI) == (0.0, 1.0)
+
+    def test_ppi_increasing(self):
+        m_l, m_r = scaling_factors(1.0, 2.0, 0.99, 2.02, PPI)
+        assert m_l == pytest.approx(-0.01)
+        assert m_r == pytest.approx(1.02)
+
+    def test_ppi_decreasing(self):
+        m_l, m_r = scaling_factors(2.0, 1.0, 0.99, 2.02, PPI)
+        assert m_l == pytest.approx(-0.02)
+        assert m_r == pytest.approx(1.01)
+
+    def test_degenerate_positive_w(self):
+        # min(0, (0.99-1)/0.5) and max(0, (1.02-1)/0.5)
+        m_l, m_r = scaling_factors(1.0, 1.0, 0.99, 1.02, PPI, degenerate_w=0.5)
+        assert m_l == pytest.approx(-0.02)
+        assert m_r == pytest.approx(0.04)
+
+    def test_degenerate_positive_small_w(self):
+        m_l, m_r = scaling_factors(1.0, 1.0, 0.99, 1.02, PPI, degenerate_w=0.01)
+        assert m_l == pytest.approx(-1.0)
+        assert m_r == pytest.approx(2.0)
+
+    def test_degenerate_negative_w(self):
+        # sides swap: min(0, (1.02-1)/-0.5) and max(0, (0.99-1)/-0.5)
+        m_l, m_r = scaling_factors(1.0, 1.0, 0.99, 1.02, PPI, degenerate_w=-0.5)
+        assert m_l == pytest.approx(-0.04)
+        assert m_r == pytest.approx(0.02)
+
+    def test_degenerate_enclosure_is_exact(self):
+        # the degenerate factors translate back to exactly [u_min, u_max]
+        u_i, u_min, u_max, w = 1.7, 1.05, 2.34, -1.98
+        m_l, m_r = scaling_factors(u_i, u_i, u_min, u_max, PPI, degenerate_w=w)
+        lo, hi = sorted((u_i + w * m_l, u_i + w * m_r))
+        assert lo == pytest.approx(u_min) and hi == pytest.approx(u_max)
+
+    def test_degenerate_flat_signals(self):
+        with pytest.raises(ValueError, match="flat data"):
+            scaling_factors(1.0, 1.0, 0.99, 1.02, PPI, degenerate_w=0.0)
+
+    def test_degenerate_requires_w(self):
+        with pytest.raises(ValueError, match="degenerate_w"):
+            scaling_factors(1.0, 1.0, 0.99, 1.02, PPI)
+
+    def test_zero_eps_recovers_dbi_factors(self):
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            a, b = rng.uniform(-5, 5, 2)
+            if a == b:
+                continue
+            u_min, u_max = min(a, b), max(a, b)
+            assert scaling_factors(a, b, u_min, u_max, PPI) == (0.0, 1.0)
+
+    def test_factor_ordering_property(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            a, b = rng.uniform(-5, 5, 2)
+            eps0, eps1 = rng.uniform(0, 2, 2)
+            cls = rng.choice(list(ExtremumClass))
+            u_min, u_max = interval_bounds(a, b, cls, eps0, eps1)
+            if a == b:
+                m_l, m_r = scaling_factors(a, b, u_min, u_max, PPI, degenerate_w=rng.uniform(0.1, 2))
+                assert m_l <= 0.0 <= m_r
+            else:
+                m_l, m_r = scaling_factors(a, b, u_min, u_max, PPI)
+                assert m_l <= 0.0 <= 1.0 <= m_r
+
+
+class TestBoundarySigmas:
+    def test_interior(self):
+        assert boundary_sigmas([1.0, 2.0, 3.0], 1) == (1.0, 2.0, 3.0)
+
+    def test_left_boundary_copies_own_slope(self):
+        assert boundary_sigmas([2.0, 3.0], 0) == (2.0, 2.0, 3.0)
+
+    def test_right_boundary_copies_own_slope(self):
+        assert boundary_sigmas([2.0, 3.0], 1) == (2.0, 3.0, 3.0)
+
+    def test_single_interval(self):
+        assert boundary_sigmas([4.0], 0) == (4.0, 4.0, 4.0)
+
+    @pytest.mark.parametrize(
+        "slopes, i, message",
+        [
+            # sigma_i would wrap to the last slope while the neighbours clip
+            ([1.0, 2.0, 3.0], -1, r"^interval index must be an integer in \[0, 2\], got -1$"),
+            ([1.0, 2.0, 3.0], 3, r"^interval index must be an integer in \[0, 2\], got 3$"),
+            ([1.0, 2.0, 3.0], 1.5, r"^interval index must be an integer in \[0, 2\], got 1.5$"),
+            # a bool would index as a mask
+            ([1.0, 2.0, 3.0], True, r"^interval index must be an integer in \[0, 2\], got True$"),
+            ([1.0, np.nan, 3.0], 0, "^slopes must be finite$"),
+            ([1.0, 2.0, np.inf], 1, "^slopes must be finite$"),
+            ([-np.inf, 2.0, 3.0], 2, "^slopes must be finite$"),
+        ],
+        ids=["negative", "past-end", "float", "bool", "nan", "inf", "-inf"],
+    )
+    def test_invalid_input_rejected(self, slopes, i, message):
+        with pytest.raises(ValueError, match=message):
+            boundary_sigmas(slopes, i)
+
+    def test_numpy_integer_index(self):
+        assert boundary_sigmas(np.array([1.0, 2.0, 3.0]), np.int64(2)) == (2.0, 3.0, 3.0)
+
+    @pytest.mark.parametrize("slopes", [[1.0 + 2j, 3.0, 4.0], np.array([1.0 + 2j, 3.0, 4.0])])
+    def test_complex_slopes_rejected(self, slopes):
+        # converting them would keep only the real parts
+        with pytest.raises(ValueError, match="^slopes must be real, got dtype complex128$"):
+            boundary_sigmas(slopes, 1)
+
+
+def bits(values):
+    """Each value's float64 bit pattern (tells -0.0 from 0.0)."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+class TestArrayPathMatchesScalar:
+    """Every function runs one path of numpy arithmetic, for one interval
+    (as the oracle calls it) and for arrays of lanes (as the engine and the
+    replay call it); element for element, an array call gives the
+    one-interval calls' results bit for bit."""
+
+    SLOPES = (-1.5, -1e-200, -0.0, 0.0, 1e-200, 2.0)
+    VALUES = (-2.5, -0.0, 0.0, 1e-300, 0.75, 3.0)
+    EPS = ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.01, 1.0))
+
+    def test_classify_interval(self):
+        sig = np.array(list(itertools.product(self.SLOPES, repeat=3))).T
+        cls = classify_interval(*sig)
+        assert cls.dtype.kind == "i"
+        for k, s in enumerate(sig.T.tolist()):
+            scalar = classify_interval(*s)
+            assert type(scalar) is ExtremumClass
+            assert scalar is ExtremumClass(int(cls[k]))
+        # every class is reached
+        assert set(cls.tolist()) == {int(c) for c in ExtremumClass}
+
+    def pairs(self):
+        grid = itertools.product(self.VALUES, self.VALUES, ExtremumClass)
+        u_i, u_ip1, cls = (np.array(col) for col in zip(*grid))
+        return u_i, u_ip1, cls.astype(int)
+
+    def test_interval_bounds(self):
+        u_i, u_ip1, cls = self.pairs()
+        for eps0, eps1 in self.EPS:
+            lo, hi = interval_bounds(u_i, u_ip1, cls, eps0, eps1)
+            scalar = [
+                interval_bounds(a, b, ExtremumClass(c), eps0, eps1)
+                for a, b, c in zip(u_i.tolist(), u_ip1.tolist(), cls.tolist())
+            ]
+            assert bits(lo) == bits([s[0] for s in scalar])
+            assert bits(hi) == bits([s[1] for s in scalar])
+
+    def test_scaling_factors(self):
+        u_i, u_ip1, cls = self.pairs()
+        w = np.resize([0.5, -2.0, 1e-3, -7.0], u_i.size)  # read where u_i == u_ip1
+        for eps0, eps1 in self.EPS:
+            u_min, u_max = interval_bounds(u_i, u_ip1, cls, eps0, eps1)
+            m_l, m_r = scaling_factors(u_i, u_ip1, u_min, u_max, PPI, w)
+            args = zip(u_i.tolist(), u_ip1.tolist(), u_min.tolist(), u_max.tolist(), w.tolist())
+            scalar = [scaling_factors(*a, PPI, degenerate_w) for *a, degenerate_w in args]
+            assert bits(m_l) == bits([s[0] for s in scalar])
+            assert bits(m_r) == bits([s[1] for s in scalar])
+            # DBI pins the factors to scalars whatever the lanes
+            assert scaling_factors(u_i, u_ip1, u_min, u_max, DBI, w) == (0.0, 1.0)
+
+    def check_lambda_bar_step(self, dd, length, h, t, lam, prev, lp, denom, m_l, m_r, dg):
+        """The engine's call, the left and right candidates of every lane as
+        ``(2, lanes)`` arrays against per-lane state, against one call per
+        candidate on Python floats."""
+        got = lambda_bar_step(dd, length, h, t, lam, prev, lp, denom, m_l, m_r, dg)
+        lanes = h.size
+
+        def lane(a):  # per-lane values; a scalar is shared by every lane
+            return a.tolist() if isinstance(a, np.ndarray) else [a] * lanes
+
+        state = zip(*map(lane, (h, t, lam, lp, denom, m_l, m_r, dg)),
+                    *map(lane, prev or (None, None)))
+        one = [[] for _ in range(2)]
+        for k, (h_k, t_k, lam_k, lp_k, dn_k, ml_k, mr_k, dg_k, bm_k, bp_k) in enumerate(state):
+            prev_k = None if prev is None else (bm_k, bp_k)
+            for side in range(2):
+                one[side].append(lambda_bar_step(
+                    dd[side, k].item(), length[side, k].item(), h_k, t_k, lam_k, prev_k,
+                    lp_k, dn_k, ml_k, mr_k, dg_k,
+                ))
+        for field in range(3):  # lambda_bar, B-, B+
+            assert np.shape(got[field]) == (2, lanes)
+            assert bits(got[field]) == [bits([s[field] for s in side]) for side in one]
+
+    def test_lambda_bar_step_first(self):
+        # the first step seeds (B-, B+) from (m_l, m_r): the standard seed,
+        # the degenerate one, and a block that mixes them
+        rng = np.random.default_rng(26)
+        grid = itertools.product((-2.0, -0.0, 0.0), (0.0, 1.0, 2.5), (False, True))
+        m_l, m_r, dg = (np.array(col) for col in zip(*grid))
+        lanes = m_l.size
+        h = rng.uniform(0.1, 2.0, lanes)
+        dd = np.where(rng.random((2, lanes)) < 0.2, -0.0, rng.normal(size=(2, lanes)))
+        length = h + rng.uniform(0.1, 2.0, (2, lanes))
+        lp = np.where(dg, h, 1.0)
+        denom = rng.choice([-3.0, -1e-3, 0.5, 7.0], lanes)
+        for seeds in (dg, np.zeros(lanes, dtype=bool), np.ones(lanes, dtype=bool)):
+            self.check_lambda_bar_step(dd, length, h, None, 1.0, None, lp, denom, m_l, m_r, seeds)
+        # DBI's factors are scalars shared by every lane
+        self.check_lambda_bar_step(dd, length, h, None, 1.0, None, lp, denom, 0.0, 1.0, dg)
+
+    def test_lambda_bar_step_later(self):
+        # later steps propagate (B-, B+), swapping them where the point added
+        # one step earlier lies right of the interval (t > 0); the previous
+        # bounds and lambda_bar hold signed zeros
+        rng = np.random.default_rng(27)
+        grid = itertools.product((-1.5, -0.0, 0.0, 0.25, 1.0, 2.0), self.VALUES, self.VALUES, self.VALUES)
+        t, bm, bp, lam = (np.array(col) for col in zip(*grid))
+        lanes = t.size
+        h = rng.uniform(0.1, 2.0, lanes)
+        dd = np.where(rng.random((2, lanes)) < 0.2, 0.0, rng.normal(size=(2, lanes)))
+        dd[:, ::7] *= -0.0  # signed zeros among the divided differences too
+        length = h * rng.uniform(2.0, 4.0, (2, lanes))
+        lp = h * rng.uniform(1.0, 3.0, lanes)
+        denom = rng.choice([-3.0, -1e-3, 0.5, 7.0], lanes)
+        dg = rng.random(lanes) < 0.3
+        self.check_lambda_bar_step(dd, length, h, t, lam, (bm, bp), lp, denom, -0.5, 1.5, dg)
+
+
+NAN, INF = np.nan, np.inf
+CLASS_ERROR = r"^extremum class must be an integer in \[0, 3\], got "
+EPS_ERROR = "^eps0 and eps1 must be finite and nonnegative real numbers, got "
+
+
+@pytest.mark.parametrize(
+    "fn, args, message",
+    [
+        (interval_bounds, (1.0, NAN, 0, 0.01, 1.0), "^values must be finite$"),
+        (interval_bounds, (INF, 1.0, 0, 0.01, 1.0), "^values must be finite$"),
+        (interval_bounds, (np.ones(2), np.array([2.0, -INF]), 0, 0.01, 1.0), "^values must be finite$"),
+        (interval_bounds, (1.0 + 2j, 1.0, 0, 0.01, 1.0), "^values must be real, got dtype complex128$"),
+        (interval_bounds, (1.0, 2.0, 0, -1, 1.0), EPS_ERROR + "-1, 1.0$"),
+        (interval_bounds, (1.0, 2.0, 0, 0.01, NAN), EPS_ERROR + "0.01, nan$"),
+        (interval_bounds, (1.0, 2.0, 0, True, 1.0), EPS_ERROR + "True, 1.0$"),
+        (interval_bounds, (1.0, 2.0, 7, 0.01, 1.0), CLASS_ERROR + "7$"),
+        (interval_bounds, (1.0, 2.0, -1, 0.01, 1.0), CLASS_ERROR + "-1$"),
+        (interval_bounds, (1.0, 2.0, True, 0.01, 1.0), CLASS_ERROR + "True$"),
+        (interval_bounds, (1.0, 2.0, 1.0, 0.01, 1.0), CLASS_ERROR + r"1\.0$"),
+        (interval_bounds, (np.ones(2), np.ones(2), np.array([0, 4]), 0.01, 1.0), CLASS_ERROR),
+        (classify_interval, (NAN, 1.0, 2.0), "^slopes must be finite$"),
+        (classify_interval, (1.0, INF, 2.0), "^slopes must be finite$"),
+        (classify_interval, (1.0, 2.0, np.array([1.0, NAN])), "^slopes must be finite$"),
+        (classify_interval, (1j, 1.0, 2.0), "^slopes must be real, got dtype complex128$"),
+    ],
+    ids=[
+        "bounds-nan", "bounds-inf", "bounds-array-inf", "bounds-complex", "eps0-negative",
+        "eps1-nan", "eps0-bool", "class-7", "class-negative", "class-bool", "class-float",
+        "class-array-4", "classify-nan", "classify-inf", "classify-array-nan", "classify-complex",
+    ],
+)
+def test_exported_model_rejects_invalid_input(fn, args, message):
+    # the engine calls the unchecked cores; the exported names check
+    with pytest.raises(ValueError, match=message):
+        fn(*args)
+
+
+def test_class_accepts_integers_of_any_kind():
+    expected = (0.0, 2.02)
+    for cls in (ExtremumClass.LOCAL_MAX, 1, np.int8(1), np.uint64(1)):
+        assert interval_bounds(1.0, 2.0, cls, 0.01, 1.0) == expected
+    lo, hi = interval_bounds(np.ones(2), np.full(2, 2.0), np.array([1, 2], dtype=np.uint8), 0.01, 1.0)
+    assert lo.tolist() == [0.0, 0.99] and hi.tolist() == [2.02, 4.0]
+
+
+@pytest.mark.parametrize("args", [(1.0, 2.0, 0.99, 2.02, PPI), (1.0, 1.0, 0.99, 1.02, PPI, 0.5)],
+                         ids=["standard", "equal-endpoints"])
+def test_scaling_factors_of_one_interval_are_scalars(args):
+    # as interval_bounds and boundary_sigmas give them, not 0-d arrays
+    factors = scaling_factors(*args)
+    assert [type(m) for m in factors] == [np.float64, np.float64]
+    assert [m.hex() for m in factors] == [float(m).hex() for m in factors]
+    many = scaling_factors(*(np.full(3, a) for a in args[:4]), PPI, *args[5:])
+    assert [m.shape for m in many] == [(3,), (3,)]
+    assert bits(many) == [bits([m] * 3) for m in factors]
 
 
 def base_candidate(table, x, i, e):
@@ -195,6 +908,9 @@ def wide_open_bounds():
     return IntervalBounds(u_min=-1e30, u_max=1e30, m_l=-1e30, m_r=1e30)
 
 
+# The engine: stencils grown for blocks of lines, against the oracle.
+
+
 def plateau_values(rng, n):
     """Random values with every third neighbor pair set equal, so that some
     intervals have equal endpoint values between non-flat neighbors."""
@@ -310,84 +1026,6 @@ class TestBuildStencil:
         assert degenerate_steps > 0
 
 
-# Every chain step replay_chain recomputes for the inputs below, hashed bit
-# for bit.  The bounds test above cannot see a change in rounding; this can.
-REPLAY_CHAIN_DIGEST = "9cfb421b25cbdb07e9667abc22c6bb2244fb5b43b1265f9df26c993c6e96a633"
-
-
-def test_replay_chain_digest():
-    rng = np.random.default_rng(90210)
-    h = hashlib.sha256()
-    steps = degenerate_steps = 0
-    for _ in range(400):
-        n = int(rng.integers(2, 31))
-        x = random_mesh(rng, n)
-        u = rng.uniform(0.0, 5.0, n)
-        u[rng.random(n) < 0.3] = 0.0
-        if rng.random() < 0.5:
-            u[1::3] = u[: n - 1 : 3]
-        u *= 10.0 ** int(rng.integers(-8, 9))
-        eps0, eps1 = rng.uniform(0.0, 1.0, 2)
-        cfg = InterpConfig(
-            d=int(rng.integers(1, 12)), im=int(rng.choice([DBI, PPI])),
-            st=int(rng.integers(1, 4)), eps0=eps0, eps1=eps1,
-        )
-        table = build_table(x, u, min(cfg.d, n - 1))
-        for piece in interval_interpolants(x, u, cfg):
-            chain = replay_chain(piece, table, x)
-            for j, lam, bm, bp in chain:
-                h.update(repr((j, float(lam).hex(), float(bm).hex(), float(bp).hex())).encode())
-            steps += len(chain)
-            if piece.normalization == "degenerate":
-                degenerate_steps += len(chain)
-    assert steps > 10_000 and degenerate_steps > 100
-    assert h.hexdigest() == REPLAY_CHAIN_DIGEST
-
-
-@pytest.mark.parametrize("pairs", [interpnd.CHUNK_PAIRS, 40])
-def test_replay_stencils_every_lane_of_a_sweep(monkeypatch, pairs):
-    # Every block of lines that 2D and 3D sweeps hand the engine, along
-    # every axis, regrown and replayed in lockstep: every step of every lane
-    # satisfies the bounds with no slack, the steps stop at each lane's
-    # degree, and the lanes of one line equal replay_chain on that line's
-    # pieces bit for bit.  Zero runs and paired plateaus reach the
-    # degenerate normalization and its flat fallback; with 40 pairs the
-    # blocks split into chunks of a few lines.  Both cases take about 2 s
-    # on a 2-vCPU x86-64 guest, most of it in the per-block grow_stencils.
-    monkeypatch.setattr(interpnd, "CHUNK_PAIRS", pairs)
-    rng = np.random.default_rng(1717)
-    steps = degenerate = flat = 0
-    for trial in range(60):
-        meshes, v, outs, cfg = random_grid_case(rng, 2 + trial % 2)
-        cfg = replace(cfg, im=(DBI, PPI)[trial // 2 % 2], st=trial % 3 + 1)
-        blocks = []
-
-        def sweep(mesh, lines, points, runs, node, hits):
-            blocks.append((mesh, lines))
-            return interpolate_lines(mesh, lines, points, runs, node, hits, cfg)
-
-        interpnd.tensor_sweep(meshes, v, outs, sweep)
-        assert {b[0].size for b in blocks} == {m.size for m in meshes}
-        for mesh, lines in blocks:
-            st = grow_stencils(mesh, lines, np.arange(mesh.size - 1), cfg)
-            out = replay_stencils(mesh, divided_differences(mesh, lines, cfg.d), st)
-            lam, bm, bp = out
-            real = ~np.isnan(lam)
-            assert (np.isnan(out) == ~real).all()
-            assert (real.sum(axis=0) == st.degree - 1).all()
-            assert (bm[real] <= lam[real]).all() and (lam[real] <= bp[real]).all()
-            c = int(rng.integers(lines.shape[1]))
-            table = build_table(mesh, lines[:, c], cfg.d)
-            for k, piece in enumerate(interval_interpolants(mesh, lines[:, c], cfg)):
-                chain = np.array([s[1:] for s in replay_chain(piece, table, mesh)]).reshape(-1, 3)
-                lane = out[:, : piece.degree - 1, k * lines.shape[1] + c].T
-                assert (lane.view(np.int64) == chain.view(np.int64)).all()
-            steps += np.count_nonzero(real)
-            degenerate += np.count_nonzero(real[:, st.degenerate])
-            flat += np.count_nonzero(st.denom == 0.0)
-    assert steps > 5_000 and degenerate > 100 and flat > 0
-
-
 def record(piece):
     """Every field of a piece, floats bit for bit."""
     return (
@@ -452,8 +1090,8 @@ def assert_zero_padded(st):
     interval's left node."""
     past = np.arange(st.coeffs.shape[1]) > st.degree[:, None]
     assert (st.coeffs.view(np.int64)[past] == 0).all()
-    bits = st.nodes.view(np.int64)
-    assert (bits == np.where(past, bits[:, :1], bits)).all()
+    node_bits = st.nodes.view(np.int64)
+    assert (node_bits == np.where(past, node_bits[:, :1], node_bits)).all()
 
 
 def lane_records(x, block, cfg):
@@ -662,14 +1300,14 @@ def test_recorded_nodes_are_mesh_values_with_signed_zeros():
         )
         intervals = np.arange(n - 1)
         st = grow_stencils(x, block, intervals, cfg)
-        bits = st.nodes.view(np.int64)
+        node_bits = st.nodes.view(np.int64)
         idx = x.searchsorted(st.nodes)
-        assert (x[idx].view(np.int64) == bits).all()
+        assert (x[idx].view(np.int64) == node_bits).all()
         lanes = intervals.repeat(block.shape[1])
         assert (idx[:, 0] == lanes).all() and (idx[:, 1] == lanes + 1).all()
         past = np.arange(st.nodes.shape[1]) > st.degree[:, None]
         left = x[lanes].view(np.int64)
-        assert (bits[past] == np.broadcast_to(left[:, None], past.shape)[past]).all()
+        assert (node_bits[past] == np.broadcast_to(left[:, None], past.shape)[past]).all()
         zeros += np.count_nonzero(st.nodes == 0.0)
         padded += np.count_nonzero(past)
     assert zeros > 300 and padded > 1_000
@@ -719,3 +1357,84 @@ def test_stencil_digest():
                         degenerate += p.normalization == "degenerate"
     assert degenerate > 0
     assert h.hexdigest() == STENCIL_DIGEST
+
+
+# The readers of the record: replay_stencils and replay_chain.
+
+
+# Every chain step replay_chain recomputes for the inputs below, hashed bit
+# for bit.  The bounds test above cannot see a change in rounding; this can.
+REPLAY_CHAIN_DIGEST = "9cfb421b25cbdb07e9667abc22c6bb2244fb5b43b1265f9df26c993c6e96a633"
+
+
+def test_replay_chain_digest():
+    rng = np.random.default_rng(90210)
+    h = hashlib.sha256()
+    steps = degenerate_steps = 0
+    for _ in range(400):
+        n = int(rng.integers(2, 31))
+        x = random_mesh(rng, n)
+        u = rng.uniform(0.0, 5.0, n)
+        u[rng.random(n) < 0.3] = 0.0
+        if rng.random() < 0.5:
+            u[1::3] = u[: n - 1 : 3]
+        u *= 10.0 ** int(rng.integers(-8, 9))
+        eps0, eps1 = rng.uniform(0.0, 1.0, 2)
+        cfg = InterpConfig(
+            d=int(rng.integers(1, 12)), im=int(rng.choice([DBI, PPI])),
+            st=int(rng.integers(1, 4)), eps0=eps0, eps1=eps1,
+        )
+        table = build_table(x, u, min(cfg.d, n - 1))
+        for piece in interval_interpolants(x, u, cfg):
+            chain = replay_chain(piece, table, x)
+            for j, lam, bm, bp in chain:
+                h.update(repr((j, float(lam).hex(), float(bm).hex(), float(bp).hex())).encode())
+            steps += len(chain)
+            if piece.normalization == "degenerate":
+                degenerate_steps += len(chain)
+    assert steps > 10_000 and degenerate_steps > 100
+    assert h.hexdigest() == REPLAY_CHAIN_DIGEST
+
+
+@pytest.mark.parametrize("pairs", [interpnd.CHUNK_PAIRS, 40])
+def test_replay_stencils_every_lane_of_a_sweep(monkeypatch, pairs):
+    # Every block of lines that 2D and 3D sweeps hand the engine, along
+    # every axis, regrown and replayed in lockstep: every step of every lane
+    # satisfies the bounds with no slack, the steps stop at each lane's
+    # degree, and the lanes of one line equal replay_chain on that line's
+    # pieces bit for bit.  Zero runs and paired plateaus reach the
+    # degenerate normalization and its flat fallback; with 40 pairs the
+    # blocks split into chunks of a few lines.  Both cases take about 2 s
+    # on a 2-vCPU x86-64 guest, most of it in the per-block grow_stencils.
+    monkeypatch.setattr(interpnd, "CHUNK_PAIRS", pairs)
+    rng = np.random.default_rng(1717)
+    steps = degenerate = flat = 0
+    for trial in range(60):
+        meshes, v, outs, cfg = random_grid_case(rng, 2 + trial % 2)
+        cfg = replace(cfg, im=(DBI, PPI)[trial // 2 % 2], st=trial % 3 + 1)
+        blocks = []
+
+        def sweep(mesh, lines, points, runs, node, hits):
+            blocks.append((mesh, lines))
+            return interpolate_lines(mesh, lines, points, runs, node, hits, cfg)
+
+        interpnd.tensor_sweep(meshes, v, outs, sweep)
+        assert {b[0].size for b in blocks} == {m.size for m in meshes}
+        for mesh, lines in blocks:
+            st = grow_stencils(mesh, lines, np.arange(mesh.size - 1), cfg)
+            out = replay_stencils(mesh, divided_differences(mesh, lines, cfg.d), st)
+            lam, bm, bp = out
+            real = ~np.isnan(lam)
+            assert (np.isnan(out) == ~real).all()
+            assert (real.sum(axis=0) == st.degree - 1).all()
+            assert (bm[real] <= lam[real]).all() and (lam[real] <= bp[real]).all()
+            c = int(rng.integers(lines.shape[1]))
+            table = build_table(mesh, lines[:, c], cfg.d)
+            for k, piece in enumerate(interval_interpolants(mesh, lines[:, c], cfg)):
+                chain = np.array([s[1:] for s in replay_chain(piece, table, mesh)]).reshape(-1, 3)
+                lane = out[:, : piece.degree - 1, k * lines.shape[1] + c].T
+                assert (lane.view(np.int64) == chain.view(np.int64)).all()
+            steps += np.count_nonzero(real)
+            degenerate += np.count_nonzero(real[:, st.degenerate])
+            flat += np.count_nonzero(st.denom == 0.0)
+    assert steps > 5_000 and degenerate > 100 and flat > 0
