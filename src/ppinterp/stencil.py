@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DBI, InterpConfig, _check_eps, _check_range, _finite, _is_integer, as_mesh1d, as_values
+from .config import DBI, InterpConfig, _as_float, _check_eps, _check_range, _finite, _is_integer, as_mesh1d, as_values
 
 __all__ = [
     "DividedDifferenceTable",
@@ -772,17 +772,20 @@ def replay_chain(piece: IntervalInterpolant, table: DividedDifferenceTable, mesh
 
     Returns one (j, lambda_bar, b_minus, b_plus) tuple of floats per
     expansion; every accepted step must satisfy B- <= lambda_bar <= B+.
-    The piece's window must fit the mesh, the table must hold one row per
-    mesh point and an order above the piece's degree, and the piece's
-    ``denom`` must be real and finite, since every step divides by it.
+    The piece's window must fit the mesh, the table's entries must be a
+    real 2-D array with one row per mesh point and an order above the
+    piece's degree, and the entries the piece reads and its ``denom`` must
+    be finite, since every step reads the one and divides by the other.
     """
     x = as_mesh1d(mesh)
+    entries = _as_float(table.entries, "table entries")
     fields = (_piece_nodes(piece, x), piece.coefficients, piece.degree,
               piece.normalization == "degenerate", piece.denom, piece.m_l, piece.m_r)
-    shape = table.entries.shape  # (mesh points, orders)
-    if shape[0] != x.size or shape[1] <= piece.degree:
+    shape = entries.shape  # (mesh points, orders)
+    if entries.ndim != 2 or shape[0] != x.size or shape[1] <= piece.degree:
         raise ValueError(f"table of shape {shape} does not fit {x.size} mesh points and degree {piece.degree}")
     _finite(piece.denom, "piece denom")
     one = Stencils(*(np.array([f]) for f in fields))
-    out = replay_stencils(x, table.entries.T[..., None], one)
+    out = replay_stencils(x, entries.T[..., None], one)
+    _finite(out[:, : piece.degree - 1], "table entries the piece reads")
     return [(j, *step) for j, step in enumerate(out[..., 0].T.tolist(), 1)]

@@ -6,6 +6,7 @@ resolves."""
 import importlib
 import importlib.util
 import os
+import pathlib
 import pkgutil
 import subprocess
 import sys
@@ -80,12 +81,24 @@ print(" ".join(sorted(name for name in sys.modules if name.startswith("ppinterp.
 """
 
 
+# The test files that check a gate across modules; every other test file is
+# named for the module it tests.
+CROSS_MODULE = {"acceptance", "output_digest", "import", "input_rule"}
+
+
 def test_module_map():
     # the admissibility model (classes, bounds, scaling factors) and the
-    # Newton form live in stencil, beside the engine that reads them, and
-    # the array rules in config; no alias module remains
-    assert importlib.util.find_spec("ppinterp.bounds") is None
-    assert importlib.util.find_spec("ppinterp.divdiff") is None
+    # Newton form live in stencil, beside the engine that reads them, the
+    # array rules in config and the 1D entry point in interpnd; no alias
+    # module remains
+    for folded in ("bounds", "divdiff", "interp1d", "diagnostics"):
+        assert importlib.util.find_spec(f"ppinterp.{folded}") is None
+    # each test file test_<m>.py tests the module ppinterp.<m>, so a name's
+    # tests are found from the module that defines it
+    tests = pathlib.Path(__file__).parent
+    for path in tests.glob("test_*.py"):
+        m = path.stem.removeprefix("test_")
+        assert m in CROSS_MODULE or importlib.util.find_spec(f"ppinterp.{m}"), f"{path.name} names no module"
     src = os.path.dirname(os.path.dirname(os.path.abspath(ppinterp.__file__)))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(

@@ -14,7 +14,7 @@ import pytest
 
 import ppinterp
 from ppinterp import DBI, PPI, InterpConfig
-from ppinterp.stencil import IntervalInterpolant
+from ppinterp.stencil import DividedDifferenceTable, IntervalInterpolant
 
 X = np.linspace(0.0, 1.0, 5)
 U = np.array([0.0, 1.0, 3.0, 2.0, 2.5])
@@ -149,3 +149,24 @@ def test_replay_chain_checks_the_piece_denom(denom):
         fields["denom"] = SPOILERS[denom](fields["denom"])
     with pytest.raises(ValueError, match="piece denom"):
         ppinterp.replay_chain(IntervalInterpolant(**fields), TABLE, X)
+
+
+def read_nan():
+    """``TABLE``'s entries with NaN at the divided difference over the
+    piece's whole window, which its last step reads."""
+    entries = TABLE.entries.copy()
+    l, r = PIECE.window
+    entries[l, r - l] = np.nan
+    return entries
+
+
+# The table is read under the same rule: complex entries are not cut to
+# their real part, entries that are not a 2-D array raise a ValueError
+# instead of an IndexError or AttributeError, and a NaN among the entries
+# the piece reads raises instead of giving NaN readings.
+@pytest.mark.parametrize("entries", [
+    TABLE.entries + 0.5j, TABLE.entries[:, 0], TABLE.entries[:, 0].tolist(), read_nan(),
+], ids=["complex", "1-d-array", "1-d-list", "nan-read"])
+def test_replay_chain_checks_the_table(entries):
+    with pytest.raises(ValueError, match="^table "):
+        ppinterp.replay_chain(PIECE, DividedDifferenceTable(entries), X)
