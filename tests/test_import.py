@@ -95,10 +95,10 @@ def test_module_map():
         assert importlib.util.find_spec(f"ppinterp.{folded}") is None
     # each test file test_<m>.py tests the module ppinterp.<m>, so a name's
     # tests are found from the module that defines it
-    tests = pathlib.Path(__file__).parent
-    for path in tests.glob("test_*.py"):
-        m = path.stem.removeprefix("test_")
-        assert m in CROSS_MODULE or importlib.util.find_spec(f"ppinterp.{m}"), f"{path.name} names no module"
+    named = {path.stem.removeprefix("test_") for path in pathlib.Path(__file__).parent.glob("test_*.py")}
+    assert CROSS_MODULE <= named
+    stray = sorted(m for m in named - CROSS_MODULE if importlib.util.find_spec(f"ppinterp.{m}") is None)
+    assert not stray, f"test files named for no module: {stray}"
     src = os.path.dirname(os.path.dirname(os.path.abspath(ppinterp.__file__)))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
