@@ -63,43 +63,6 @@ def _dense_points(x, per_interval=40):
 
 
 class TestValidation:
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="does not match"):
-            adaptive_interpolation_1d([0, 1, 2], [1, 2], [0.5], 3, DBI)
-
-    def test_too_few_points(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            adaptive_interpolation_1d([0.0], [1.0], [0.0], 3, DBI)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_input(self, bad):
-        for x, u in (([0, 1, 2], [1, bad, 2]), ([0, 1, bad], [1, 2, 3]), ([-bad, 1, 2], [1, 2, 3])):
-            with pytest.raises(ValueError, match="finite"):
-                adaptive_interpolation_1d(x, u, [1.5], 1, DBI)
-            with pytest.raises(ValueError, match="finite"):
-                interval_interpolants(x, u, InterpConfig(d=1, im=PPI))
-
-    def test_out_of_range_names_value(self):
-        with pytest.raises(ValueError, match="1.5"):
-            adaptive_interpolation_1d([0, 1], [1, 2], [0.5, 1.5], 1, DBI)
-
-    def test_out_of_range_value_printed_as_float(self):
-        msg = r"^output point -0\.25 outside the mesh range \[0\.0, 1\.0\]$"
-        with pytest.raises(ValueError, match=msg):
-            adaptive_interpolation_1d([0, 1], [1, 2], np.array([0.5, -0.25]), 1, DBI)
-
-    def test_nan_output_point_rejected(self):
-        with pytest.raises(ValueError, match="^output points must be finite$"):
-            adaptive_interpolation_1d([0, 1], [1, 2], [np.nan], 1, DBI)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_output_points(self, bad):
-        # the same wording as for a non-finite mesh or values, wherever the
-        # bad point sits among valid ones
-        for pts in ([bad], [0.5, bad], [bad, 0.0, 1.0]):
-            with pytest.raises(ValueError, match="^output points must be finite$"):
-                adaptive_interpolation_1d([0, 1], [1, 2], pts, 1, DBI)
-
     @pytest.mark.parametrize("im", [3, True, 2.0], ids=["out-of-range", "bool", "float"])
     def test_bad_method(self, im):
         with pytest.raises(ValueError, match="im must be"):
@@ -145,11 +108,6 @@ class TestValidation:
         got = adaptive_interpolation_1d(x, u, xout, np.int64(8), PPI)
         assert np.array_equal(got, adaptive_interpolation_1d(x, u, xout, 8, PPI))
 
-    def test_empty_output(self):
-        out = adaptive_interpolation_1d([0, 1], [1, 2], [], 1, DBI)
-        assert out.shape == (0,)
-
-
 class TestExactness:
     def test_affine_reproduction(self):
         rng = np.random.default_rng(4)
@@ -163,20 +121,6 @@ class TestExactness:
                 v = adaptive_interpolation_1d(x, u, xout, int(rng.integers(1, 9)), im)
                 want = a + b * xout
                 assert np.allclose(v, want, rtol=1e-13, atol=1e-13 * max(1, abs(a)))
-
-    def test_node_interpolation(self):
-        x = np.linspace(-1, 1, 33)
-        u = np.cos(3 * x) + 2
-        for im in (DBI, PPI):
-            v = adaptive_interpolation_1d(x, u, x, 8, im)
-            assert np.allclose(v, u, rtol=1e-12, atol=0)
-
-    def test_left_nodes_bitwise_exact(self):
-        rng = np.random.default_rng(6)
-        x = random_mesh(rng, 9)
-        u = rng.uniform(1, 2, 9)
-        v = adaptive_interpolation_1d(x, u, x[:-1], 4, PPI)
-        assert np.array_equal(v, u[:-1])
 
     def test_every_node_bitwise_exact(self):
         # x[-1] too: it lies in the last interval, whose records start at
@@ -204,16 +148,6 @@ class TestExactness:
 
 
 class TestOutputOrdering:
-    def test_permutation_equivariance(self):
-        rng = np.random.default_rng(10)
-        x = random_mesh(rng, 11)
-        u = rng.uniform(0, 4, 11)
-        xout = rng.uniform(x[0], x[-1], 60)
-        perm = rng.permutation(60)
-        base = adaptive_interpolation_1d(x, u, xout, 5, PPI)
-        shuffled = adaptive_interpolation_1d(x, u, xout[perm], 5, PPI)
-        assert np.array_equal(shuffled, base[perm])
-
     def test_reversed_and_shuffled_points_permute_result(self):
         # Duplicate points, -0.0 and +0.0 points at a zero node, -0.0 data,
         # every node and x[-1] twice: each point's value, sign bit included,
@@ -229,13 +163,6 @@ class TestOutputOrdering:
                 for perm in reorderings(rng, pts.size):
                     got = adaptive_interpolation_1d(x, u, pts[perm], d, im, st, eps0, eps1)
                     assert signed_equal(got, base[perm])
-
-    def test_unsorted_output_points(self):
-        x = np.linspace(0, 1, 5)
-        u = x**2
-        out = adaptive_interpolation_1d(x, u, [0.9, 0.1, 0.5], 2, DBI)
-        assert out.shape == (3,)
-        assert out[1] == pytest.approx(0.01, abs=1e-12)
 
 
 class TestMethodRelations:
@@ -311,10 +238,15 @@ class TestConfigDriver:
         assert np.array_equal(via_cfg, via_args)
 
     def test_degree_capped_by_mesh(self):
+        # x**3 at d = 8 on 4 nodes is capped at degree 3 and reproduced, and
+        # x**2 at d = 2 under DBI is reproduced in the end interval too
         x = np.linspace(0, 1, 4)
         u = x**3
         v = adaptive_interpolation_1d(x, u, [0.5], 8, PPI)
         assert v[0] == pytest.approx(0.125, rel=1e-12)
+        x = np.linspace(0, 1, 5)
+        v = adaptive_interpolation_1d(x, x**2, [0.9, 0.1, 0.5], 2, DBI)
+        assert v[1] == pytest.approx(0.01, abs=1e-12)
 
     def test_pieces_cover_all_intervals(self):
         x = np.linspace(0, 1, 9)
@@ -334,49 +266,6 @@ def assert_one_axis_field_matches_1d(interp, meshes, outs):
         got = interp(*meshes, v, *outs, 6, PPI)
         line = adaptive_interpolation_1d(mesh, g, out, 6, PPI)
         assert np.array_equal(got, np.broadcast_to(line.reshape(shape), got.shape))
-
-
-class TestValidation2D:
-    def test_grid_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
-            adaptive_interpolation_2d([0, 1], [0, 1, 2], np.zeros((2, 2)), [0.5], [0.5], 1, DBI)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_input(self, bad):
-        v = np.ones((3, 3))
-        bad_v = v.copy()
-        bad_v[1, 2] = bad
-        for x, y, values in (
-            ([0, 1, 2], [0, 1, 2], bad_v),
-            ([0, 1, bad], [0, 1, 2], v),
-            ([0, 1, 2], [-bad, 1, 2], v),
-        ):
-            for interp in (lambda *a: adaptive_interpolation_2d(*a, 1, DBI), pchip_2d):
-                with pytest.raises(ValueError, match="finite"):
-                    interp(x, y, values, [0.5], [0.5])
-
-    def test_out_of_hull_output_rejected(self):
-        v = np.ones((3, 3))
-        for xout, yout in (([2.5], [0.5]), ([0.5], [-0.5])):
-            with pytest.raises(ValueError, match="outside the mesh range"):
-                adaptive_interpolation_2d([0, 1, 2], [0, 1, 2], v, xout, yout, 1, DBI)
-        for xout, yout in (([0.5], [np.nan]), ([np.inf], [0.5]), ([0.5], [-np.inf])):
-            for interp in (lambda *a: adaptive_interpolation_2d(*a, 1, DBI), pchip_2d):
-                with pytest.raises(ValueError, match="output points must be finite"):
-                    interp([0, 1, 2], [0, 1, 2], v, xout, yout)
-
-    def test_unsorted_output_permutes_result(self):
-        rng = np.random.default_rng(7)
-        x = random_mesh(rng, 9)
-        y = random_mesh(rng, 8)
-        v = rng.uniform(0.0, 2.0, (9, 8))
-        xout = np.linspace(x[0], x[-1], 13)
-        yout = np.linspace(y[0], y[-1], 11)
-        px, py = rng.permutation(13), rng.permutation(11)
-        for interp in (lambda *a: adaptive_interpolation_2d(*a, 5, PPI), pchip_2d):
-            base = interp(x, y, v, xout, yout)
-            got = interp(x, y, v, xout[px], yout[py])
-            assert np.array_equal(got, base[np.ix_(px, py)])
 
 
 class TestExactness2D:
@@ -401,15 +290,6 @@ class TestExactness2D:
         for im in (DBI, PPI):
             got = adaptive_interpolation_2d(x, y, v, xout, yout, 3, im)
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
-
-    def test_nodes_reproduced(self):
-        rng = np.random.default_rng(4)
-        x = random_mesh(rng, 8)
-        y = random_mesh(rng, 7)
-        gx, gy = np.meshgrid(x, y, indexing="ij")
-        v = 1.0 / (1.0 + gx**2 + gy**2)
-        out = adaptive_interpolation_2d(x, y, v, x, y, 5, PPI)
-        assert np.allclose(out, v, rtol=1e-12, atol=0)
 
 
 class TestExactness3D:
@@ -442,49 +322,6 @@ class TestExactness3D:
         want = gfun(ox) * hfun(oy) * pfun(oz)
         got = adaptive_interpolation_3d(x, y, z, v, xo, yo, zo, 3, PPI)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
-
-    def test_positive_random_field_stays_positive(self):
-        rng = np.random.default_rng(6)
-        x = random_mesh(rng, 6)
-        y = random_mesh(rng, 5)
-        z = random_mesh(rng, 5)
-        v = rng.uniform(0.0, 2.0, (6, 5, 5))
-        xo = np.linspace(x[0], x[-1], 11)
-        yo = np.linspace(y[0], y[-1], 9)
-        zo = np.linspace(z[0], z[-1], 8)
-        out = adaptive_interpolation_3d(x, y, z, v, xo, yo, zo, 5, PPI)
-        assert out.min() >= -1e-12 * v.max()
-
-    def test_unsorted_output_permutes_result(self):
-        rng = np.random.default_rng(8)
-        x, y, z = random_mesh(rng, 6), random_mesh(rng, 5), random_mesh(rng, 5)
-        v = rng.uniform(0.0, 2.0, (6, 5, 5))
-        xo = np.linspace(x[0], x[-1], 7)
-        yo = np.linspace(y[0], y[-1], 6)
-        zo = np.linspace(z[0], z[-1], 5)
-        px, py, pz = rng.permutation(7), rng.permutation(6), rng.permutation(5)
-        base = adaptive_interpolation_3d(x, y, z, v, xo, yo, zo, 4, PPI)
-        got = adaptive_interpolation_3d(x, y, z, v, xo[px], yo[py], zo[pz], 4, PPI)
-        assert np.array_equal(got, base[np.ix_(px, py, pz)])
-
-    def test_grid_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
-            adaptive_interpolation_3d([0, 1], [0, 1], [0, 1], np.zeros((2, 2)), [0.5], [0.5], [0.5], 1, DBI)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_input(self, bad):
-        v = np.ones((2, 2, 2))
-        bad_v = v.copy()
-        bad_v[1, 0, 1] = bad
-        ok = [0, 1]
-        for x, y, z, values in (
-            (ok, ok, ok, bad_v),
-            ([0, bad], ok, ok, v),
-            (ok, [-bad, 1], ok, v),
-            (ok, ok, [0, bad], v),
-        ):
-            with pytest.raises(ValueError, match="finite"):
-                adaptive_interpolation_3d(x, y, z, values, [0.5], [0.5], [0.5], 1, DBI)
 
 
 def line_by_line(meshes, v, outs, cfg):
@@ -782,6 +619,7 @@ class TestOutputAxes:
         v = rng.uniform(0.0, 1.0, (5, 4, 3))
         full = [np.linspace(m[0], m[-1], k) for m, k in zip(meshes, (3, 2, 4))]
         assert pchip_1d(meshes[0], v[:, 0, 0], []).shape == (0,)
+        assert adaptive_interpolation_1d(meshes[0], v[:, 0, 0], [], 3, PPI).shape == (0,)
         for ndim in (2, 3):
             grid = v[(slice(None),) * ndim + (0,) * (3 - ndim)]
             interps = [lambda *a: ADAPTIVE[ndim](*a, 3, PPI)]
@@ -854,10 +692,22 @@ class TestValidatorMessages:
         ([0.0, 1.0, 1.0, 3.0], MESH_INCREASING),
         ([0.0, 2.0, 1.0, 3.0], MESH_INCREASING),
         ([3.0, 2.0, 1.0, 0.0], MESH_INCREASING),
+        ([0.0], "mesh needs at least 2 points, got 1"),
+        # an integer mesh is read as floats, and its range printed so
+        ([1, 2, 3, 4], "output point 0.0 outside the mesh range [1.0, 4.0]"),
     ])
     def test_mesh(self, name, mesh, message):
         for axis in range(ENTRY_POINTS[name][0]):
             self.expect(name, message, meshes={axis: mesh})
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_values_shape(self, name):
+        # one point short on the last axis, one axis too many, one too few
+        axes = ENTRY_POINTS[name][0]
+        grid = (4,) * axes
+        for shape in (grid[:-1] + (3,), grid + (1,), grid[1:]):
+            self.expect(name, f"values shape {shape} does not match mesh shape {grid}",
+                        values=np.ones(shape))
 
     @pytest.mark.parametrize("name", ENTRY_POINTS)
     @pytest.mark.parametrize("bad", [NAN, INF, -INF])
@@ -882,6 +732,7 @@ class TestValidatorMessages:
         ([2.0, -1.0, 0.5, 3.5], outside(-1.0)),
         ([3.0, 0.0, 3.0000000000000004], outside(3.0000000000000004)),
         ([[0.0, 1.5], [3.0, 2.0]], "output points must be one-dimensional, got shape (2, 2)"),
+        ([NAN], POINTS_FINITE),  # one point: the order pass compares nothing
     ])
     def test_output_points(self, name, pts, message):
         for axis in range(ENTRY_POINTS[name][0]):

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from ppinterp import pchip_1d, pchip_2d
 from ppinterp.harness import TEST_FUNCTIONS, l2_error_continuum
@@ -48,16 +47,6 @@ class TestPchip1D:
         dense = np.linspace(-1, 1, 10_000)
         err = l2_error_continuum(pchip_1d(x, f(x), dense), f(dense), dense)
         assert 1.17e-4 / 3 <= err <= 1.17e-4 * 3
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_input(self, bad):
-        for x, u in (([0, 1, 2], [1, bad, 2]), ([0, 1, bad], [1, 2, 3]), ([-bad, 1, 2], [1, 2, 3])):
-            with pytest.raises(ValueError, match="finite"):
-                pchip_1d(x, u, [1.5])
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
-            pchip_1d([0, 1], [1, 2], [1.2])
 
     def test_matches_scipy_bit_for_bit(self):
         # pchip_1d runs the numpy sweep on a one-column block; the result
@@ -179,10 +168,6 @@ class TestPchip2D:
         xo = np.linspace(x[0], x[-1], 60)
         yo = np.linspace(y[0], y[-1], 60)
         assert pchip_2d(x, y, v, xo, yo).min() >= -1e-12 * v.max()
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
-            pchip_2d([0, 1], [0, 1, 2], np.zeros((2, 2)), [0.5], [0.5])
 
     def test_error_as_published(self):
         from ppinterp.harness import ExperimentSpec, approximation_error

@@ -1025,6 +1025,16 @@ class TestBuildStencil:
                     degenerate_steps += len(chain)
         assert degenerate_steps > 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        for x, u, message in (
+            ([0, 1, 2], [1, bad, 2], "values must be finite"),
+            ([0, 1, bad], [1, 2, 3], "mesh coordinates must be finite"),
+            ([-bad, 1, 2], [1, 2, 3], "mesh coordinates must be finite"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                interval_interpolants(x, u, InterpConfig(d=1, im=PPI))
+
 
 def record(piece):
     """Every field of a piece, floats bit for bit."""
