@@ -115,11 +115,14 @@ def l2_error_grid(a, b) -> float:
     """Root-mean-square difference over grid points.
 
     The mean (rather than plain sum) keeps values comparable across grid
-    resolutions.
+    resolutions.  Both grids must have the same shape and hold at least one
+    value.
     """
     av, bv = (as_values(v, np.shape(v)) for v in (a, b))
     if av.shape != bv.shape:
         raise ValueError(f"length mismatch: {av.shape} vs {bv.shape}")
+    if not av.size:
+        raise ValueError("the grids hold no values")
     return float(np.sqrt(np.mean((av - bv) ** 2)))
 
 

@@ -273,6 +273,8 @@ def boundary_sigmas(slopes, i):
     ``_neighbour_slopes``, whose rule covers the mesh boundary.
     """
     s = _finite(slopes, "slopes")
+    if s.ndim == 0:
+        raise ValueError("slopes must be an array with one slope per interval, got a scalar")
     if not (_is_integer(i) and 0 <= i < len(s)):
         raise ValueError(f"interval index must be an integer in [0, {len(s) - 1}], got {i!r}")
     prev, nxt = _neighbour_slopes(s, i)

@@ -142,6 +142,12 @@ class TestNormInputs:
             with pytest.raises(ValueError, match=message):
                 l2_error_continuum(a, b, [0.0, 1.0, 2.0])
 
+    def test_grid_norm_rejects_empty_grids(self):
+        # the mean of no values would be NaN
+        for empty in ([], np.empty((0, 3))):
+            with pytest.raises(ValueError, match="^the grids hold no values$"):
+                l2_error_grid(empty, empty)
+
     def test_integer_values_read_as_floats(self):
         assert l2_error_grid([3, 4], [0, 0]) == l2_error_grid([3.0, 4.0], [0.0, 0.0])
         want = l2_error_continuum([3.0, 4.0], [0.0, 0.0], [0.0, 1.0])

@@ -55,7 +55,7 @@ OUT_OF_RANGE = {
     "pchip_1d": [(X, U, OUTSIDE)],
     "pchip_2d": [(X, X, V2, XO, -XO - 0.5)],
     "InterpConfig": [(0, PPI), (3, 3), (3, PPI, 4), (3, PPI, 3, -0.5), (3, PPI, 3, 0.01, -1.0)],
-    "boundary_sigmas": [(SLOPES, -1), (SLOPES, SLOPES.size)],
+    "boundary_sigmas": [(SLOPES, -1), (SLOPES, SLOPES.size), (1.0, 0)],
     "interval_bounds": [(1.0, 2.0, 4, 0.01, 1.0), (1.0, 2.0, -1, 0.01, 1.0), (1.0, 2.0, 1, -0.01, 1.0)],
     "build_table": [(X, U, 0)],
     "interval_interpolants": [(X[:1], U[:1], CFG)],

@@ -1,8 +1,14 @@
 """Tests of ``ppinterp.interpnd``, the tensor-product drivers: the 1D entry
-point (validation, exactness at the nodes, the order of the output points,
-DBI/PPI guarantees), then the 2D and 3D sweeps, their bookkeeping, memory
-and guarantees, the validators' messages and the one validation per
-call."""
+point (the parameter rules, exactness at the nodes, the order of the output
+points, DBI/PPI guarantees), then the 2D and 3D sweeps, their bookkeeping,
+memory and guarantees, then what every entry point shares: the validators'
+messages and the one validation per call.
+
+Each behaviour is tested once, where it is checked most strongly: the
+messages for bad input, exactly, on every axis of every entry point in
+``ENTRY_POINTS`` (which a guard keeps equal to the interpolation callables
+``ppinterp`` exports), and node exactness, point order and the DBI/PPI
+bounds bit for bit or with no slack, on random 1D and 2D/3D families."""
 
 import inspect
 import re
@@ -14,6 +20,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+import ppinterp
 from ppinterp import (
     DBI,
     PPI,
@@ -633,14 +640,30 @@ class TestOutputAxes:
                     assert got.shape == shape and got.dtype == float
 
 
-# Every public entry point as (axes, call(meshes, values, outs)).
+# Every public entry point as (axes, function, the arguments that follow the
+# output axes).
 ENTRY_POINTS = {
-    "adaptive_1d": (1, lambda m, v, o: adaptive_interpolation_1d(*m, v, *o, 3, PPI)),
-    "adaptive_2d": (2, lambda m, v, o: adaptive_interpolation_2d(*m, v, *o, 3, DBI)),
-    "adaptive_3d": (3, lambda m, v, o: adaptive_interpolation_3d(*m, v, *o, 3, PPI)),
-    "pchip_1d": (1, lambda m, v, o: pchip_1d(*m, v, *o)),
-    "pchip_2d": (2, lambda m, v, o: pchip_2d(*m, v, *o)),
+    "adaptive_1d": (1, adaptive_interpolation_1d, (3, PPI)),
+    "adaptive_2d": (2, adaptive_interpolation_2d, (3, DBI)),
+    "adaptive_3d": (3, adaptive_interpolation_3d, (3, PPI)),
+    "pchip_1d": (1, pchip_1d, ()),
+    "pchip_2d": (2, pchip_2d, ()),
 }
+
+
+def call_entry(name, meshes, values, outs):
+    _, fn, options = ENTRY_POINTS[name]
+    return fn(*meshes, values, *outs, *options)
+
+
+def test_entry_points_are_the_exported_interpolators():
+    # the callables ppinterp exports from interpnd and pchip, so a new one
+    # joins every test over ENTRY_POINTS
+    exported = [name for name in ppinterp.__all__ if getattr(getattr(ppinterp, name), "__module__", None)
+                in ("ppinterp.interpnd", "ppinterp.pchip")]
+    assert sorted(fn.__name__ for _, fn, _ in ENTRY_POINTS.values()) == sorted(exported)
+
+
 MESH_FINITE = "mesh coordinates must be finite"
 MESH_INCREASING = "mesh coordinates must be strictly increasing"
 VALUES_FINITE = "values must be finite"
@@ -664,18 +687,18 @@ class TestValidatorMessages:
 
     @staticmethod
     def expect(name, message, meshes=None, values=None, outs=None):
-        axes, call = ENTRY_POINTS[name]
+        axes = ENTRY_POINTS[name][0]
         grid = [np.array([0.0, 1.0, 2.0, 3.0])] * axes
         v = np.linspace(1.0, 2.0, 4 ** axes).reshape((4,) * axes)
         points = [np.array([2.5, 0.0, 1.5])] * axes
-        call(grid, v, points)  # the valid call goes through
+        call_entry(name, grid, v, points)  # the valid call goes through
         v = v if values is None else values
         for k, mesh in (meshes or {}).items():
             grid[k] = np.array(mesh)
         for k, pts in (outs or {}).items():
             points[k] = np.array(pts)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            call(grid, v, points)
+            call_entry(name, grid, v, points)
 
     @pytest.mark.parametrize("name", ENTRY_POINTS)
     @pytest.mark.parametrize("mesh, message", [
@@ -742,14 +765,14 @@ class TestValidatorMessages:
     def test_complex(self, name):
         # complex input is refused, not cut to its real part, even when the
         # imaginary part is zero; a Python complex in a list of points too
-        axes, call = ENTRY_POINTS[name]
+        axes = ENTRY_POINTS[name][0]
         for axis in range(axes):
             self.expect(name, MESH_REAL, meshes={axis: [0.0, 1.0, 2.0, 3.0 + 0j]})
             self.expect(name, POINTS_REAL, outs={axis: np.array([0.5, 1.5]) + 1j})
             points = [[2.5, 0.0]] * axes
             points[axis] = [2.5, 1.5 + 0j]
             with pytest.raises(ValueError, match=f"^{re.escape(POINTS_REAL)}$"):
-                call([np.array([0.0, 1.0, 2.0, 3.0])] * axes, np.ones((4,) * axes), points)
+                call_entry(name, [np.array([0.0, 1.0, 2.0, 3.0])] * axes, np.ones((4,) * axes), points)
         self.expect(name, VALUES_REAL, values=np.ones((4,) * axes) + 1j)
 
     @pytest.mark.parametrize("name", ["adaptive_2d", "adaptive_3d", "pchip_2d"])
