@@ -724,13 +724,14 @@ class TestValidatorMessages:
             self.expect(name, message, meshes={axis: mesh})
 
     @pytest.mark.parametrize("name", ENTRY_POINTS)
-    def test_values_shape(self, name):
-        # one point short on the last axis, one axis too many, one too few
+    @pytest.mark.parametrize("fault", ["short_last_axis", "extra_axis", "missing_axis"])
+    def test_values_shape(self, name, fault):
         axes = ENTRY_POINTS[name][0]
         grid = (4,) * axes
-        for shape in (grid[:-1] + (3,), grid + (1,), grid[1:]):
-            self.expect(name, f"values shape {shape} does not match mesh shape {grid}",
-                        values=np.ones(shape))
+        shape = {"short_last_axis": grid[:-1] + (3,), "extra_axis": grid + (1,),
+                 "missing_axis": grid[1:]}[fault]
+        self.expect(name, f"values shape {shape} does not match mesh shape {grid}",
+                    values=np.ones(shape))
 
     @pytest.mark.parametrize("name", ENTRY_POINTS)
     @pytest.mark.parametrize("bad", [NAN, INF, -INF])
