@@ -138,11 +138,15 @@ def next_order(prev: np.ndarray, span: np.ndarray, out: np.ndarray) -> np.ndarra
 class IntervalInterpolant:
     """Newton-form interpolant for one mesh interval [x_i, x_{i+1}].
 
-    ``window`` is the inclusive (l, r) mesh-index span of the stencil and
-    ``insertion_order`` records how the stencil grew, starting (i, i+1); the
-    three hold integers (numpy integers included, bools and floats not).
-    ``coefficients[j]`` is the divided difference of the window after j
-    insertions, so evaluation nests the products over ``insertion_order``.
+    ``insertion_order`` records how the stencil grew, one mesh index per
+    point: it starts (i, i+1), and each later point extends the window by
+    one neighbour, left or right, so every prefix is a run of consecutive
+    indices.  The order holds integers (numpy integers included, bools and
+    floats not), and ``coefficients[j]`` is the divided difference of the
+    window after j insertions, so evaluation nests the products over the
+    order.  The order alone describes the stencil: ``interval_index`` (i),
+    ``window`` (its smallest and largest index) and ``degree`` are read
+    from it.
 
     ``normalization`` / ``denom`` / ``m_l`` / ``m_r`` record how the stencil
     growth was normalized and bounded, so an accepted stencil can be replayed
@@ -152,8 +156,6 @@ class IntervalInterpolant:
     only evaluated, and ``replay_chain`` checks it.
     """
 
-    interval_index: int
-    window: tuple[int, int]
     insertion_order: tuple[int, ...]
     coefficients: tuple[float, ...]
     normalization: str = "standard"  # "standard" (slope) or "degenerate" (w)
@@ -162,24 +164,30 @@ class IntervalInterpolant:
     m_r: float = 1.0
 
     @property
+    def interval_index(self) -> int:
+        return self.insertion_order[0]
+
+    @property
+    def window(self) -> tuple[int, int]:
+        return min(self.insertion_order), max(self.insertion_order)
+
+    @property
     def degree(self) -> int:
-        return self.window[1] - self.window[0]
+        return len(self.insertion_order) - 1
 
     def __post_init__(self):
+        order = self.insertion_order
         if self.normalization not in ("standard", "degenerate"):
             raise ValueError(f"normalization must be 'standard' or 'degenerate', got {self.normalization!r}")
-        if not all(map(_is_integer, (self.interval_index, *self.window, *self.insertion_order))):
-            raise ValueError("interval index, window and insertion order must hold integers")
-        l, r = self.window
-        i = self.interval_index
-        if not (l <= i < i + 1 <= r):
-            raise ValueError(f"window {self.window} does not contain interval {i}")
-        if len(self.insertion_order) != r - l + 1 or len(self.coefficients) != r - l + 1:
-            raise ValueError("insertion order / coefficients must cover the window")
-        if self.insertion_order[0] != i or self.insertion_order[1] != i + 1:
-            raise ValueError("insertion order must start with (i, i+1)")
-        if sorted(self.insertion_order) != list(range(l, r + 1)):
-            raise ValueError("insertion order must be a permutation of the window")
+        if not all(map(_is_integer, order)):
+            raise ValueError(f"insertion order must hold integers, got {order!r}")
+        if len(order) < 2 or order[1] != order[0] + 1:
+            raise ValueError(f"insertion order must start with two consecutive points (i, i+1), got {order!r}")
+        # each point widens the window by one: the span after k points is k-1
+        if (np.maximum.accumulate(order) - np.minimum.accumulate(order) != np.arange(len(order))).any():
+            raise ValueError(f"insertion order must add one neighbouring point at a time, got {order!r}")
+        if len(self.coefficients) != len(order):
+            raise ValueError(f"{len(self.coefficients)} coefficients given for {len(order)} points")
         _finite((*self.coefficients, self.m_l, self.m_r), "piece coefficients, m_l and m_r")
 
 
@@ -216,12 +224,16 @@ def horner(coeffs, nodes, runs, points):
     return p
 
 
-def _piece_nodes(piece: IntervalInterpolant, x: np.ndarray) -> np.ndarray:
-    """The abscissae of ``piece``'s insertion order on the validated mesh
-    ``x``; a window that reaches past either end of the mesh raises."""
-    if piece.window[0] < 0 or piece.window[1] >= x.size:
-        raise ValueError(f"piece window {piece.window} does not fit a mesh of {x.size} points")
-    return x.take(piece.insertion_order)
+def _piece_record(piece: IntervalInterpolant, x: np.ndarray) -> Stencils:
+    """``piece`` as a one-lane ``Stencils`` record on the validated mesh
+    ``x``, its nodes the mesh values at its insertion order; a window that
+    reaches past either end of the mesh raises."""
+    l, r = piece.window
+    if l < 0 or r >= x.size:
+        raise ValueError(f"piece window {(l, r)} does not fit a mesh of {x.size} points")
+    fields = (x.take(piece.insertion_order), np.array(piece.coefficients, dtype=float), piece.degree,
+              piece.normalization == "degenerate", piece.denom, piece.m_l, piece.m_r)
+    return Stencils(*(np.array([f]) for f in fields))
 
 
 def newton_eval(piece: IntervalInterpolant, mesh, x):
@@ -229,21 +241,17 @@ def newton_eval(piece: IntervalInterpolant, mesh, x):
 
     Nested multiplication over the insertion order: the result is
     c_0 + (x - x_e0)(c_1 + (x - x_e1)(c_2 + ...)), computed by ``horner``
-    with every point in one run.  The mesh is checked as ``as_mesh1d``
-    checks it, and the points must be real, finite and in [mesh[0],
-    mesh[-1]], as the entry points take them, so no input is cut to its
-    real part, gives a silent NaN or is extrapolated.  A piece whose window
-    does not fit the mesh raises.
+    on the piece's one-lane record with every point in one run.  The mesh
+    is checked as ``as_mesh1d`` checks it, and the points must be real,
+    finite and in [mesh[0], mesh[-1]], as the entry points take them, so no
+    input is cut to its real part, gives a silent NaN or is extrapolated.
+    A piece whose window does not fit the mesh raises.
     """
     xs = as_mesh1d(mesh)
     xv = _finite(x, "output points")
     _check_range(xv, xs)
-    p = horner(
-        np.array([piece.coefficients], dtype=float),
-        _piece_nodes(piece, xs)[None],
-        np.array([xv.size]),
-        xv.reshape(-1),
-    )
+    one = _piece_record(piece, xs)
+    p = horner(one.coeffs, one.nodes, np.array([xv.size]), xv.reshape(-1))
     return float(p[0, 0]) if xv.ndim == 0 else p.reshape(xv.shape)
 
 
@@ -709,18 +717,19 @@ def interval_interpolants(x, v, config: InterpConfig) -> list[IntervalInterpolan
     """Build the interpolant of every interval (mainly for inspection/tests).
 
     Each piece's insertion order is recovered from the engine's recorded
-    nodes by one search of the mesh."""
+    nodes by one search of the mesh; its interval, window and degree are
+    read from that order.  ``config`` must be an ``InterpConfig``, else
+    ``TypeError``."""
+    if not isinstance(config, InterpConfig):
+        raise TypeError(f"config must be an InterpConfig, got {type(config).__name__}")
     xm = as_mesh1d(x)
     st = grow_stencils(xm, as_values(v, xm.shape)[:, None], np.arange(xm.size - 1), config)
     orders = xm.searchsorted(st.nodes)  # the nodes are mesh values
     pieces = []
     for k, deg in enumerate(st.degree.tolist()):
-        order = orders[k, : deg + 1].tolist()
         pieces.append(
             IntervalInterpolant(
-                interval_index=order[0],
-                window=(min(order), max(order)),
-                insertion_order=tuple(order),
+                insertion_order=tuple(orders[k, : deg + 1].tolist()),
                 coefficients=tuple(st.coeffs[k, : deg + 1].tolist()),
                 normalization="degenerate" if st.degenerate[k] else "standard",
                 denom=float(st.denom[k]),
@@ -768,8 +777,8 @@ def replay_stencils(x, table, st: Stencils):
 
 def replay_chain(piece: IntervalInterpolant, table: DividedDifferenceTable, mesh):
     """Recompute (lambda_bar_j, B-_j, B+_j) along one accepted stencil:
-    ``replay_stencils`` on a one-lane record of ``piece``, whose nodes are
-    the mesh values at its insertion order, on the mesh as ``as_mesh1d``
+    ``replay_stencils`` on the piece's one-lane record, whose nodes are the
+    mesh values at its insertion order, on the mesh as ``as_mesh1d``
     checks it.
 
     Returns one (j, lambda_bar, b_minus, b_plus) tuple of floats per
@@ -781,13 +790,11 @@ def replay_chain(piece: IntervalInterpolant, table: DividedDifferenceTable, mesh
     """
     x = as_mesh1d(mesh)
     entries = _as_float(table.entries, "table entries")
-    fields = (_piece_nodes(piece, x), piece.coefficients, piece.degree,
-              piece.normalization == "degenerate", piece.denom, piece.m_l, piece.m_r)
+    one = _piece_record(piece, x)
     shape = entries.shape  # (mesh points, orders)
     if entries.ndim != 2 or shape[0] != x.size or shape[1] <= piece.degree:
         raise ValueError(f"table of shape {shape} does not fit {x.size} mesh points and degree {piece.degree}")
     _finite(piece.denom, "piece denom")
-    one = Stencils(*(np.array([f]) for f in fields))
     out = replay_stencils(x, entries.T[..., None], one)
     _finite(out[:, : piece.degree - 1], "table entries the piece reads")
     return [(j, *step) for j, step in enumerate(out[..., 0].T.tolist(), 1)]

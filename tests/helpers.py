@@ -21,19 +21,14 @@ def brute_dd(x, u, i, j):
     return (brute_dd(x, u, i + 1, j - 1) - brute_dd(x, u, i, j - 1)) / (x[i + j] - x[i])
 
 
-def make_piece(x, u, i, insertion_order):
+def make_piece(x, u, insertion_order):
     """Interval interpolant built from brute-force divided differences."""
     order = list(insertion_order)
     coeffs = []
     for j in range(len(order)):
         wl, wr = min(order[: j + 1]), max(order[: j + 1])
         coeffs.append(brute_dd(x, u, wl, wr - wl))
-    return IntervalInterpolant(
-        interval_index=i,
-        window=(min(order), max(order)),
-        insertion_order=tuple(order),
-        coefficients=tuple(coeffs),
-    )
+    return IntervalInterpolant(insertion_order=tuple(order), coefficients=tuple(coeffs))
 
 
 def monomial_coefficients(x, piece):

@@ -39,8 +39,6 @@ class IntervalBounds:
 
 def _linear_piece(table: DividedDifferenceTable, i: int) -> IntervalInterpolant:
     return IntervalInterpolant(
-        interval_index=i,
-        window=(i, i + 1),
         insertion_order=(i, i + 1),
         coefficients=(float(table.entries[i, 0]), float(table.entries[i, 1])),
         normalization="standard",
@@ -133,8 +131,6 @@ def build_stencil(
         forced = None
 
     return IntervalInterpolant(
-        interval_index=i,
-        window=(l, r),
         insertion_order=tuple(order),
         coefficients=tuple(coeffs),
         normalization="degenerate" if degenerate else "standard",

@@ -112,23 +112,20 @@ def test_every_export_rejects_invalid_input(name, args):
 @pytest.mark.parametrize("coefficients", [(np.nan, 1.0), (1j, 1.0)], ids=["nan", "complex"])
 def test_piece_coefficients_are_checked(coefficients):
     with pytest.raises(ValueError):
-        ppinterp.newton_eval(IntervalInterpolant(0, (0, 1), (0, 1), coefficients), [0.0, 1.0], 0.5)
+        ppinterp.newton_eval(IntervalInterpolant((0, 1), coefficients), [0.0, 1.0], 0.5)
 
 
 # A misspelled normalization would be replayed as the standard one, and a
-# float or bool index would pass the window checks by comparing equal to
-# an integer; a string or float window would raise a bare TypeError.
+# float or bool index would pass the order checks by comparing equal to
+# an integer.
 @pytest.mark.parametrize("fields", [
     dict(normalization="Degenerate"),
     dict(normalization=""),
-    dict(interval_index=0.0),
     dict(insertion_order=(0.0, 1.0)),
     dict(insertion_order=(False, True)),
-    dict(window=(0, 1.0)),
-    dict(window=("a", "b")),
-], ids=["misspelled", "empty", "float-index", "float-order", "bool-order", "float-window", "str-window"])
+], ids=["misspelled", "empty", "float-order", "bool-order"])
 def test_piece_fields_are_checked(fields):
-    valid = dict(interval_index=0, window=(0, 1), insertion_order=(0, 1), coefficients=(0.0, 1.0))
+    valid = dict(insertion_order=(0, 1), coefficients=(0.0, 1.0))
     with pytest.raises(ValueError, match="normalization|integers"):
         IntervalInterpolant(**{**valid, **fields})
 
@@ -137,7 +134,7 @@ def test_piece_fields_are_checked(fields):
 @pytest.mark.parametrize("label", SPOILERS)
 def test_piece_scaling_factors_are_checked(field, label):
     with pytest.raises(ValueError):
-        IntervalInterpolant(0, (0, 1), (0, 1), (0.0, 1.0), **{field: SPOILERS[label](0.5)})
+        IntervalInterpolant((0, 1), (0.0, 1.0), **{field: SPOILERS[label](0.5)})
 
 
 @pytest.mark.parametrize("denom", [None, *SPOILERS], ids=["default", *SPOILERS])

@@ -9,7 +9,7 @@ per-interval oracle in ``oracle.py``, and the readers of its record
 import hashlib
 import itertools
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -153,42 +153,53 @@ class TestBuildTable:
 
 
 class TestIntervalInterpolant:
-    def test_window_must_contain_interval(self):
-        with pytest.raises(ValueError, match="does not contain"):
-            IntervalInterpolant(3, (0, 2), (0, 1, 2), (1.0, 2.0, 3.0))
+    def test_order_gives_interval_window_and_degree(self):
+        piece = IntervalInterpolant((2, 3, 1, 4, 0), (1.0, 2.0, 3.0, 4.0, 5.0))
+        assert (piece.interval_index, piece.window, piece.degree) == (2, (0, 4), 4)
+        # the order is the one stored description of the stencil
+        assert [f.name for f in fields(IntervalInterpolant)] == [
+            "insertion_order", "coefficients", "normalization", "denom", "m_l", "m_r",
+        ]
 
-    def test_order_must_start_with_interval(self):
-        with pytest.raises(ValueError, match="start with"):
-            IntervalInterpolant(0, (0, 2), (0, 2, 1), (1.0, 2.0, 3.0))
+    START = r"^insertion order must start with two consecutive points \(i, i\+1\), got "
+    STEP = r"^insertion order must add one neighbouring point at a time, got "
 
-    def test_order_must_cover_window(self):
-        with pytest.raises(ValueError, match="permutation"):
-            IntervalInterpolant(1, (0, 2), (1, 2, 2), (1.0, 2.0, 3.0))
-
-    @pytest.mark.parametrize("order, coeffs", [((0, 1), (1.0, 2.0, 3.0)), ((0, 1, 2), (1.0, 2.0))])
-    def test_order_and_coefficients_sized_to_window(self, order, coeffs):
-        # a window of three points takes three nodes and three coefficients
-        with pytest.raises(ValueError, match="^insertion order / coefficients must cover the window$"):
-            IntervalInterpolant(0, (0, 2), order, coeffs)
+    @pytest.mark.parametrize("order, coeffs, message", [
+        ((0, 2, 1), (1.0, 2.0, 3.0), START + r"\(0, 2, 1\)$"),
+        ((1, 0, 2), (1.0, 2.0, 3.0), START + r"\(1, 0, 2\)$"),
+        ((0,), (1.0,), START + r"\(0,\)$"),
+        ((), (), START + r"\(\)$"),
+        ((1, 2, 4, 3), (1.0, 2.0, 3.0, 4.0), STEP + r"\(1, 2, 4, 3\)$"),
+        ((1, 2, 4), (1.0, 2.0, 3.0), STEP + r"\(1, 2, 4\)$"),
+        ((1, 2, 1), (1.0, 2.0, 3.0), STEP + r"\(1, 2, 1\)$"),
+        ((1, 2, 0, 2), (1.0, 2.0, 3.0, 4.0), STEP + r"\(1, 2, 0, 2\)$"),
+        ((0, 1.0, 2), (1.0, 2.0, 3.0), r"^insertion order must hold integers, got \(0, 1.0, 2\)$"),
+        ((0, 1), (1.0, 2.0, 3.0), "^3 coefficients given for 2 points$"),
+        ((0, 1, 2), (1.0, 2.0), "^2 coefficients given for 3 points$"),
+    ], ids=["skips-a-point", "starts-falling", "one-point", "empty", "gap-closed-later", "gap",
+            "repeat", "repeat-later", "float-entry", "coefficient-more", "coefficient-fewer"])
+    def test_order_is_checked(self, order, coeffs, message):
+        with pytest.raises(ValueError, match=message):
+            IntervalInterpolant(order, coeffs)
 
 
 class TestNewtonEval:
     def test_linear_piece_at_left_node(self):
         x = np.array([0.0, 2.0])
         u = np.array([3.0, 7.0])
-        piece = make_piece(x, u, 0, [0, 1])
+        piece = make_piece(x, u, [0, 1])
         assert newton_eval(piece, x, 0.0) == 3.0
 
     def test_quadratic_reproduction(self):
         x = np.array([0.0, 1.0, 2.0])
-        piece = make_piece(x, x**2, 0, [0, 1, 2])
+        piece = make_piece(x, x**2, [0, 1, 2])
         assert newton_eval(piece, x, 0.5) == pytest.approx(0.25, rel=1e-14)
 
     def test_matches_monomial_expansion(self):
         rng = np.random.default_rng(3)
         x = random_mesh(rng, 8)
         u = rng.uniform(-3, 3, 8)
-        piece = make_piece(x, u, 3, [3, 4, 2, 5, 1, 6])  # degree 5 window
+        piece = make_piece(x, u, [3, 4, 2, 5, 1, 6])  # degree 5 window
         coeffs = monomial_coefficients(x, piece)
         pts = rng.uniform(x[3], x[4], 100)
         got = newton_eval(piece, x, pts)
@@ -199,8 +210,8 @@ class TestNewtonEval:
         rng = np.random.default_rng(5)
         x = random_mesh(rng, 6)
         u = rng.uniform(-1, 1, 6)
-        a = make_piece(x, u, 2, [2, 3, 1, 4, 0, 5])
-        b = make_piece(x, u, 2, [2, 3, 4, 5, 1, 0])
+        a = make_piece(x, u, [2, 3, 1, 4, 0, 5])
+        b = make_piece(x, u, [2, 3, 4, 5, 1, 0])
         pts = np.linspace(x[2], x[3], 37)
         assert np.allclose(newton_eval(a, x, pts), newton_eval(b, x, pts), rtol=1e-12, atol=1e-13)
 
@@ -208,8 +219,8 @@ class TestNewtonEval:
         rng = np.random.default_rng(9)
         x = random_mesh(rng, 7)
         u = rng.uniform(-2, 2, 7)
-        a = make_piece(x, u, 2, [2, 3, 1, 4, 5, 0, 6])
-        b = make_piece(x, u, 2, [2, 3, 4, 1, 0, 5, 6])
+        a = make_piece(x, u, [2, 3, 1, 4, 5, 0, 6])
+        b = make_piece(x, u, [2, 3, 4, 1, 0, 5, 6])
         lead = leading_dd_lagrange(x, u, 0, 6)
         assert a.coefficients[-1] == pytest.approx(lead, rel=1e-12)
         assert b.coefficients[-1] == pytest.approx(lead, rel=1e-12)
@@ -236,7 +247,7 @@ class TestNewtonEval:
                 elif r < 8:
                     r += 1
                     order.append(r)
-            piece = make_piece(x, u, i, order)
+            piece = make_piece(x, u, order)
             s = np.concatenate([np.linspace(x[i], x[i + 1], 5), rng.uniform(x[0], x[-1], 3)])
             coeffs.append(np.pad(piece.coefficients, (0, top + 1 - len(order))))
             nodes.append(x[np.pad(order, (0, top + 1 - len(order)), constant_values=i)])
@@ -288,7 +299,7 @@ class TestNewtonEval:
     @pytest.mark.parametrize("mesh, points, message", BAD_INPUTS)
     def test_rejects_what_the_entry_points_reject(self, mesh, points, message):
         x = np.array([0.0, 1.0, 2.0])
-        piece = make_piece(x, x**2, 0, [0, 1, 2])
+        piece = make_piece(x, x**2, [0, 1, 2])
         with pytest.raises(ValueError, match=message):
             newton_eval(piece, x if mesh is None else mesh, points)
 
@@ -298,7 +309,7 @@ class TestNewtonEval:
     ])
     def test_replay_chain_rejects_the_same_meshes(self, mesh, message):
         x = np.array([0.0, 1.0, 2.0])
-        piece = make_piece(x, x**2, 0, [0, 1, 2])
+        piece = make_piece(x, x**2, [0, 1, 2])
         with pytest.raises(ValueError, match=message):
             replay_chain(piece, build_table(x, x**2, 2), mesh)
 
@@ -309,7 +320,7 @@ class TestNewtonEval:
     def degree_six():
         x = np.linspace(0.0, 1.0, 9)
         u = np.abs(np.sin(7.0 * x))
-        return x, u, make_piece(x, u, 0, range(7))
+        return x, u, make_piece(x, u, range(7))
 
     def test_window_past_the_mesh(self):
         x, u, piece = self.degree_six()
@@ -321,7 +332,7 @@ class TestNewtonEval:
 
     def test_window_before_the_mesh(self):
         x = np.array([0.0, 1.0, 2.0])
-        piece = IntervalInterpolant(-1, (-1, 0), (-1, 0), (1.0, 1.0))
+        piece = IntervalInterpolant((-1, 0), (1.0, 1.0))
         message = r"^piece window \(-1, 0\) does not fit a mesh of 3 points$"
         with pytest.raises(ValueError, match=message):
             newton_eval(piece, x, 0.5)
@@ -342,7 +353,7 @@ class TestNewtonEval:
         # the entry points' range rule and wording: no extrapolation, and
         # an outside point is named in the caller's order
         x = np.linspace(0.0, 1.0, 5)
-        piece = make_piece(x, np.abs(np.sin(7.0 * x)), 1, [1, 2, 0, 3, 4])
+        piece = make_piece(x, np.abs(np.sin(7.0 * x)), [1, 2, 0, 3, 4])
         above = np.nextafter(1.0, 2.0)
         for points, bad in ((5.0, 5.0), ([0.5, -0.25, 2.0], -0.25), ([1.0, above], above)):
             message = rf"^output point {re.escape(str(bad))} outside the mesh range \[0.0, 1.0\]$"
@@ -355,7 +366,7 @@ class TestNewtonEval:
         rng = np.random.default_rng(13)
         x = random_mesh(rng, 7)
         u = rng.uniform(1, 5, 7)
-        piece = make_piece(x, u, 3, [3, 4, 2, 5, 1])
+        piece = make_piece(x, u, [3, 4, 2, 5, 1])
         for k in piece.insertion_order:
             assert newton_eval(piece, x, x[k]) == pytest.approx(u[k], rel=1e-12)
 
@@ -365,35 +376,6 @@ class TestNewtonEval:
 
 
 class TestClassifyInterval:
-    def test_opposite_outer_falling_entry(self):
-        assert classify_interval(-2.0, 1.0, 3.0) is ExtremumClass.LOCAL_MAX
-
-    def test_opposite_outer_rising_entry(self):
-        assert classify_interval(2.0, -1.0, -3.0) is ExtremumClass.LOCAL_MIN
-
-    def test_monotone_data(self):
-        assert classify_interval(1.0, 1.0, 1.0) is ExtremumClass.NONE
-
-    def test_ambiguous(self):
-        assert classify_interval(1.0, -1.0, 2.0) is ExtremumClass.AMBIGUOUS
-
-    def test_zero_outer_product_not_extremal(self):
-        # zero slopes count as "same sign" for the outer product
-        assert classify_interval(0.0, 1.0, -1.0) is ExtremumClass.NONE
-        assert classify_interval(-1.0, 1.0, 0.0) is ExtremumClass.AMBIGUOUS
-
-    def test_scale_invariance(self):
-        # scales reach 1e+-300, where products of two slopes would underflow
-        # to zero or overflow to infinity
-        rng = np.random.default_rng(21)
-        sigs = rng.uniform(-1, 1, (200, 3))
-        scales = 10.0 ** rng.uniform(-300, 300, 200)
-        for sig, scale in zip(sigs, scales):
-            assert classify_interval(*sig) is classify_interval(*(sig * scale))
-        base = classify_interval(*sigs.T)
-        assert np.array_equal(classify_interval(*(sigs * scales[:, None]).T), base)
-
-
     # Each sign of a slope, at the magnitudes where a product of two slopes
     # underflows to zero or overflows to infinity, and zero of either sign.
     VALUES_OF_SIGN = {-1: (-1e300, -1.0, -1e-300), 0: (-0.0, 0.0), 1: (1e-300, 1.0, 1e300)}
@@ -415,7 +397,8 @@ class TestClassifyInterval:
                 sigmas.append(sig)
         assert len(set(signs)) == 27
         expected = [self.rule(*triple) for triple in signs]
-        assert [classify_interval(*sig) for sig in sigmas] == expected  # scalar form
+        scalar = [classify_interval(*sig) for sig in sigmas]
+        assert scalar == expected and {type(c) for c in scalar} == {ExtremumClass}  # scalar form
         got = classify_interval(*np.array(sigmas).T)  # array form
         assert got.dtype.kind == "i"
         assert got.tolist() == [int(c) for c in expected]
@@ -583,17 +566,6 @@ class TestArrayPathMatchesScalar:
     SLOPES = (-1.5, -1e-200, -0.0, 0.0, 1e-200, 2.0)
     VALUES = (-2.5, -0.0, 0.0, 1e-300, 0.75, 3.0)
     EPS = ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.01, 1.0))
-
-    def test_classify_interval(self):
-        sig = np.array(list(itertools.product(self.SLOPES, repeat=3))).T
-        cls = classify_interval(*sig)
-        assert cls.dtype.kind == "i"
-        for k, s in enumerate(sig.T.tolist()):
-            scalar = classify_interval(*s)
-            assert type(scalar) is ExtremumClass
-            assert scalar is ExtremumClass(int(cls[k]))
-        # every class is reached
-        assert set(cls.tolist()) == {int(c) for c in ExtremumClass}
 
     def pairs(self):
         grid = itertools.product(self.VALUES, self.VALUES, ExtremumClass)
@@ -769,10 +741,7 @@ class TestGeometryFactors:
     @staticmethod
     def check(x, order, d, t):
         table = build_table(x, np.sin(x), x.size - 1)
-        piece = IntervalInterpolant(
-            interval_index=order[0], window=(min(order), max(order)), insertion_order=order,
-            coefficients=(0.0,) * len(order), denom=1.0, m_l=-0.5, m_r=1.5,
-        )
+        piece = IntervalInterpolant(order, (0.0,) * len(order), denom=1.0, m_l=-0.5, m_r=1.5)
         (_, lam, bm, bp), (_, _, *bounds) = replay_chain(piece, table, x)
         assert tuple(bounds) == step_bounds((bm, bp), lam, d, t, -0.5, 1.5)
 
@@ -967,18 +936,25 @@ class TestBuildStencil:
         assert np.array_equal(block[:, 3], block[:, 1])
 
     def test_window_invariants(self):
+        # a piece's interval, window and degree, read from its insertion
+        # order, are those of the engine's record: its first node's index,
+        # the least and greatest index of its nodes, and its degree
         rng = np.random.default_rng(3)
         for _ in range(50):
             n = int(rng.integers(4, 12))
             x = random_mesh(rng, n)
             u = rng.uniform(-2, 4, n)
             d = int(rng.integers(1, 9))
-            for piece in interval_interpolants(x, u, InterpConfig(d=d, im=PPI)):
+            cfg = InterpConfig(d=d, im=PPI)
+            st = grow_stencils(x, u[:, None], np.arange(n - 1), cfg)
+            for k, piece in enumerate(interval_interpolants(x, u, cfg)):
                 l, r = piece.window
                 i = piece.interval_index
                 assert l <= i < i + 1 <= r
                 assert r - l <= d
                 assert sorted(piece.insertion_order) == list(range(l, r + 1))
+                order = x.searchsorted(st.nodes[k, : st.degree[k] + 1])
+                assert (i, (l, r), piece.degree) == (order[0], (order.min(), order.max()), st.degree[k])
 
     def test_boundary_growth_goes_interior(self):
         x = np.linspace(0, 1, 6)
@@ -1034,6 +1010,12 @@ class TestBuildStencil:
         ):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 interval_interpolants(x, u, InterpConfig(d=1, im=PPI))
+
+    @pytest.mark.parametrize("config", [None, {"d": 3, "im": PPI}, 3], ids=["none", "dict", "int"])
+    def test_config_must_be_an_interp_config(self, config):
+        got = type(config).__name__
+        with pytest.raises(TypeError, match=f"^config must be an InterpConfig, got {got}$"):
+            interval_interpolants([0.0, 1.0, 2.0], [1.0, 2.0, 4.0], config)
 
 
 def record(piece):
