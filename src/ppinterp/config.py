@@ -79,10 +79,12 @@ _FLOAT = np.dtype(float)
 
 def _as_float(data, what: str) -> np.ndarray:
     """``data`` as a float64 array, which passes with one dtype test.
-    Complex data raise: converting them would keep only the real part."""
+    Only bool, integer and float data are converted; any other dtype raises,
+    since converting it would keep only a complex number's real part, read a
+    date as a day count or parse text as a number."""
     a = np.asarray(data)
     if a.dtype is not _FLOAT:
-        if a.dtype.kind == "c":
+        if a.dtype.kind not in "biuf":
             raise ValueError(f"{what} must be real, got dtype {a.dtype}")
         a = a.astype(float)
     return a

@@ -79,7 +79,8 @@ def locate(mesh: np.ndarray, points):
 def tensor_sweep(meshes, v, outs, sweep) -> np.ndarray:
     """Map grid values ``v`` on the tensor product of ``meshes`` onto the
     tensor product of the output points ``outs``, one axis at a time, axis 0
-    first.
+    first.  ``outs`` holds one axis of points per mesh; any other count
+    raises ``ValueError``.
 
     Every mesh, the values and every output axis are validated before any
     sweep runs, and each output axis is located once, by ``locate``.  If
@@ -118,6 +119,8 @@ def tensor_sweep(meshes, v, outs, sweep) -> np.ndarray:
     the data.  ``tests/test_interpnd.py::TestTensorProductGuarantees``
     checks all four on seeded 2D/3D families.
     """
+    if len(outs) != len(meshes):
+        raise ValueError(f"{len(outs)} output axes given for {len(meshes)} meshes")
     ms = [as_mesh1d(m) for m in meshes]
     q = as_values(v, tuple([m.size for m in ms]))  # a list builds faster than a generator
     located = [locate(m, o) for m, o in zip(ms, outs)]

@@ -3,6 +3,8 @@ functions, the error norms and mesh refinement, the experiment
 specification, the approximation and round-trip studies, the table sweeps,
 the CSV and the CLI."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -83,10 +85,6 @@ class TestContinuumNorm:
         a, b = np.cos(x), np.sin(x)
         assert l2_error_continuum(a, b, x) == l2_error_continuum(b, a, x)
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="match"):
-            l2_error_continuum([1, 2], [1, 2, 3], [0, 1, 2])
-
     def test_2d_constant_difference(self):
         x = np.linspace(0, 1, 40)
         y = np.linspace(0, 2, 30)
@@ -94,10 +92,6 @@ class TestContinuumNorm:
         b = np.full((40, 30), 1.5)
         # integral of 1.5^2 over a 1x2 box, square root
         assert l2_error_continuum(a, b, x, y) == pytest.approx(1.5 * np.sqrt(2.0), rel=1e-12)
-
-    def test_2d_shape_mismatch(self):
-        with pytest.raises(ValueError, match="match"):
-            l2_error_continuum(np.zeros((3, 3)), np.zeros((3, 3)), [0, 1, 2], [0, 1])
 
 
 class TestGridNorm:
@@ -114,14 +108,11 @@ class TestGridNorm:
         perm = rng.permutation(30)
         assert l2_error_grid(a, b) == pytest.approx(l2_error_grid(a[perm], b[perm]), rel=1e-15)
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            l2_error_grid([1.0], [1.0, 2.0])
-
 
 class TestNormInputs:
     """The norms take their arrays through the core's validators, so a
-    complex, NaN or infinite value raises instead of giving a number."""
+    complex, NaN or infinite value, or arrays whose shapes differ, raise
+    instead of giving a number."""
 
     BAD = [
         (np.array([1.0 + 5j, 2.0, 3.0]), "^values must be real, got dtype complex128$"),
@@ -142,6 +133,17 @@ class TestNormInputs:
             with pytest.raises(ValueError, match=message):
                 l2_error_continuum(a, b, [0.0, 1.0, 2.0])
 
+    @pytest.mark.parametrize("norm, args, message", [
+        (l2_error_grid, ([1.0], [1.0, 2.0]), "length mismatch: (1,) vs (2,)"),
+        (l2_error_continuum, ([1, 2], [1, 2, 3], [0, 1, 2]),
+         "values shape (2,) does not match mesh shape (3,)"),
+        (l2_error_continuum, (np.zeros((3, 3)), np.zeros((3, 3)), [0, 1, 2], [0, 1]),
+         "values shape (3, 3) does not match mesh shape (3, 2)"),
+    ], ids=["grid", "continuum", "continuum-2d"])
+    def test_shapes_must_match(self, norm, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            norm(*args)
+
     def test_grid_norm_rejects_empty_grids(self):
         # the mean of no values would be NaN
         for empty in ([], np.empty((0, 3))):
@@ -155,21 +157,12 @@ class TestNormInputs:
 
 
 class TestRefineMesh:
-    def test_counts_k1(self):
-        assert refine_mesh(np.linspace(0, 1, 64), 1).size == 127
-
-    def test_counts_k3(self):
-        assert refine_mesh(np.linspace(0, 1, 64), 3).size == 253
-
-    def test_identity_k0(self):
-        x = np.array([0.0, 0.4, 1.0])
-        assert np.array_equal(refine_mesh(x, 0), x)
-
     def test_preserves_original_points_exactly(self):
         rng = np.random.default_rng(3)
         x = np.sort(rng.uniform(-3, 3, 20))
-        for k in (1, 2, 3):
+        for k in (0, 1, 2, 3):
             fine = refine_mesh(x, k)
+            assert fine.size == x.size + k * (x.size - 1)
             assert np.array_equal(fine[:: k + 1], x)
             assert np.all(np.diff(fine) > 0)
 
@@ -250,10 +243,6 @@ class TestExperimentSpec:
 
 
 class TestApproximation:
-    def test_pchip_smoke(self):
-        err = approximation_error(ExperimentSpec("f1", 17, "pchip", 3))
-        assert 0 < err < 1
-
     def test_f5_full_resolution_as_published(self):
         # the steep-front 2D case at the finest tabulated resolution
         err = approximation_error(ExperimentSpec("f5", 257, "ppi", 8))
@@ -273,11 +262,6 @@ class TestRoundtrip:
         assert ma[0] == mr[0] and ma[-1] == mr[-1]
         assert mr.size == ma.size + 1
         assert np.allclose(mr[1:-1], 0.5 * (ma[:-1] + ma[1:]))
-
-    def test_refine_changes_n(self):
-        spec = ExperimentSpec("f1", 64, "ppi", 3, kind="roundtrip", refine=3)
-        ma, _ = roundtrip_meshes(spec)
-        assert ma.size == 253
 
     def test_identity_mesh_roundtrip_is_exact(self):
         x = np.linspace(-1, 1, 33)
@@ -392,11 +376,6 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and str(target) in captured.err
         assert not target.parent.exists()
-
-    def test_error_exit_code(self, capsys):
-        argv = ["approx", "--fn", "f1", "--n", "1", "--method", "ppi", "--degree", "3"]
-        assert main(argv) == 1
-        assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "bad", [["--degree", "0"], ["--eps0", "-1"], ["--st", "4"]], ids=["degree", "eps0", "st"]

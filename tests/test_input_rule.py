@@ -1,13 +1,13 @@
 """One input rule for every exported name: each callable in
-``ppinterp.__all__`` rejects NaN, +-inf, complex and out-of-range arguments
-with a ``ValueError``.
+``ppinterp.__all__`` rejects NaN, +-inf, complex, text and out-of-range
+arguments with a ``ValueError``.
 
 ``VALID`` holds one accepted call of every exported callable.  Every
 numeric argument of it (a scalar, or one entry of an array) is spoiled in
-turn with NaN, +inf, -inf and a complex value (``SPOILERS``), and
-``OUT_OF_RANGE`` adds the calls whose arguments are real and finite but
-outside their range.  ``classify_interval`` takes any real, finite slopes,
-so it has no out-of-range row."""
+turn with NaN, +inf, -inf, a complex value and the number as text
+(``SPOILERS``), and ``OUT_OF_RANGE`` adds the calls whose arguments are
+real and finite but outside their range.  ``classify_interval`` takes any
+real, finite slopes, so it has no out-of-range row."""
 
 import numpy as np
 import pytest
@@ -64,9 +64,10 @@ OUT_OF_RANGE = {
 }
 
 
-# Each spoiler maps an accepted number to a bad one of the same place.
+# Each spoiler maps an accepted number to a bad one of the same place;
+# text that reads as the number is not a number either.
 SPOILERS = {"nan": lambda v: np.nan, "+inf": lambda v: np.inf, "-inf": lambda v: -np.inf,
-            "complex": lambda v: v + 1j}
+            "complex": lambda v: v + 1j, "text": str}
 
 
 def spoiled(value, spoil):

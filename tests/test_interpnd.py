@@ -1,8 +1,9 @@
 """Tests of ``ppinterp.interpnd``, the tensor-product drivers: the 1D entry
-point (the parameter rules, exactness at the nodes, the order of the output
-points, DBI/PPI guarantees), then the 2D and 3D sweeps, their bookkeeping,
-memory and guarantees, then what every entry point shares: the validators'
-messages and the one validation per call.
+point (exactness at the nodes, the order of the output points, DBI/PPI
+guarantees), then the 2D and 3D sweeps, their bookkeeping, memory and
+guarantees, then what every entry point shares: the validators' messages
+and the one validation per call.  The parameter rule, ``InterpConfig``, is
+tested in ``test_config.py``.
 
 Each behaviour is tested once, where it is checked most strongly: the
 messages for bad input, exactly, on every axis of every entry point in
@@ -68,52 +69,6 @@ def _dense_points(x, per_interval=40):
     cell = np.repeat(np.arange(x.size - 1), per_interval)
     return np.minimum(s, x[-1]), cell
 
-
-class TestValidation:
-    @pytest.mark.parametrize("im", [3, True, 2.0], ids=["out-of-range", "bool", "float"])
-    def test_bad_method(self, im):
-        with pytest.raises(ValueError, match="im must be"):
-            adaptive_interpolation_1d([0, 1], [1, 2], [0.5], 1, im)
-
-    @pytest.mark.parametrize("st", [4, True, 3.0], ids=["out-of-range", "bool", "float"])
-    def test_bad_st(self, st):
-        with pytest.raises(ValueError, match="st must be"):
-            adaptive_interpolation_1d([0, 1], [1, 2], [0.5], 1, DBI, st=st)
-
-    def test_numpy_integer_method_and_st(self):
-        cfg = InterpConfig(d=np.int64(3), im=np.int32(PPI), st=np.int8(1))
-        assert (cfg.im, cfg.st) == (PPI, 1)
-
-    def test_negative_eps(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            adaptive_interpolation_1d([0, 1], [1, 2], [0.5], 1, DBI, eps0=-0.1)
-
-    @pytest.mark.parametrize("eps", [np.nan, np.inf])
-    def test_non_finite_eps(self, eps):
-        with pytest.raises(ValueError, match="finite"):
-            adaptive_interpolation_1d([0, 1], [1, 2], [0.5], 1, PPI, eps0=eps)
-        with pytest.raises(ValueError, match="finite"):
-            adaptive_interpolation_1d([0, 1], [1, 2], [0.5], 1, PPI, eps1=eps)
-
-    @pytest.mark.parametrize("eps", [True, "0.1", None], ids=["bool", "str", "none"])
-    def test_non_real_eps(self, eps):
-        for field in ("eps0", "eps1"):
-            with pytest.raises(ValueError, match="real numbers"):
-                adaptive_interpolation_1d([0, 1], [1, 2], [0.5], 1, PPI, **{field: eps})
-
-    @pytest.mark.parametrize("d", [8.0, True], ids=["float", "bool"])
-    def test_non_integer_degree(self, d):
-        for n in (5, 33):
-            x = np.linspace(0, 1, n)
-            with pytest.raises(ValueError, match="integer"):
-                adaptive_interpolation_1d(x, x**2, [0.5], d, PPI)
-
-    def test_numpy_integer_degree(self):
-        x = np.linspace(0, 1, 33)
-        u = np.cos(3 * x)
-        xout = np.linspace(0, 1, 50)
-        got = adaptive_interpolation_1d(x, u, xout, np.int64(8), PPI)
-        assert np.array_equal(got, adaptive_interpolation_1d(x, u, xout, 8, PPI))
 
 class TestExactness:
     def test_affine_reproduction(self):
@@ -431,6 +386,14 @@ class TestSweepContract:
         with pytest.raises(ValueError, match="^output point 2.0 outside"):
             interpnd.tensor_sweep((x, x, x), v, ([], x, [2.0]), sweep)
 
+    def test_one_output_axis_per_mesh(self):
+        # a missing axis would leave its mesh unmapped, an extra one would
+        # be checked and ignored
+        x, y = np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 4)
+        for outs in ((), (x,), (x, y, [0.5])):
+            with pytest.raises(ValueError, match=f"^{len(outs)} output axes given for 2 meshes$"):
+                interpnd.tensor_sweep((x, y), np.ones((3, 4)), outs, _pchip)
+
 
 class TestChunkMemory:
     """The chunks cap the memory of a sweep's work arrays: beyond the output,
@@ -668,9 +631,6 @@ MESH_FINITE = "mesh coordinates must be finite"
 MESH_INCREASING = "mesh coordinates must be strictly increasing"
 VALUES_FINITE = "values must be finite"
 POINTS_FINITE = "output points must be finite"
-MESH_REAL = "mesh coordinates must be real, got dtype complex128"
-VALUES_REAL = "values must be real, got dtype complex128"
-POINTS_REAL = "output points must be real, got dtype complex128"
 NAN, INF = np.nan, np.inf
 
 
@@ -692,11 +652,12 @@ class TestValidatorMessages:
         v = np.linspace(1.0, 2.0, 4 ** axes).reshape((4,) * axes)
         points = [np.array([2.5, 0.0, 1.5])] * axes
         call_entry(name, grid, v, points)  # the valid call goes through
+        # each bad input reaches the entry point as given, lists as lists
         v = v if values is None else values
         for k, mesh in (meshes or {}).items():
-            grid[k] = np.array(mesh)
+            grid[k] = mesh
         for k, pts in (outs or {}).items():
-            points[k] = np.array(pts)
+            points[k] = pts
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call_entry(name, grid, v, points)
 
@@ -718,6 +679,7 @@ class TestValidatorMessages:
         ([0.0], "mesh needs at least 2 points, got 1"),
         # an integer mesh is read as floats, and its range printed so
         ([1, 2, 3, 4], "output point 0.0 outside the mesh range [1.0, 4.0]"),
+        ([[0.0, 1.0, 2.0, 3.0]], "mesh must be one-dimensional, got shape (1, 4)"),
     ])
     def test_mesh(self, name, mesh, message):
         for axis in range(ENTRY_POINTS[name][0]):
@@ -763,18 +725,24 @@ class TestValidatorMessages:
             self.expect(name, message, outs={axis: pts})
 
     @pytest.mark.parametrize("name", ENTRY_POINTS)
-    def test_complex(self, name):
-        # complex input is refused, not cut to its real part, even when the
-        # imaginary part is zero; a Python complex in a list of points too
+    @pytest.mark.parametrize("bad", [
+        [0.0, 1.0, 2.0, 3.0 + 0j],
+        np.arange(4).astype("datetime64[D]"),
+        ["0", "1", "2", "3"],
+        np.array([0.0, 1.0, 2.0, {}], dtype=object),
+    ], ids=["complex", "datetime64", "text", "object"])
+    def test_not_numbers(self, name, bad):
+        # input that does not hold numbers is refused, not converted: a
+        # complex number is not cut to its real part (even with a zero
+        # imaginary part), a date is not read as a day count, text is not
+        # parsed, and an object is not asked for a float
         axes = ENTRY_POINTS[name][0]
+        dtype = np.asarray(bad).dtype
         for axis in range(axes):
-            self.expect(name, MESH_REAL, meshes={axis: [0.0, 1.0, 2.0, 3.0 + 0j]})
-            self.expect(name, POINTS_REAL, outs={axis: np.array([0.5, 1.5]) + 1j})
-            points = [[2.5, 0.0]] * axes
-            points[axis] = [2.5, 1.5 + 0j]
-            with pytest.raises(ValueError, match=f"^{re.escape(POINTS_REAL)}$"):
-                call_entry(name, [np.array([0.0, 1.0, 2.0, 3.0])] * axes, np.ones((4,) * axes), points)
-        self.expect(name, VALUES_REAL, values=np.ones((4,) * axes) + 1j)
+            self.expect(name, f"mesh coordinates must be real, got dtype {dtype}", meshes={axis: bad})
+            self.expect(name, f"output points must be real, got dtype {dtype}", outs={axis: bad})
+        self.expect(name, f"values must be real, got dtype {dtype}",
+                    values=np.broadcast_to(np.asarray(bad), (4,) * axes))
 
     @pytest.mark.parametrize("name", ["adaptive_2d", "adaptive_3d", "pchip_2d"])
     def test_first_fault_in_check_order(self, name):
