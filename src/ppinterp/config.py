@@ -81,8 +81,12 @@ def _as_float(data, what: str) -> np.ndarray:
     """``data`` as a float64 array, which passes with one dtype test.
     Only bool, integer and float data are converted; any other dtype raises,
     since converting it would keep only a complex number's real part, read a
-    date as a day count or parse text as a number."""
-    a = np.asarray(data)
+    date as a day count or parse text as a number.  A ragged sequence is
+    no array of numbers either, and raises with the same naming."""
+    try:
+        a = np.asarray(data)
+    except ValueError:  # numpy's message names neither the input nor the rule
+        raise ValueError(f"{what} must be a regular array of numbers, got a ragged sequence") from None
     if a.dtype is not _FLOAT:
         if a.dtype.kind not in "biuf":
             raise ValueError(f"{what} must be real, got dtype {a.dtype}")

@@ -37,7 +37,7 @@ record."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -47,7 +47,6 @@ from .config import DBI, InterpConfig, _as_float, _check_eps, _check_range, _fin
 __all__ = [
     "DividedDifferenceTable",
     "build_table",
-    "divided_differences",
     "next_order",
     "IntervalInterpolant",
     "horner",
@@ -75,8 +74,6 @@ class DividedDifferenceTable:
     ``entries[i, j]`` holds the order-j divided difference of the values over
     mesh points i..i+j.  Entries with i + j >= n do not exist and are stored
     as NaN, so a read past either mesh end gives NaN, never a number.
-    ``entries`` is the transpose of the column-major array
-    ``divided_differences`` builds.
     """
 
     entries: np.ndarray
@@ -84,34 +81,17 @@ class DividedDifferenceTable:
 
 def build_table(mesh, values, max_degree: int) -> DividedDifferenceTable:
     """Build all divided differences of order 0..min(max_degree, n-1) of one
-    line of values, one value per mesh point."""
+    line of values, one value per mesh point: column j of the entries is
+    order j, built from column j-1 by ``next_order``."""
     x = as_mesh1d(mesh)
     u = as_values(values, x.shape)
     if not _is_integer(max_degree) or max_degree < 1:
         raise ValueError(f"max_degree must be an integer >= 1, got {max_degree!r}")
-    return DividedDifferenceTable(entries=divided_differences(x, u, max_degree).T)
-
-
-def divided_differences(x: np.ndarray, u: np.ndarray, max_degree: int) -> np.ndarray:
-    """``build_table``'s entries without its checks, for inputs already
-    validated: ``x`` by ``as_mesh1d``, ``u`` by ``as_values`` and
-    ``max_degree`` >= 1.  ``u`` may also be an ``(n, lines)`` block, one line
-    per column; every line shares the recursion.
-
-    The table is column-major: ``t[j, i]`` (``t[j, i, line]`` for a block)
-    is the order-j divided difference over mesh points i..i+j, for j up to
-    ``top`` = min(max_degree, n-1), so each order is one contiguous slab of
-    shape ``u.shape``, built from the one below by ``next_order``.  Entries
-    with i + j >= n are NaN.
-    """
-    n = x.size
-    top = min(max_degree, n - 1)
-    t = np.full((top + 1,) + u.shape, np.nan)
-    t[0] = u
-    xb = x.reshape((n,) + (1,) * (u.ndim - 1))  # broadcasts against the lines
-    for j in range(1, top + 1):
-        next_order(t[j - 1], xb[j:] - xb[: n - j], t[j])
-    return t
+    t = np.full((x.size, min(max_degree, x.size - 1) + 1), np.nan)
+    t[:, 0] = u
+    for j in range(1, t.shape[1]):
+        next_order(t[:, j - 1], x[j:] - x[:-j], t[:, j])
+    return DividedDifferenceTable(entries=t)
 
 
 def next_order(prev: np.ndarray, span: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -148,18 +128,18 @@ class IntervalInterpolant:
     ``window`` (its smallest and largest index) and ``degree`` are read
     from it.
 
-    ``normalization`` / ``denom`` / ``m_l`` / ``m_r`` record how the stencil
-    growth was normalized and bounded, so an accepted stencil can be replayed
-    and re-checked after the fact; ``normalization`` is "standard" or
-    "degenerate", and nothing else.  The coefficients, ``m_l`` and ``m_r``
-    must be real and finite; ``denom`` may be left NaN for a piece that is
-    only evaluated, and ``replay_chain`` checks it.
+    ``m_l`` and ``m_r`` are the scaling factors growth bounded the stencil
+    with, so an accepted stencil can be replayed and re-checked after the
+    fact.  The normalization it was grown under is read from the
+    coefficients: "degenerate" (equal endpoint values, normalized by w) where
+    the stencil grew past degree 1 on a zero slope ``coefficients[1]``,
+    "standard" (the slope) elsewhere.  w needs the mesh, so ``replay_chain``
+    reads it from the piece's one-lane record.  The coefficients, ``m_l``
+    and ``m_r`` must be real and finite.
     """
 
     insertion_order: tuple[int, ...]
     coefficients: tuple[float, ...]
-    normalization: str = "standard"  # "standard" (slope) or "degenerate" (w)
-    denom: float = field(default=np.nan)
     m_l: float = 0.0
     m_r: float = 1.0
 
@@ -175,10 +155,12 @@ class IntervalInterpolant:
     def degree(self) -> int:
         return len(self.insertion_order) - 1
 
+    @property
+    def normalization(self) -> str:
+        return "degenerate" if self.degree >= 2 and self.coefficients[1] == 0.0 else "standard"
+
     def __post_init__(self):
         order = self.insertion_order
-        if self.normalization not in ("standard", "degenerate"):
-            raise ValueError(f"normalization must be 'standard' or 'degenerate', got {self.normalization!r}")
         if not all(map(_is_integer, order)):
             raise ValueError(f"insertion order must hold integers, got {order!r}")
         if len(order) < 2 or order[1] != order[0] + 1:
@@ -224,16 +206,13 @@ def horner(coeffs, nodes, runs, points):
     return p
 
 
-def _piece_record(piece: IntervalInterpolant, x: np.ndarray) -> Stencils:
-    """``piece`` as a one-lane ``Stencils`` record on the validated mesh
-    ``x``, its nodes the mesh values at its insertion order; a window that
-    reaches past either end of the mesh raises."""
+def _piece_nodes(piece: IntervalInterpolant, x: np.ndarray) -> np.ndarray:
+    """The values of the validated mesh ``x`` at ``piece``'s insertion
+    order; a window that reaches past either end of the mesh raises."""
     l, r = piece.window
     if l < 0 or r >= x.size:
         raise ValueError(f"piece window {(l, r)} does not fit a mesh of {x.size} points")
-    fields = (x.take(piece.insertion_order), np.array(piece.coefficients, dtype=float), piece.degree,
-              piece.normalization == "degenerate", piece.denom, piece.m_l, piece.m_r)
-    return Stencils(*(np.array([f]) for f in fields))
+    return x.take(piece.insertion_order)
 
 
 def newton_eval(piece: IntervalInterpolant, mesh, x):
@@ -241,17 +220,18 @@ def newton_eval(piece: IntervalInterpolant, mesh, x):
 
     Nested multiplication over the insertion order: the result is
     c_0 + (x - x_e0)(c_1 + (x - x_e1)(c_2 + ...)), computed by ``horner``
-    on the piece's one-lane record with every point in one run.  The mesh
-    is checked as ``as_mesh1d`` checks it, and the points must be real,
-    finite and in [mesh[0], mesh[-1]], as the entry points take them, so no
-    input is cut to its real part, gives a silent NaN or is extrapolated.
+    on the piece's coefficients and the mesh values at its insertion order,
+    with every point in one run.  The mesh is checked as ``as_mesh1d``
+    checks it, and the points must be real, finite and in [mesh[0],
+    mesh[-1]], as the entry points take them, so no input is cut to its real
+    part, gives a silent NaN or is extrapolated.
     A piece whose window does not fit the mesh raises.
     """
     xs = as_mesh1d(mesh)
     xv = _finite(x, "output points")
     _check_range(xv, xs)
-    one = _piece_record(piece, xs)
-    p = horner(one.coeffs, one.nodes, np.array([xv.size]), xv.reshape(-1))
+    nodes = _piece_nodes(piece, xs)
+    p = horner(np.array([piece.coefficients], dtype=float), nodes[None], np.array([xv.size]), xv.reshape(-1))
     return float(p[0, 0]) if xv.ndim == 0 else p.reshape(xv.shape)
 
 
@@ -468,18 +448,38 @@ class Stencils(NamedTuple):
     all-zero coefficients; the engine makes those at degree 1 alone, where
     it does not.)  Every entry of ``nodes`` is a mesh value, so
     ``x.searchsorted(nodes)`` gives the insertion indices exactly (the mesh
-    increases strictly, and a -0.0 node is found as itself).  ``degenerate``,
-    ``denom``, ``m_l`` and ``m_r`` record the normalization and scaling
-    factors the growth used.
+    increases strictly, and a -0.0 node is found as itself).  ``m_l`` and
+    ``m_r`` record the scaling factors the growth used.
+
+    The nodes and coefficients are all growth chose, so the rest is read
+    from them: ``degree`` counts the nodes that differ from the padding,
+    ``degenerate`` marks the lanes grown past degree 1 on a zero slope
+    (equal endpoint values), and ``denom`` is the normalization growth
+    divided by, the slope ``coeffs[:, 1]`` or on a degenerate lane the
+    engine's w, the first expanded window's difference scaled by the
+    interval's length h and the window's span.
     """
 
     nodes: np.ndarray
     coeffs: np.ndarray
-    degree: np.ndarray
-    degenerate: np.ndarray
-    denom: np.ndarray
     m_l: np.ndarray
     m_r: np.ndarray
+
+    @property
+    def degree(self) -> np.ndarray:
+        return (self.nodes != self.nodes[:, :1]).sum(1)  # the padding repeats x_i
+
+    @property
+    def degenerate(self) -> np.ndarray:
+        return (self.coeffs[:, 1] == 0.0) & (self.degree >= 2)
+
+    @property
+    def denom(self) -> np.ndarray:
+        denom, g = self.coeffs[:, 1].copy(), self.degenerate.nonzero()[0]
+        if g.size:  # w = coeffs[:, 2] * h * span, as growth multiplies it
+            x = self.nodes[g, :3]
+            denom[g] = self.coeffs[g, 2] * (x[:, 1] - x[:, 0]) * (x.max(1) - x.min(1))
+        return denom
 
 
 # A block settles its flat lanes before growth only when they are at least
@@ -534,8 +534,8 @@ def grow_stencils(x, values, intervals, config: InterpConfig) -> Stencils:
     ``t`` is computed from, so no index is gathered for it.
     The lanes still growing are compacted only in a step where some lane
     stops.  A degenerate lane left at degree 1 is recorded as the linear
-    piece (slope normalization, factors (0, 1)); that rewrite runs only in
-    a call where some lane is degenerate.
+    piece, with factors (0, 1); the degree that finds those lanes is counted
+    only in a call where some lane is degenerate.
     """
     n, lines = values.shape
     top = min(config.d, n - 1)
@@ -671,19 +671,17 @@ def grow_stencils(x, values, intervals, config: InterpConfig) -> Stencils:
         span = xb[s + 3 :] - xb[: n - s - 3]  # order s+3's, read by step s+1
         cur, nxt = next_order(cur, span, nxt), cur
 
-    degree = (nodes != nodes[0]).sum(0)  # nodes[1] is x_{i+1}; padding repeats x_i
     if ndeg:  # a degenerate lane left at degree 1 records the linear piece
-        if i.size < lanes:  # settled: the growing lanes' fields go to their rows
-            rows = np.empty((3, lanes))  # a settled row is rewritten below
-            rows[0, live], rows[1, live], rows[2, live] = denom, m_l, m_r
-            denom, m_l, m_r = rows
-        linear = degenerate & (degree == 1)
-        # linear lanes are degenerate ones, so ^ clears them
-        degenerate, denom = degenerate ^ linear, np.where(linear, coeffs[1], denom)
+        if i.size < lanes:  # settled: the growing lanes' factors go to their rows
+            rows = np.empty((2, lanes))  # a settled row is rewritten below
+            rows[0, live], rows[1, live] = m_l, m_r
+            m_l, m_r = rows
+        # nodes[1] is x_{i+1}; the padding repeats x_i
+        linear = degenerate & ((nodes != nodes[0]).sum(0) == 1)
         m_l, m_r = np.where(linear, 0.0, m_l), np.where(linear, 1.0, m_r)
     elif config.im == DBI:  # one factor per lane in the record
         m_l, m_r = np.full(lanes, m_l), np.full(lanes, m_r)
-    return Stencils(nodes.T, coeffs.T, degree, degenerate, denom, m_l, m_r)
+    return Stencils(nodes.T, coeffs.T, m_l, m_r)
 
 
 def interpolate_lines(x, lines, pts, runs, node, hits, config: InterpConfig) -> np.ndarray:
@@ -725,19 +723,8 @@ def interval_interpolants(x, v, config: InterpConfig) -> list[IntervalInterpolan
     xm = as_mesh1d(x)
     st = grow_stencils(xm, as_values(v, xm.shape)[:, None], np.arange(xm.size - 1), config)
     orders = xm.searchsorted(st.nodes)  # the nodes are mesh values
-    pieces = []
-    for k, deg in enumerate(st.degree.tolist()):
-        pieces.append(
-            IntervalInterpolant(
-                insertion_order=tuple(orders[k, : deg + 1].tolist()),
-                coefficients=tuple(st.coeffs[k, : deg + 1].tolist()),
-                normalization="degenerate" if st.degenerate[k] else "standard",
-                denom=float(st.denom[k]),
-                m_l=float(st.m_l[k]),
-                m_r=float(st.m_r[k]),
-            )
-        )
-    return pieces
+    lanes = zip(orders.tolist(), st.coeffs.tolist(), st.degree.tolist(), st.m_l.tolist(), st.m_r.tolist())
+    return [IntervalInterpolant(tuple(o[: k + 1]), tuple(c[: k + 1]), ml, mr) for o, c, k, ml, mr in lanes]
 
 
 def replay_stencils(x, table, st: Stencils):
@@ -745,13 +732,13 @@ def replay_stencils(x, table, st: Stencils):
     of ``st``, all lanes in lockstep; every accepted step must satisfy
     B- <= lambda_bar <= B+.
 
-    ``table`` is the column-major ``(width, n, lines)`` block
-    ``divided_differences`` builds from the values the stencils were grown
-    on, and lane k reads line k % lines.  The windows, length products and
-    previous bounds are rebuilt from the recorded nodes, normalization and
-    scaling factors alone; one search of the mesh turns the nodes into
-    insertion indices.  The padding repeats the interval's left node, so a
-    padded step leaves the window unchanged.
+    ``table`` is an ``(n, width, lines)`` block, the ``build_table`` entries
+    of each line the stencils were grown on, stacked on the last axis, and
+    lane k reads line k % lines.  The windows, length products and previous
+    bounds are rebuilt from the recorded nodes, the normalization derived
+    from them and the scaling factors alone; one search of the mesh turns
+    the nodes into insertion indices.  The padding repeats the interval's
+    left node, so a padded step leaves the window unchanged.
     Returns a ``(3, width - 2, lanes)`` array, lambda_bar, B- and B+ of
     step j at ``[:, j - 1]``, with NaN past each lane's degree.
     """
@@ -759,15 +746,16 @@ def replay_stencils(x, table, st: Stencils):
     i, l, r = order[0], order[0], order[1]
     line = np.arange(i.size) % table.shape[2]
     h = x[i + 1] - x[i]
-    dn = np.where(st.denom == 0.0, 1.0, st.denom)  # a flat linear fallback records 0
-    lp = np.where(st.degenerate, h, 1.0)  # the product of window lengths
+    degenerate, denom = st.degenerate, st.denom
+    dn = np.where(denom == 0.0, 1.0, denom)  # a flat linear fallback reads 0
+    lp = np.where(degenerate, h, 1.0)  # the product of window lengths
     lam, prev = 1.0, None
     out = np.empty((3, order.shape[0] - 2, i.size))
     for j in range(1, order.shape[0] - 1):
         l, r = np.minimum(l, order[j + 1]), np.maximum(r, order[j + 1])
         length, t = x[r] - x[l], (x[order[j]] - x[i]) / h
         lam, bm, bp = lambda_bar_step(
-            table[r - l, l, line], length, h, t, lam, prev, lp, dn, st.m_l, st.m_r, st.degenerate
+            table[l, r - l, line], length, h, t, lam, prev, lp, dn, st.m_l, st.m_r, degenerate
         )
         out[:, j - 1] = lam, bm, bp
         prev, lp = (bm, bp), lp * length
@@ -785,16 +773,19 @@ def replay_chain(piece: IntervalInterpolant, table: DividedDifferenceTable, mesh
     expansion; every accepted step must satisfy B- <= lambda_bar <= B+.
     The piece's window must fit the mesh, the table's entries must be a
     real 2-D array with one row per mesh point and an order above the
-    piece's degree, and the entries the piece reads and its ``denom`` must
-    be finite, since every step reads the one and divides by the other.
+    piece's degree, and the entries the piece reads and the record's
+    ``denom`` must be finite, since every step reads the one and divides by
+    the other.
     """
     x = as_mesh1d(mesh)
     entries = _as_float(table.entries, "table entries")
-    one = _piece_record(piece, x)
+    nodes = _piece_nodes(piece, x)
     shape = entries.shape  # (mesh points, orders)
     if entries.ndim != 2 or shape[0] != x.size or shape[1] <= piece.degree:
         raise ValueError(f"table of shape {shape} does not fit {x.size} mesh points and degree {piece.degree}")
-    _finite(piece.denom, "piece denom")
-    out = replay_stencils(x, entries.T[..., None], one)
+    one = Stencils(*(np.array([f], dtype=float) for f in (nodes, piece.coefficients, piece.m_l, piece.m_r)))
+    with np.errstate(over="ignore"):  # a w that overflows reads inf, refused here
+        _finite(one.denom, "piece denom")
+    out = replay_stencils(x, entries[..., None], one)
     _finite(out[:, : piece.degree - 1], "table entries the piece reads")
     return [(j, *step) for j, step in enumerate(out[..., 0].T.tolist(), 1)]

@@ -4,7 +4,7 @@ oracles."""
 import numpy as np
 
 from ppinterp.config import DBI, PPI, InterpConfig
-from ppinterp.stencil import IntervalInterpolant
+from ppinterp.stencil import IntervalInterpolant, Stencils
 
 
 def random_mesh(rng, n, lo=-5.0, hi=5.0, min_gap=1e-3):
@@ -29,6 +29,21 @@ def make_piece(x, u, insertion_order):
         wl, wr = min(order[: j + 1]), max(order[: j + 1])
         coeffs.append(brute_dd(x, u, wl, wr - wl))
     return IntervalInterpolant(insertion_order=tuple(order), coefficients=tuple(coeffs))
+
+
+def pieces_record(pieces, x):
+    """``pieces`` as one ``Stencils`` record on mesh ``x``, a lane per
+    piece, padded past each degree as the engine pads (nodes with the
+    interval's left node, coefficients with +0): its nodes are the mesh
+    values at the insertion orders, so the record derives each piece's
+    degree, normalization and denominator.  One piece gives the one-lane
+    record ``replay_chain`` reads."""
+    width = max(p.degree for p in pieces) + 1
+    pad = [width - 1 - p.degree for p in pieces]
+    orders = [p.insertion_order + (p.interval_index,) * k for p, k in zip(pieces, pad)]
+    coeffs = [p.coefficients + (0.0,) * k for p, k in zip(pieces, pad)]
+    factors = np.array([(p.m_l, p.m_r) for p in pieces], dtype=float).T
+    return Stencils(np.take(x, orders), np.array(coeffs, dtype=float), *factors)
 
 
 def monomial_coefficients(x, piece):

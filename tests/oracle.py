@@ -6,7 +6,12 @@ the two checks the engine's lane bookkeeping: masks, the forced degenerate
 step, the linear fallback and the padded records.  Those functions have one
 path of numpy arithmetic, so on one interval they return numpy values; a
 piece's fields are converted to Python floats where it is built, as the
-engine's ``stencil.interval_interpolants`` converts them."""
+engine's ``stencil.interval_interpolants`` converts them.
+
+The oracle keeps its own normalization flag and denominator (the slope, or
+w), as the per-interval loop did, and asserts that the pieces it returns
+derive both from their orders and coefficients on the mesh, bit for bit, so
+growth's own decision checks the derivation."""
 
 from __future__ import annotations
 
@@ -19,6 +24,8 @@ from ppinterp.stencil import (
     DividedDifferenceTable, IntervalInterpolant, boundary_sigmas, build_table, classify_interval,
     interval_bounds, lambda_bar_step, scaling_factors, select_direction,
 )
+
+from helpers import pieces_record
 
 
 @dataclass(frozen=True)
@@ -37,13 +44,24 @@ class IntervalBounds:
     degenerate: bool = False
 
 
-def _linear_piece(table: DividedDifferenceTable, i: int) -> IntervalInterpolant:
-    return IntervalInterpolant(
-        insertion_order=(i, i + 1),
-        coefficients=(float(table.entries[i, 0]), float(table.entries[i, 1])),
-        normalization="standard",
-        denom=float(table.entries[i, 1]),
-    )
+def _piece(order, coeffs, degenerate, denom, m_l=0.0, m_r=1.0):
+    """The piece growth chose, with the normalization flag and the
+    denominator it grew under."""
+    return IntervalInterpolant(tuple(order), tuple(coeffs), float(m_l), float(m_r)), degenerate, float(denom)
+
+
+def _checked(grown, x) -> list[IntervalInterpolant]:
+    """The pieces of ``grown``, once their record on mesh ``x`` derives the
+    normalization and the denominator each grew under, bit for bit."""
+    pieces, degenerate, denom = zip(*grown)
+    assert [p.normalization == "degenerate" for p in pieces] == list(degenerate)
+    assert [d.hex() for d in pieces_record(pieces, x).denom.tolist()] == [d.hex() for d in denom]
+    return list(pieces)
+
+
+def _linear_piece(table: DividedDifferenceTable, i: int):
+    slope = float(table.entries[i, 1])
+    return _piece((i, i + 1), (float(table.entries[i, 0]), slope), False, slope)
 
 
 def build_stencil(
@@ -53,7 +71,13 @@ def build_stencil(
     bounds: IntervalBounds,
     config: InterpConfig,
 ) -> IntervalInterpolant:
-    """Grow the stencil for interval ``i`` and return its interpolant.
+    """Grow the stencil for interval ``i`` and return its checked
+    interpolant."""
+    return _checked([_grow(mesh, table, i, bounds, config)], np.asarray(mesh, dtype=float))[0]
+
+
+def _grow(mesh, table: DividedDifferenceTable, i: int, bounds: IntervalBounds, config: InterpConfig):
+    """Grow the stencil for interval ``i``, as ``_piece`` gives it.
 
     Expansion stops when neither neighbor is admissible, the window holds
     d+1 points, or the mesh ends on both sides.  Equal endpoint values switch
@@ -130,14 +154,7 @@ def build_stencil(
         length_product *= length
         forced = None
 
-    return IntervalInterpolant(
-        insertion_order=tuple(order),
-        coefficients=tuple(coeffs),
-        normalization="degenerate" if degenerate else "standard",
-        denom=float(denom),
-        m_l=float(m_l),
-        m_r=float(m_r),
-    )
+    return _piece(order, coeffs, degenerate, denom, m_l, m_r)
 
 
 def interval_interpolants(x, v, config: InterpConfig) -> list[IntervalInterpolant]:
@@ -147,7 +164,7 @@ def interval_interpolants(x, v, config: InterpConfig) -> list[IntervalInterpolan
     table = build_table(xm, v, config.d)
     u = table.entries[:, 0]
     slopes = table.entries[: xm.size - 1, 1]
-    pieces = []
+    grown = []
     for i in range(xm.size - 1):
         sp, sc, sn = boundary_sigmas(slopes, i)
         cls = classify_interval(sp, sc, sn)
@@ -157,5 +174,5 @@ def interval_interpolants(x, v, config: InterpConfig) -> list[IntervalInterpolan
         else:
             m_l, m_r = scaling_factors(u[i], u[i + 1], u_min, u_max, config.im)
             b = IntervalBounds(u_min, u_max, m_l, m_r)
-        pieces.append(build_stencil(xm, table, i, b, config))
-    return pieces
+        grown.append(_grow(xm, table, i, b, config))
+    return _checked(grown, xm)

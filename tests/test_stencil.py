@@ -23,7 +23,6 @@ from ppinterp.stencil import (
     boundary_sigmas,
     build_table,
     classify_interval,
-    divided_differences,
     grow_stencils,
     horner,
     interpolate_lines,
@@ -40,8 +39,8 @@ from ppinterp.stencil import (
 
 import oracle
 from helpers import (
-    leading_dd_lagrange, make_piece, monomial_coefficients, random_grid_case, random_mesh,
-    signed_zeros,
+    leading_dd_lagrange, make_piece, monomial_coefficients, pieces_record, random_grid_case,
+    random_mesh, signed_zeros,
 )
 from oracle import IntervalBounds, build_stencil
 
@@ -72,11 +71,8 @@ class TestBuildTable:
 
     def test_invalid_region_is_nan(self):
         # Order 0 is the values, every entry with i + j >= n is NaN and
-        # every other one finite, for one line and for an (n, lines) block,
-        # with d past n-1 too: the stencil engine reads a candidate past
-        # either mesh end as that NaN.
-        # The block's table is column-major, (order, point, line), and each
-        # line's slab is that line's build_table entries transposed.
+        # every other one finite, with d past n-1 too: the stencil engine
+        # reads a candidate past either mesh end as that NaN.
         t = build_table([0, 1, 2], [0, 1, 4], 2)
         assert np.isnan(t.entries[2, 1]) and np.isnan(t.entries[1, 2])
         rng = np.random.default_rng(19)
@@ -88,32 +84,31 @@ class TestBuildTable:
                 top = min(d, n - 1)
                 i, j = np.indices((n, top + 1))
                 invalid = i + j >= n
-                cm = divided_differences(x, block, d)
-                assert cm.shape == (top + 1, n, 3)
                 for c in range(3):
                     entries = build_table(x, block[:, c], d).entries
                     assert entries.shape == (n, top + 1)
                     assert (entries[:, 0].view(np.int64) == block[:, c].view(np.int64)).all()
                     assert np.isnan(entries[invalid]).all()
                     assert np.isfinite(entries[~invalid]).all()
-                    assert (cm[:, :, c].T.view(np.int64) == entries.view(np.int64)).all()
 
     def test_two_slabs_give_every_order(self):
         # The stencil engine keeps two (n, lines) slabs and builds each order
         # over the older one, whose stale entries must all be overwritten;
-        # every order, NaN tail included, equals the whole table's bit for bit.
+        # every order, NaN tail included, equals each line's whole table bit
+        # for bit, column by column.
         rng = np.random.default_rng(20)
         for n in range(2, 9):
             x = random_mesh(rng, n)
             block = rng.uniform(-2.0, 2.0, (n, 3))
-            table = divided_differences(x, block, n - 1)
+            tables = [build_table(x, block[:, c], n - 1).entries for c in range(3)]
             xb = x[:, None]
             cur, nxt = np.full((2, n, 3), np.nan)
             next_order(block, xb[1:] - xb[:-1], cur)
             for j in range(1, n):
                 if j > 1:
                     cur, nxt = next_order(cur, xb[j:] - xb[: n - j], nxt), cur
-                assert (cur.view(np.int64) == table[j].view(np.int64)).all()
+                for c, table in enumerate(tables):
+                    assert (cur[:, c].view(np.int64) == table[:, j].view(np.int64)).all()
 
     @pytest.mark.parametrize("mesh, values, degree, message", [
         # one line of values, one per mesh point: an (n, lines) block is refused
@@ -139,10 +134,17 @@ class TestIntervalInterpolant:
     def test_order_gives_interval_window_and_degree(self):
         piece = IntervalInterpolant((2, 3, 1, 4, 0), (1.0, 2.0, 3.0, 4.0, 5.0))
         assert (piece.interval_index, piece.window, piece.degree) == (2, (0, 4), 4)
-        # the order is the one stored description of the stencil
+        # the order and the coefficients are the one stored description of
+        # the stencil, beside its scaling factors
         assert [f.name for f in fields(IntervalInterpolant)] == [
-            "insertion_order", "coefficients", "normalization", "denom", "m_l", "m_r",
+            "insertion_order", "coefficients", "m_l", "m_r",
         ]
+        for name in ("interval_index", "window", "degree", "normalization"):
+            with pytest.raises(AttributeError):
+                setattr(piece, name, 0)
+        for name in ("normalization", "denom"):
+            with pytest.raises(TypeError):
+                IntervalInterpolant((0, 1), (1.0, 2.0), **{name: 1.0})
 
     START = r"^insertion order must start with two consecutive points \(i, i\+1\), got "
     STEP = r"^insertion order must add one neighbouring point at a time, got "
@@ -723,7 +725,8 @@ class TestGeometryFactors:
     @staticmethod
     def check(x, order, d, t):
         table = build_table(x, np.sin(x), x.size - 1)
-        piece = IntervalInterpolant(order, (0.0,) * len(order), denom=1.0, m_l=-0.5, m_r=1.5)
+        # a slope coefficient of 1.0 makes the replay divide by 1.0
+        piece = IntervalInterpolant(order, (0.0, 1.0) + (0.0,) * (len(order) - 2), m_l=-0.5, m_r=1.5)
         (_, lam, bm, bp), (_, _, *bounds) = replay_chain(piece, table, x)
         assert tuple(bounds) == step_bounds((bm, bp), lam, d, t, -0.5, 1.5)
 
@@ -952,13 +955,17 @@ class TestBuildStencil:
             interval_interpolants([0.0, 1.0, 2.0], [1.0, 2.0, 4.0], config)
 
 
-def record(piece):
-    """Every field of a piece, floats bit for bit."""
-    return (
-        piece.interval_index, piece.window, piece.insertion_order,
-        [c.hex() for c in piece.coefficients], piece.normalization,
-        piece.denom.hex(), piece.m_l.hex(), piece.m_r.hex(),
-    )
+def bit_records(pieces, x):
+    """Every field of each piece and what it derives on mesh ``x``, floats
+    bit for bit: the denominators are read from the pieces' record."""
+    return [
+        (
+            p.interval_index, p.window, p.insertion_order,
+            [c.hex() for c in p.coefficients], p.normalization,
+            denom.hex(), p.m_l.hex(), p.m_r.hex(),
+        )
+        for p, denom in zip(pieces, pieces_record(pieces, x).denom.tolist())
+    ]
 
 
 def test_engine_matches_oracle():
@@ -982,7 +989,7 @@ def test_engine_matches_oracle():
         )
         got = interval_interpolants(x, u, cfg)
         want = oracle.interval_interpolants(x, u, cfg)
-        assert [record(p) for p in got] == [record(p) for p in want]
+        assert bit_records(got, x) == bit_records(want, x)
         pieces += len(got)
         degenerate += sum(p.normalization == "degenerate" for p in got)
     assert pieces > 50_000 and degenerate > 1_000
@@ -1022,20 +1029,21 @@ def assert_zero_padded(st):
 
 def lane_records(x, block, cfg):
     """The engine's stencils for every interval of every column of
-    ``block``, one list of records per column, in ``record``'s format;
+    ``block``, one list of records per column, in ``bit_records``' format;
     the zero padding past each degree is checked on the way."""
     st = grow_stencils(x, block, np.arange(x.size - 1), cfg)
     assert_zero_padded(st)
     lines = block.shape[1]
     records = [[] for _ in range(lines)]
     orders = x.searchsorted(st.nodes)
+    degenerate, denom = st.degenerate, st.denom
     for k, deg in enumerate(st.degree.tolist()):
         order = orders[k, : deg + 1].tolist()
         records[k % lines].append((
             order[0], (min(order), max(order)), tuple(order),
             [c.hex() for c in st.coeffs[k, : deg + 1].tolist()],
-            "degenerate" if st.degenerate[k] else "standard",
-            float(st.denom[k]).hex(), float(st.m_l[k]).hex(), float(st.m_r[k]).hex(),
+            "degenerate" if degenerate[k] else "standard",
+            float(denom[k]).hex(), float(st.m_l[k]).hex(), float(st.m_r[k]).hex(),
         ))
     return records
 
@@ -1059,10 +1067,7 @@ def test_engine_matches_oracle_at_mesh_ends():
                 for im in (DBI, PPI):
                     for st in (1, 2, 3):
                         cfg = InterpConfig(d=d, im=im, st=st)
-                        want = [
-                            [record(p) for p in oracle.interval_interpolants(x, u, cfg)]
-                            for u in patterns
-                        ]
+                        want = [bit_records(oracle.interval_interpolants(x, u, cfg), x) for u in patterns]
                         for u, records in zip(patterns, want):
                             assert lane_records(x, u[:, None], cfg)[0] == records
                             pieces += len(records)
@@ -1074,11 +1079,11 @@ def test_engine_matches_oracle_at_mesh_ends():
 
 
 def test_both_finish_paths_give_the_same_record():
-    # grow_stencils turns a degenerate lane left at degree 1 back into the
-    # linear piece only in a call where some lane is degenerate.  Both
-    # paths, under DBI (scalar scaling factors) and PPI, and d=1 (no forced
-    # first step), must return the same record layout, one m_l and m_r per
-    # lane, and the oracle's records.
+    # grow_stencils gives a degenerate lane left at degree 1 the linear
+    # piece's factors, and counts the degree that finds it, only in a call
+    # where some lane is degenerate.  Both paths, under DBI (scalar scaling
+    # factors) and PPI, and d=1 (no forced first step), must return the
+    # same four fields, one m_l and m_r per lane, and the oracle's records.
     rng = np.random.default_rng(18)
     x = random_mesh(rng, 9)
     rising = np.exp(x / 4.0)  # distinct neighbours, no zero slope
@@ -1092,12 +1097,15 @@ def test_both_finish_paths_give_the_same_record():
             for block in (rising[:, None], plateau[:, None], np.stack([rising, plateau], 1)):
                 st = grow_stencils(x, block, np.arange(8), cfg)
                 lanes = 8 * block.shape[1]
+                assert st._fields == ("nodes", "coeffs", "m_l", "m_r")
                 assert st.nodes.shape == st.coeffs.shape == (lanes, d + 1)
                 assert all(f.shape == (lanes,) for f in st[2:])
                 assert st.degree.dtype == np.intp
+                for name in ("degree", "degenerate", "denom"):  # read from the fields
+                    with pytest.raises(AttributeError):
+                        setattr(st, name, st.degree)
                 layouts.add(tuple((type(f), f.dtype) for f in st))
-                want = [[record(p) for p in oracle.interval_interpolants(x, u, cfg)]
-                        for u in block.T]
+                want = [bit_records(oracle.interval_interpolants(x, u, cfg), x) for u in block.T]
                 assert lane_records(x, block, cfg) == want
     assert len(layouts) == 1
 
@@ -1274,10 +1282,12 @@ def test_stencil_digest():
         for d in (1, 2, 3, 8):
             for im in (DBI, PPI):
                 for st in (1, 2, 3):
-                    for p in interval_interpolants(x, u, InterpConfig(d=d, im=im, st=st)):
+                    pieces = interval_interpolants(x, u, InterpConfig(d=d, im=im, st=st))
+                    denoms = pieces_record(pieces, x).denom.tolist()
+                    for p, denom in zip(pieces, denoms):
                         record = (
                             p.window, p.insertion_order, [c.hex() for c in p.coefficients],
-                            p.denom.hex(), p.normalization, p.m_l.hex(), p.m_r.hex(),
+                            denom.hex(), p.normalization, p.m_l.hex(), p.m_r.hex(),
                         )
                         h.update(repr(record).encode())
                         degenerate += p.normalization == "degenerate"
@@ -1326,13 +1336,14 @@ def test_replay_chain_digest():
 @pytest.mark.parametrize("pairs", [interpnd.CHUNK_PAIRS, 40])
 def test_replay_stencils_every_lane_of_a_sweep(monkeypatch, pairs):
     # Every block of lines that 2D and 3D sweeps hand the engine, along
-    # every axis, regrown and replayed in lockstep: every step of every lane
-    # satisfies the bounds with no slack, the steps stop at each lane's
-    # degree, and the lanes of one line equal replay_chain on that line's
-    # pieces bit for bit.  Zero runs and paired plateaus reach the
-    # degenerate normalization and its flat fallback; with 40 pairs the
-    # blocks split into chunks of a few lines.  Both cases take about 2 s
-    # on a 2-vCPU x86-64 guest, most of it in the per-block grow_stencils.
+    # every axis, regrown and replayed in lockstep on its lines' stacked
+    # tables: every step of every lane satisfies the bounds with no slack,
+    # the steps stop at each lane's degree, and the lanes of one line equal
+    # replay_chain on that line's pieces bit for bit.  Zero runs and paired
+    # plateaus reach the degenerate normalization and its flat fallback;
+    # with 40 pairs the blocks split into chunks of a few lines.  Both cases
+    # take about 2 s on a 2-vCPU x86-64 guest, most of it in the per-block
+    # grow_stencils.
     monkeypatch.setattr(interpnd, "CHUNK_PAIRS", pairs)
     rng = np.random.default_rng(1717)
     steps = degenerate = flat = 0
@@ -1349,7 +1360,8 @@ def test_replay_stencils_every_lane_of_a_sweep(monkeypatch, pairs):
         assert {b[0].size for b in blocks} == {m.size for m in meshes}
         for mesh, lines in blocks:
             st = grow_stencils(mesh, lines, np.arange(mesh.size - 1), cfg)
-            out = replay_stencils(mesh, divided_differences(mesh, lines, cfg.d), st)
+            tables = [build_table(mesh, lines[:, c], cfg.d).entries for c in range(lines.shape[1])]
+            out = replay_stencils(mesh, np.stack(tables, axis=-1), st)
             lam, bm, bp = out
             real = ~np.isnan(lam)
             assert (np.isnan(out) == ~real).all()
