@@ -136,11 +136,12 @@ def test_piece_scaling_factors_are_checked(field, label):
         IntervalInterpolant((0, 1), (0.0, 1.0), **{field: SPOILERS[label](0.5)})
 
 
-def test_replay_chain_checks_the_piece_denom():
-    # a degenerate piece (zero slope, degree 2) whose w = 1e300 * h * span
-    # overflows: a ValueError, not an overflow warning
+@pytest.mark.parametrize("c2", [1e300, -1e300], ids=["+inf", "-inf"])
+def test_replay_chain_checks_the_piece_denom(c2):
+    # a degenerate piece (zero slope, degree 2) whose w = c2 * h * span
+    # overflows to either sign: a ValueError, not an overflow warning
     x = np.array([0.0, 1e10, 2e10])
-    piece = IntervalInterpolant((0, 1, 2), (1.0, 0.0, 1e300))
+    piece = IntervalInterpolant((0, 1, 2), (1.0, 0.0, c2))
     with pytest.raises(ValueError, match="^piece denom must be finite$"):
         ppinterp.replay_chain(piece, ppinterp.build_table(x, [1.0, 1.0, 3.0], 2), x)
 

@@ -745,17 +745,22 @@ class TestValidatorMessages:
                     values=np.broadcast_to(np.asarray(bad), (4,) * axes))
 
     @pytest.mark.parametrize("name", ENTRY_POINTS)
-    def test_ragged(self, name):
+    @pytest.mark.parametrize("fault", ["mesh", "output_points", "values"])
+    def test_ragged(self, name, fault):
         # a ragged sequence is no array of numbers either: the rule names
         # the input, where numpy's "inhomogeneous shape" error would not
         axes = ENTRY_POINTS[name][0]
         ragged = "must be a regular array of numbers, got a ragged sequence"
-        for axis in range(axes):
-            self.expect(name, f"mesh coordinates {ragged}", meshes={axis: [0.0, 1.0, [2.0], 3.0]})
-            self.expect(name, f"output points {ragged}", outs={axis: [0.5, [1.0]]})
-        values = np.ones((4,) * axes).tolist()
-        values[1] = [values[1]]  # one entry nested a level deeper
-        self.expect(name, f"values {ragged}", values=values)
+        if fault == "mesh":
+            for axis in range(axes):
+                self.expect(name, f"mesh coordinates {ragged}", meshes={axis: [0.0, 1.0, [2.0], 3.0]})
+        elif fault == "output_points":
+            for axis in range(axes):
+                self.expect(name, f"output points {ragged}", outs={axis: [0.5, [1.0]]})
+        else:
+            values = np.ones((4,) * axes).tolist()
+            values[1] = [values[1]]  # one entry nested a level deeper
+            self.expect(name, f"values {ragged}", values=values)
 
     @pytest.mark.parametrize("name", ["adaptive_2d", "adaptive_3d", "pchip_2d"])
     def test_first_fault_in_check_order(self, name):
